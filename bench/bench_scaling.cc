@@ -8,18 +8,12 @@
  *    sequential ExmaTable::search loop as the 1-thread reference,
  *    verified bit-identical at every width;
  *
- *  - shards (the software analogue of the paper's multi-channel
- *    scale-out): ShardedExmaTable over the same dataset at the shard
- *    counts in EXMA_SHARDS (default 1,2,4,8), with pool-parallel shard
- *    builds timed, per-shard JSON records emitted, and every sharded
- *    hit set verified identical to the single-table hit set;
- *
- *  - routing (the paper's truly parallel channels): the same batch
- *    served through a ShardRouter over a kmerPrefix plan at the same
- *    shard counts, so every query runs on the one shard owning its
- *    prefix instead of fanning across all of them — routed vs
- *    broadcast Mbases/s side by side, hit sets verified against the
- *    monolithic table.
+ *  - shards (the paper's multi-channel scale-out, §V): the same batch
+ *    served through a ShardRouter over a kmerPrefix plan at the shard
+ *    counts in EXMA_SHARDS (default 1,2,4,8), so every query runs on
+ *    the one shard owning its prefix — in process, then across
+ *    exma-worker child processes, then over replicated shards — with
+ *    every hit set verified against the monolithic table.
  */
 
 #include "bench_util.hh"
@@ -37,7 +31,6 @@
 #include "io/format.hh"
 #include "persist/index_io.hh"
 #include "route/shard_router.hh"
-#include "shard/sharded_table.hh"
 
 using namespace exma;
 
@@ -136,15 +129,6 @@ main(int argc, char **argv)
               << ". The paper's accelerator gets its throughput from "
                  "query-level parallelism — this is the CPU analogue.)\n";
 
-    // ------------------------------------------------------------------
-    // Shard-count sweep: partition the reference, serve the same batch
-    // through a ShardedExmaTable, and check the merged global hit set
-    // against the monolithic table.
-    // ------------------------------------------------------------------
-    bench::banner("Shard scaling",
-                  "sharded multi-table serving vs shard count "
-                  "(human dataset)");
-
     const u64 query_len = queries.empty() ? 101 : queries[0].size();
 
     // Single-table ground truth: located, sorted hit set per query.
@@ -156,89 +140,18 @@ main(int argc, char **argv)
         expect_hits.push_back(std::move(hits));
     }
 
-    TextTable st;
-    st.header({"shards", "build_s", "Mbases/s", "speedup", "rows_total",
-               "hits", "match"});
-    double shard_base_mbases = 0.0;
-    std::map<unsigned, double> broadcast_mbases;
-    for (unsigned n_shards : shardSweep()) {
-        const auto plan =
-            ShardPlan::fixedWidth(ds.ref.size(), n_shards, query_len);
-        ShardedExmaTable::Config scfg;
-        scfg.table = bench::exmaConfig(ds, OccIndexMode::Mtl);
-        const ShardedExmaTable sharded(ds.ref, plan, scfg);
-
-        // Best-of-3, as in the thread sweep.
-        ShardedResult best;
-        for (int rep = 0; rep < 3; ++rep) {
-            ShardedResult r = sharded.search(queries);
-            if (rep == 0 || r.seconds < best.seconds)
-                best = std::move(r);
-        }
-        const bool match = best.hits == expect_hits;
-        const double mbases = best.mbasesPerSecond();
-        broadcast_mbases[n_shards] = mbases;
-        if (shard_base_mbases == 0.0)
-            shard_base_mbases = mbases;
-        const double speedup =
-            shard_base_mbases > 0.0 ? mbases / shard_base_mbases : 0.0;
-        bench::note("mbases_per_s_shards" + std::to_string(n_shards),
-                    mbases);
-        bench::note("build_s_shards" + std::to_string(n_shards),
-                    sharded.buildSeconds());
-        st.row({std::to_string(plan.size()),
-                TextTable::num(sharded.buildSeconds(), 2),
-                TextTable::num(mbases, 2), TextTable::num(speedup, 2),
-                std::to_string(sharded.totalRows()),
-                std::to_string(best.totalHits()),
-                match ? "yes" : "NO"});
-
-        // Per-shard JSON records: geometry plus that shard's share of
-        // the search work.
-        TextTable pt;
-        pt.header({"shard", "begin", "bases", "rows", "kstep_iters",
-                   "onestep_iters"});
-        for (size_t s = 0; s < sharded.shardCount(); ++s) {
-            const Shard &sh = plan.shards()[s];
-            pt.row({sh.name, std::to_string(sh.begin),
-                    std::to_string(sh.length),
-                    std::to_string(sharded.table(s).rows()),
-                    std::to_string(best.per_shard[s].kstep_iterations),
-                    std::to_string(best.per_shard[s].onestep_iterations)});
-        }
-        bench::printTable(pt, "per-shard (" + std::to_string(plan.size()) +
-                                  " shards)");
-
-        if (!match) {
-            std::cerr << "FATAL: sharded hit set diverges from the "
-                         "single-table reference at "
-                      << n_shards << " shards\n";
-            return 1;
-        }
-    }
-    bench::printTable(st, "shard sweep");
-    std::cout << "\n(Same " << n_queries << "-query batch served through "
-              << "one ExmaTable per shard — fixed-width partitions "
-                 "overlapping by max_query_len-1 = "
-              << query_len - 1
-              << " bases, merged into deduplicated global positions. "
-                 "Set EXMA_SHARDS=a,b,... to change the sweep. The "
-                 "paper scales the same way across memory "
-                 "channels/DIMMs.)\n";
-
     // ------------------------------------------------------------------
     // Routed sweep: the same batch through a ShardRouter over a
     // kmerPrefix plan. Every query executes on the single shard owning
     // its prefix (its worker's dedicated thread), so per-query work
-    // stays constant as shards grow — routed vs broadcast side by side.
+    // stays constant as shards grow.
     // ------------------------------------------------------------------
     bench::banner("Routed shard scaling",
-                  "k-mer-prefix routing vs broadcast fan-out "
-                  "(human dataset)");
+                  "k-mer-prefix routing vs shard count (human dataset)");
 
     TextTable rt;
-    rt.header({"shards", "p", "build_s", "repl", "routed_MB/s",
-               "bcast_MB/s", "ratio", "hits", "match"});
+    rt.header({"shards", "p", "build_s", "repl", "routed_MB/s", "hits",
+               "match"});
     std::map<unsigned, double> routed_mbases;
     for (unsigned n_shards : shardSweep()) {
         const auto plan =
@@ -256,9 +169,6 @@ main(int argc, char **argv)
         const bool match = best.hits == expect_hits;
         const double mbases = best.mbasesPerSecond();
         routed_mbases[n_shards] = mbases;
-        const double bcast = broadcast_mbases.count(n_shards)
-                                 ? broadcast_mbases[n_shards]
-                                 : 0.0;
         // Replication factor: prefix shards store their owned
         // positions' context windows, which overlap across shards.
         const double repl = static_cast<double>(router.totalLocalBases()) /
@@ -273,8 +183,6 @@ main(int argc, char **argv)
                 std::to_string(plan.prefixLen()),
                 TextTable::num(router.buildSeconds(), 2),
                 TextTable::num(repl, 2), TextTable::num(mbases, 2),
-                TextTable::num(bcast, 2),
-                TextTable::num(bcast > 0.0 ? mbases / bcast : 0.0, 2),
                 std::to_string(best.totalHits()),
                 match ? "yes" : "NO"});
         if (!match) {
@@ -289,8 +197,7 @@ main(int argc, char **argv)
               << "prefix, so each runs on exactly one shard worker; "
                  "`repl` is total per-shard searchable bases over the "
                  "reference length — the price of term-partitioned "
-                 "placement. Broadcast numbers repeat the shard sweep "
-                 "above for side-by-side reading.)\n";
+                 "placement.)\n";
 
     // ------------------------------------------------------------------
     // Multi-process sweep: the same routed plans, but every shard is a
@@ -470,8 +377,6 @@ main(int argc, char **argv)
         for (const auto &q : queries)
             loaded_hits.push_back(loaded.table->locateAllGlobal(
                 loaded.table->search(q), q.size()));
-    } else if (loaded.kind == IndexKind::ShardedText) {
-        loaded_hits = loaded.sharded->search(queries).hits;
     } else {
         loaded_hits = loaded.router->search(queries).hits;
     }

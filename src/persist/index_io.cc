@@ -41,6 +41,8 @@ putPlan(BlobWriter &w, const ShardPlan &plan)
         w.putU64(r.lo);
         w.putU64(r.hi);
     }
+    // A text plan's one-slice segment maps follow from its shards
+    // (restore() re-derives them), so only prefix maps are written.
     if (plan.kind() == ShardPlanKind::KmerPrefix) {
         for (size_t s = 0; s < plan.size(); ++s) {
             const auto &segs = plan.segmentsOf(s);
@@ -112,21 +114,8 @@ constexpr u32 kShardEmpty = 0;
 constexpr u32 kShardScan = 1;
 constexpr u32 kShardTable = 2;
 
-/** The per-shard segment maps the building ShardRouter derives. */
-std::vector<std::vector<TextSegment>>
-routerSegments(const ShardPlan &plan)
-{
-    std::vector<std::vector<TextSegment>> segments(plan.size());
-    for (size_t s = 0; s < plan.size(); ++s) {
-        if (plan.kind() == ShardPlanKind::KmerPrefix) {
-            segments[s] = plan.segmentsOf(s);
-        } else {
-            const Shard &sh = plan.shards()[s];
-            segments[s] = {TextSegment{sh.begin, 0, sh.length}};
-        }
-    }
-    return segments;
-}
+/** Manifest kind of the retired text-sharded layout (see IndexKind). */
+constexpr u32 kRetiredTextShardedKind = 1;
 
 } // namespace
 
@@ -140,19 +129,6 @@ saveIndex(const ExmaTable &table, std::span<const Base> local_text,
     w.putU32(static_cast<u32>(IndexKind::Mono));
     saveManifest(dir, w);
     saveTableFiles(table, dir + "/table", local_text);
-}
-
-void
-saveIndex(const ShardedExmaTable &sharded, const std::string &dir)
-{
-    BlobWriter w;
-    w.putU32(static_cast<u32>(IndexKind::ShardedText));
-    putTableConfig(w, sharded.config().table);
-    w.putU32(sharded.config().build_threads);
-    putPlan(w, sharded.plan());
-    saveManifest(dir, w);
-    for (size_t s = 0; s < sharded.shardCount(); ++s)
-        saveTableFiles(sharded.table(s), shardStem(dir, s));
 }
 
 void
@@ -178,8 +154,8 @@ saveIndex(const ShardRouter &router, const std::string &dir)
         if (router.shardTable(s) != nullptr)
             saveTableFiles(*router.shardTable(s), shardStem(dir, s));
         else if (!router.shardScanRef(s).empty())
-            saveScanFiles(router.shardScanRef(s),
-                          router.shardSegments(s), shardStem(dir, s));
+            saveScanFiles(router.shardScanRef(s), plan.segmentsOf(s),
+                          shardStem(dir, s));
     }
 }
 
@@ -198,7 +174,13 @@ loadIndex(const std::string &dir)
     BlobReader r(blob, manifest_path);
 
     const u32 kind_raw = r.getU32();
-    if (kind_raw > static_cast<u32>(IndexKind::Routed))
+    if (kind_raw == kRetiredTextShardedKind)
+        throw LoadError(manifest_path +
+                        ": index kind 1 (text-sharded) is no longer "
+                        "served; rebuild it with `exma-index build "
+                        "--layout routed`");
+    if (kind_raw != static_cast<u32>(IndexKind::Mono) &&
+        kind_raw != static_cast<u32>(IndexKind::Routed))
         throw LoadError(manifest_path + ": unknown index kind " +
                         std::to_string(kind_raw));
     out.kind = static_cast<IndexKind>(kind_raw);
@@ -209,28 +191,6 @@ loadIndex(const std::string &dir)
         LoadedExmaTable t = loadTableFiles(dir + "/table");
         out.files = std::move(t.files);
         out.table = std::move(t.table);
-        break;
-    }
-    case IndexKind::ShardedText: {
-        ShardedExmaTable::Config cfg;
-        cfg.table = getTableConfig(r);
-        cfg.build_threads = r.getU32();
-        ShardPlan plan = getPlan(r);
-        r.finish();
-        std::vector<std::unique_ptr<ExmaTable>> tables;
-        tables.reserve(plan.size());
-        for (size_t s = 0; s < plan.size(); ++s) {
-            LoadedExmaTable t = loadTableFiles(shardStem(dir, s));
-            for (MappedFile &f : t.files)
-                out.files.push_back(std::move(f));
-            tables.push_back(std::move(t.table));
-        }
-        // load_seconds is stamped below; buildSeconds() reports the
-        // pre-adoption wall clock, which is what the benches record.
-        const auto t1 = std::chrono::steady_clock::now();
-        out.sharded = std::make_unique<ShardedExmaTable>(
-            std::move(plan), cfg, std::move(tables),
-            std::chrono::duration<double>(t1 - t0).count());
         break;
     }
     case IndexKind::Routed: {
@@ -256,8 +216,6 @@ loadIndex(const std::string &dir)
         // directory instead of re-saving into a temp dir.
         cfg.transport.worker_dir = dir;
 
-        std::vector<std::vector<TextSegment>> segments =
-            routerSegments(plan);
         std::vector<std::unique_ptr<ExmaTable>> tables(plan.size());
         std::vector<std::vector<Base>> scan_refs(plan.size());
         for (size_t s = 0; s < plan.size(); ++s) {
@@ -266,7 +224,7 @@ loadIndex(const std::string &dir)
                 break;
             case kShardScan: {
                 LoadedScanShard scan = loadScanFiles(shardStem(dir, s));
-                if (scan.segments != segments[s])
+                if (scan.segments != plan.segmentsOf(s))
                     throw LoadError(shardStem(dir, s) + kExtPac +
                                     ": segment map disagrees with the "
                                     "manifest's plan");
@@ -285,10 +243,11 @@ loadIndex(const std::string &dir)
                                 std::to_string(states[s]));
             }
         }
+        // load_seconds is stamped below; buildSeconds() reports the
+        // pre-adoption wall clock, which is what the benches record.
         const auto t1 = std::chrono::steady_clock::now();
         out.router = std::make_unique<ShardRouter>(
-            std::move(plan), cfg, std::move(segments), std::move(tables),
-            std::move(scan_refs),
+            std::move(plan), cfg, std::move(tables), std::move(scan_refs),
             std::chrono::duration<double>(t1 - t0).count());
         break;
     }

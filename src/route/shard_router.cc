@@ -107,20 +107,6 @@ ShardRouter::ShardRouter(const std::vector<Base> &ref, const ShardPlan &plan,
                 (unsigned long long)plan_.refLength(), ref.size());
 
     const size_t n_shards = plan_.size();
-    segments_.resize(n_shards);
-    for (size_t s = 0; s < n_shards; ++s) {
-        if (plan_.kind() == ShardPlanKind::KmerPrefix) {
-            segments_[s] = plan_.segmentsOf(s);
-        } else {
-            const Shard &sh = plan_.shards()[s];
-            exma_assert(sh.end() <= ref.size(),
-                        "shard '%s' [%llu, %llu) runs past the reference",
-                        sh.name.c_str(), (unsigned long long)sh.begin,
-                        (unsigned long long)sh.end());
-            segments_[s] = {TextSegment{sh.begin, 0, sh.length}};
-        }
-    }
-
     tables_.resize(n_shards);
     scan_refs_.resize(n_shards);
     const auto t0 = Clock::now();
@@ -128,14 +114,15 @@ ShardRouter::ShardRouter(const std::vector<Base> &ref, const ShardPlan &plan,
         n_shards, 1,
         [&](u64 begin, u64 end, unsigned) {
             for (u64 s = begin; s < end; ++s) {
-                const u64 local = segmentsLocalLength(segments_[s]);
+                const auto &segs = plan_.segmentsOf(s);
+                const u64 local = segmentsLocalLength(segs);
                 if (local == 0)
                     continue; // empty prefix range: hitless worker
                 if (local < cfg_.min_table_bases)
-                    scan_refs_[s] = extractSegments(ref, segments_[s]);
+                    scan_refs_[s] = extractSegments(ref, segs);
                 else
-                    tables_[s] = std::make_unique<ExmaTable>(
-                        ref, segments_[s], cfg_.table);
+                    tables_[s] =
+                        std::make_unique<ExmaTable>(ref, segs, cfg_.table);
             }
         },
         cfg_.build_threads);
@@ -146,25 +133,22 @@ ShardRouter::ShardRouter(const std::vector<Base> &ref, const ShardPlan &plan,
 }
 
 ShardRouter::ShardRouter(ShardPlan plan, RouterConfig cfg,
-                         std::vector<std::vector<TextSegment>> segments,
                          std::vector<std::unique_ptr<ExmaTable>> tables,
                          std::vector<std::vector<Base>> scan_refs,
                          double load_seconds)
     : plan_(std::move(plan)), cfg_(std::move(cfg)),
-      segments_(std::move(segments)), tables_(std::move(tables)),
-      scan_refs_(std::move(scan_refs)), build_seconds_(load_seconds)
+      tables_(std::move(tables)), scan_refs_(std::move(scan_refs)),
+      build_seconds_(load_seconds)
 {
     installFaultInjectorFromEnvOnce();
     const size_t n_shards = plan_.size();
     exma_assert(n_shards > 0, "shard plan holds no shards");
-    exma_assert(segments_.size() == n_shards &&
-                    tables_.size() == n_shards &&
-                    scan_refs_.size() == n_shards,
+    exma_assert(tables_.size() == n_shards && scan_refs_.size() == n_shards,
                 "adopted per-shard arrays disagree with the %zu-shard "
                 "plan",
                 n_shards);
     for (size_t s = 0; s < n_shards; ++s) {
-        const u64 local = segmentsLocalLength(segments_[s]);
+        const u64 local = segmentsLocalLength(plan_.segmentsOf(s));
         if (tables_[s]) {
             exma_assert(scan_refs_[s].empty(),
                         "shard %zu adopted both a table and a scan ref",
@@ -227,7 +211,7 @@ ShardRouter::prepareWorkerFiles()
         if (tables_[s])
             saveTableFiles(*tables_[s], io_detail::shardStem(dir, s));
         else if (!scan_refs_[s].empty())
-            saveScanFiles(scan_refs_[s], segments_[s],
+            saveScanFiles(scan_refs_[s], plan_.segmentsOf(s),
                           io_detail::shardStem(dir, s));
     }
     worker_dir_ = dir;
@@ -241,7 +225,7 @@ ShardRouter::shardFactory(size_t s)
         const ExmaTable *table = tables_[s].get();
         const std::vector<Base> *scan =
             scan_refs_[s].empty() ? nullptr : &scan_refs_[s];
-        const std::vector<TextSegment> *segs = &segments_[s];
+        const std::vector<TextSegment> *segs = &plan_.segmentsOf(s);
         return [table, scan,
                 segs](const std::string &name) -> std::shared_ptr<Transport> {
             return std::make_shared<ShardWorker>(name, table, scan, segs);
@@ -287,8 +271,8 @@ u64
 ShardRouter::totalLocalBases() const
 {
     u64 n = 0;
-    for (const auto &segs : segments_)
-        n += segmentsLocalLength(segs);
+    for (size_t s = 0; s < plan_.size(); ++s)
+        n += segmentsLocalLength(plan_.segmentsOf(s));
     return n;
 }
 

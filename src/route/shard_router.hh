@@ -1,16 +1,16 @@
 /**
  * @file
- * Prefix-routed sharded serving: the front end that makes shard count
- * buy throughput instead of costing it — and survives the workers it
- * buys it from.
+ * Sharded serving: the one front end for every ShardPlan, built to
+ * make shard count buy throughput instead of costing it — and to
+ * survive the workers it buys it from.
  *
- * PR 4's ShardedExmaTable fans every query across every shard, so one
- * core does shard-count times the work per query. The ShardRouter
- * instead serves a kmerPrefix ShardPlan: a query's first prefixLen()
- * bases name the one shard owning every position its matches can start
- * at, so the router classifies a batch by prefix, hands each shard's
- * ReplicaSet only the queries it owns, and merges the responses with
- * the same dedup/global-cap machinery ShardedExmaTable uses. Queries
+ * Broadcasting every query to every shard makes one core do
+ * shard-count times the work per query. The ShardRouter instead serves
+ * a kmerPrefix ShardPlan: a query's first prefixLen() bases name the
+ * one shard owning every position its matches can start at, so the
+ * router classifies a batch by prefix, hands each shard's ReplicaSet
+ * only the queries it owns, and merges the responses into sorted,
+ * deduplicated global positions under a global locate_limit. Queries
  * shorter than the routing prefix whose padded code range straddles a
  * partition boundary fall back to a broadcast across the straddled
  * shards (their matches' owners all lie in that range).
@@ -32,9 +32,11 @@
  * affected queries flagged in RoutedResult::degraded instead of
  * blocking. What fired is tallied in RoutedResult::failover.
  *
- * Text-partitioned plans are also accepted and served broadcast-only
- * through the same workers, so routed-vs-broadcast comparisons run on
- * identical execution machinery.
+ * Text-partitioned plans (fixedWidth, perRecord) have no routing
+ * prefix and are served broadcast-only through the same workers: each
+ * shard's table covers one text slice, fixed-width overlaps let every
+ * match of up to maxQueryLen() bases lie inside some shard, and the
+ * merge reports a match found by two overlapping shards once.
  *
  * Thread-safety analysis: search() is const and keeps all cross-thread
  * traffic inside annotated machinery — requests ride the workers'
@@ -200,14 +202,13 @@ class ShardRouter
 
     /**
      * Adopt pre-restored per-shard state (src/persist/index_io.cc)
-     * instead of building: @p segments / @p tables / @p scan_refs are
-     * index-parallel with @p plan's shards (a shard has a table, a
-     * scan ref, or neither — matching what the building constructor
-     * would have produced). Workers are spawned over the adopted
-     * state; @p load_seconds is reported as buildSeconds().
+     * instead of building: @p tables / @p scan_refs are index-parallel
+     * with @p plan's shards (a shard has a table, a scan ref, or
+     * neither — matching what the building constructor would have
+     * produced over plan.segmentsOf()). Workers are spawned over the
+     * adopted state; @p load_seconds is reported as buildSeconds().
      */
     ShardRouter(ShardPlan plan, RouterConfig cfg,
-                std::vector<std::vector<TextSegment>> segments,
                 std::vector<std::unique_ptr<ExmaTable>> tables,
                 std::vector<std::vector<Base>> scan_refs,
                 double load_seconds);
@@ -240,12 +241,6 @@ class ShardRouter
         return scan_refs_[i];
     }
 
-    /** Shard @p i's segment map (serialization). */
-    const std::vector<TextSegment> &shardSegments(size_t i) const
-    {
-        return segments_[i];
-    }
-
     /** Wall-clock seconds the (parallel) shard builds took. */
     double buildSeconds() const { return build_seconds_; }
 
@@ -264,7 +259,8 @@ class ShardRouter
      * through the replica tier, and merge into global positions.
      * Queries must be non-empty and no longer than
      * plan().maxQueryLen(). cfg.locate_limit applies globally after
-     * the merge, as in ShardedExmaTable::search.
+     * the merge (the lowest positions survive), never per shard,
+     * which would keep a shard-count-dependent subset.
      *
      * Failover contract: a shard call that fails (worker down, thrown
      * exception, corrupt canary) is retried on a different replica up
@@ -284,8 +280,8 @@ class ShardRouter
                              SearchStats *stats = nullptr) const;
 
   private:
-    /** Spawn the replica sets over segments_/tables_/scan_refs_, plus
-     *  the supervisor when configured. */
+    /** Spawn the replica sets over tables_/scan_refs_, plus the
+     *  supervisor when configured. */
     void spawnReplicas();
     /** Factory for shard @p s's replicas under transport_kind_. */
     TransportFactory shardFactory(size_t s);
@@ -293,11 +289,10 @@ class ShardRouter
      *  worker_dir_ (and temp_dir_ when the router saves them itself). */
     void prepareWorkerFiles();
 
+    /** Owns the per-shard segment maps; in-process workers hold
+     *  pointers into them, so it outlives sets_. */
     ShardPlan plan_;
     RouterConfig cfg_;
-    /** Per-shard segment maps (single whole-shard segment for text
-     *  plans), referenced by tables, scan workers and translation. */
-    std::vector<std::vector<TextSegment>> segments_;
     std::vector<std::unique_ptr<ExmaTable>> tables_;
     std::vector<std::vector<Base>> scan_refs_;
     TransportKind transport_kind_ = TransportKind::InProcess;

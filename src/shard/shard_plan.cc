@@ -35,6 +35,7 @@ ShardPlan::fixedWidth(u64 ref_len, unsigned n_shards, u64 max_query_len)
         plan.shards_.push_back(
             {"shard" + std::to_string(i), begin, end - begin});
     }
+    plan.deriveTextSegments();
     return plan;
 }
 
@@ -232,6 +233,7 @@ ShardPlan::perRecord(const std::vector<RecordSpan> &records)
     plan.ref_len_ = cursor;
     exma_assert(!plan.shards_.empty(),
                 "per-record plan: every record is empty");
+    plan.deriveTextSegments();
     return plan;
 }
 
@@ -284,8 +286,17 @@ ShardPlan::restore(std::vector<Shard> shards, ShardPlanKind kind,
                         "plan restore: shard '%s' runs past the "
                         "reference",
                         sh.name.c_str());
+        plan.deriveTextSegments();
     }
     return plan;
+}
+
+void
+ShardPlan::deriveTextSegments()
+{
+    segments_.clear();
+    for (const Shard &sh : shards_)
+        segments_.push_back({TextSegment{sh.begin, 0, sh.length}});
 }
 
 } // namespace exma

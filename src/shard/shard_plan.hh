@@ -1,12 +1,14 @@
 /**
  * @file
- * Reference partitioning for sharded multi-table serving — the software
- * analogue of the paper's multi-channel scale-out (§V: EXMA spreads the
- * k-step FM-index across parallel memory channels/DIMMs; FindeR makes
- * the same move for FM-index rank hardware).
+ * Reference partitioning for sharded serving (ShardRouter, src/route/)
+ * — the software analogue of the paper's multi-channel scale-out (§V:
+ * EXMA spreads the k-step FM-index across parallel memory
+ * channels/DIMMs; FindeR makes the same move for FM-index rank
+ * hardware).
  *
- * A ShardPlan cuts the concatenated reference into contiguous shards,
- * each of which gets its own ExmaTable. Two partitioning policies:
+ * A ShardPlan cuts the reference into shards, each of which gets its
+ * own ExmaTable over the shard's TextSegment map. Three partitioning
+ * policies:
  *
  *  - fixedWidth: N equal-stride shards, adjacent shards overlapping by
  *    max_query_len - 1 bases. Any match of length <= max_query_len
@@ -133,9 +135,11 @@ class ShardPlan
                                 int prefix_len = 0);
 
     /**
-     * Reassemble a plan from its serialized members (src/io/
+     * Reassemble a plan from its serialized members (src/persist/
      * index_io.cc) without re-deriving anything from the reference.
      * Validates the cross-member invariants the factories guarantee.
+     * Text plans pass no @p segments: their one-slice maps follow
+     * from @p shards, so they are never serialized.
      */
     static ShardPlan restore(std::vector<Shard> shards, ShardPlanKind kind,
                              u64 ref_len, u64 overlap, u64 max_query_len,
@@ -161,7 +165,11 @@ class ShardPlan
         return prefix_ranges_;
     }
 
-    /** Segment map of shard @p i (kmerPrefix plans only). */
+    /**
+     * Segment map of shard @p i: the merged context windows of a
+     * kmerPrefix shard, or the single slice {begin, 0, length} of a
+     * text shard.
+     */
     const std::vector<TextSegment> &segmentsOf(size_t i) const
     {
         return segments_[i];
@@ -202,6 +210,9 @@ class ShardPlan
     }
 
   private:
+    /** Give every text shard its one-slice segment map. */
+    void deriveTextSegments();
+
     std::vector<Shard> shards_;
     ShardPlanKind kind_ = ShardPlanKind::Text;
     u64 ref_len_ = 0;
@@ -209,7 +220,7 @@ class ShardPlan
     u64 max_query_len_ = kUnboundedQueryLen;
     int prefix_len_ = 0;
     std::vector<PrefixRange> prefix_ranges_;      ///< kmerPrefix only
-    std::vector<std::vector<TextSegment>> segments_; ///< kmerPrefix only
+    std::vector<std::vector<TextSegment>> segments_; ///< one per shard
 };
 
 } // namespace exma

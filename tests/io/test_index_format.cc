@@ -363,41 +363,25 @@ TEST(IndexRoundTripTest, MonoDirectory)
     EXPECT_GE(loaded.load_seconds, 0.0);
 }
 
-TEST(IndexRoundTripTest, ShardedTextDirectory)
+/**
+ * Save a router over `plan`, load it back and expect the same shards,
+ * segment maps, hits and stats. Prefix maps are read back from the
+ * manifest; text maps are re-derived from the plan.
+ */
+void
+expectRoutedRoundTrip(const ShardPlan &plan, const std::string &dir_name)
 {
-    const ShardPlan plan =
-        ShardPlan::fixedWidth(testRef().size(), 3, 64);
-    const ShardedExmaTable built(
-        testRef(), plan,
-        ShardedExmaTable::Config{cfgFor(OccIndexMode::Exact), 0});
-    const std::string dir = tempDir("idx_sharded");
-    saveIndex(built, dir);
-    const LoadedIndex loaded = loadIndex(dir);
-    ASSERT_EQ(loaded.kind, IndexKind::ShardedText);
-    ASSERT_NE(loaded.sharded, nullptr);
-    ASSERT_EQ(loaded.sharded->shardCount(), built.shardCount());
-
-    const auto queries = refQueries(40, 32);
-    const ShardedResult rb = built.search(queries);
-    const ShardedResult rl = loaded.sharded->search(queries);
-    EXPECT_EQ(rb.hits, rl.hits);
-    EXPECT_EQ(rb.stats, rl.stats);
-    for (const auto &h : rb.hits)
-        EXPECT_FALSE(h.empty());
-}
-
-TEST(IndexRoundTripTest, RoutedDirectory)
-{
-    const ShardPlan plan = ShardPlan::kmerPrefix(testRef(), 4, 64);
     RouterConfig cfg;
     cfg.table = cfgFor(OccIndexMode::Exact);
     const ShardRouter built(testRef(), plan, cfg);
-    const std::string dir = tempDir("idx_routed");
+    const std::string dir = tempDir(dir_name);
     saveIndex(built, dir);
     const LoadedIndex loaded = loadIndex(dir);
     ASSERT_EQ(loaded.kind, IndexKind::Routed);
     ASSERT_NE(loaded.router, nullptr);
     ASSERT_EQ(loaded.router->shardCount(), built.shardCount());
+    for (size_t s = 0; s < plan.size(); ++s)
+        EXPECT_EQ(loaded.router->plan().segmentsOf(s), plan.segmentsOf(s));
 
     const auto queries = refQueries(40, 32);
     const RoutedResult rb = built.search(queries);
@@ -407,6 +391,19 @@ TEST(IndexRoundTripTest, RoutedDirectory)
     EXPECT_EQ(rb.routed_queries, rl.routed_queries);
     for (const auto &h : rb.hits)
         EXPECT_FALSE(h.empty());
+}
+
+TEST(IndexRoundTripTest, ShardedTextDirectory)
+{
+    // A text-partitioned plan saves and loads as a routed index.
+    expectRoutedRoundTrip(ShardPlan::fixedWidth(testRef().size(), 3, 64),
+                          "idx_sharded");
+}
+
+TEST(IndexRoundTripTest, RoutedDirectory)
+{
+    expectRoutedRoundTrip(ShardPlan::kmerPrefix(testRef(), 4, 64),
+                          "idx_routed");
 }
 
 TEST(IndexRoundTripTest, RoutedWithScanShards)
@@ -435,6 +432,36 @@ TEST(IndexRoundTripTest, CorruptManifestFailsClosed)
     saveIndex(built, testRef(), dir);
     const std::string manifest = dir + "/" + kManifestName;
     flipByte(manifest, fs::file_size(manifest) - 1);
+    EXPECT_THROW(loadIndex(dir), LoadError);
+}
+
+TEST(IndexRoundTripTest, RetiredOrUnknownKindFailsClosed)
+{
+    // Kind 1 named the retired text-sharded layout: its manifests must
+    // fail with a rebuild hint instead of loading as an index with no
+    // structure set. Every other unknown kind fails too.
+    const std::string dir = tempDir("idx_retired_kind");
+    const std::string manifest = dir + "/" + kManifestName;
+    const auto writeKind = [&](u32 kind) {
+        BlobWriter w;
+        w.putU32(kind);
+        FileBuilder fb(kMagicManifest);
+        io_detail::writeBlob(fb, 1, w); // the manifest's meta blob tag
+        fb.save(manifest);
+    };
+
+    writeKind(1);
+    try {
+        loadIndex(dir);
+        FAIL() << "kind-1 manifest loaded";
+    } catch (const LoadError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(manifest), std::string::npos) << what;
+        EXPECT_NE(what.find("exma-index build --layout routed"),
+                  std::string::npos)
+            << what;
+    }
+    writeKind(3);
     EXPECT_THROW(loadIndex(dir), LoadError);
 }
 

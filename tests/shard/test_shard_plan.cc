@@ -29,6 +29,18 @@ paddedCode(const std::vector<Base> &ref, u64 g, int p)
     return c;
 }
 
+/** A text plan's segment map is each shard's own slice, unmoved. */
+void
+expectOneSliceSegments(const ShardPlan &plan)
+{
+    for (size_t i = 0; i < plan.size(); ++i) {
+        const Shard &sh = plan.shards()[i];
+        EXPECT_EQ(plan.segmentsOf(i),
+                  (std::vector<TextSegment>{{sh.begin, 0, sh.length}}))
+            << sh.name;
+    }
+}
+
 TEST(ShardPlan, FixedWidthCoversReference)
 {
     const auto plan = ShardPlan::fixedWidth(10000, 4, 101);
@@ -53,6 +65,7 @@ TEST(ShardPlan, FixedWidthCoversReference)
         covered_to = std::max(covered_to, s.end());
     }
     EXPECT_EQ(covered_to, plan.refLength());
+    expectOneSliceSegments(plan);
 }
 
 TEST(ShardPlan, FixedWidthGuaranteesBoundarySpanningMatches)
@@ -118,6 +131,7 @@ TEST(ShardPlan, PerRecordFollowsSpans)
     EXPECT_FALSE(plan.boundsQueries());
     EXPECT_EQ(plan.shards()[1],
               (Shard{"chr2", 4000, 2500}));
+    expectOneSliceSegments(plan);
 }
 
 TEST(ShardPlan, PerRecordSkipsEmptyRecords)

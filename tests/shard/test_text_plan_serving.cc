@@ -1,11 +1,21 @@
+/**
+ * Text-partitioned plans (fixedWidth, perRecord) served through
+ * ShardRouter: hits, merged stats and per-shard stats must equal the
+ * monolithic table's, and a match that two overlapping shards both
+ * find is reported once.
+ *
+ * The suite keeps the name of the class that served these plans before
+ * ShardRouter took them over, so its test IDs stay stable.
+ */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "common/rng.hh"
-#include "genome/reads.hh"
+#include "genome/fasta.hh"
 #include "genome/reference.hh"
-#include "shard/sharded_table.hh"
+#include "route/shard_router.hh"
 
 namespace exma {
 namespace {
@@ -23,6 +33,14 @@ tableCfg(int k, OccIndexMode mode = OccIndexMode::Exact)
     return cfg;
 }
 
+RouterConfig
+routerCfg(const ExmaTable::Config &table)
+{
+    RouterConfig cfg;
+    cfg.table = table;
+    return cfg;
+}
+
 /** Ground truth: one monolithic table's located, sorted hit set. */
 std::vector<u64>
 singleTableHits(const ExmaTable &table, const std::vector<Base> &query,
@@ -31,6 +49,13 @@ singleTableHits(const ExmaTable &table, const std::vector<Base> &query,
     auto hits = table.locateAll(table.search(query, stats));
     std::sort(hits.begin(), hits.end());
     return hits;
+}
+
+bool
+strictlyIncreasing(const std::vector<u64> &hits)
+{
+    return std::adjacent_find(hits.begin(), hits.end(),
+                              std::greater_equal<u64>()) == hits.end();
 }
 
 /**
@@ -82,26 +107,25 @@ TEST(ShardedExmaTable, HitSetMatchesSingleTableOnAllDatasets)
         for (unsigned n_shards : {1u, 2u, 8u}) {
             const auto plan = ShardPlan::fixedWidth(
                 ds.ref.size(), n_shards, kMaxQueryLen);
-            ShardedExmaTable::Config scfg;
-            scfg.table = cfg;
-            const ShardedExmaTable sharded(ds.ref, plan, scfg);
-            ASSERT_EQ(sharded.shardCount(), plan.size());
+            const ShardRouter router(ds.ref, plan, routerCfg(cfg));
+            ASSERT_EQ(router.shardCount(), plan.size());
 
             const auto qs = queryMix(ds.ref, plan, 7 + n_shards);
             BatchConfig bc;
             bc.threads = 4;
             bc.grain = 3;
-            const ShardedResult r = sharded.search(qs, bc);
+            const RoutedResult r = router.search(qs, bc);
             ASSERT_EQ(r.hits.size(), qs.size());
+            // No routing prefix: every query goes to every shard.
+            EXPECT_EQ(r.broadcast_queries,
+                      plan.size() > 1 ? qs.size() : 0u);
+            EXPECT_EQ(r.routed_queries + r.broadcast_queries, qs.size());
 
             for (size_t i = 0; i < qs.size(); ++i) {
-                const auto expect = singleTableHits(single, qs[i]);
-                EXPECT_EQ(r.hits[i], expect)
+                EXPECT_EQ(r.hits[i], singleTableHits(single, qs[i]))
                     << name << " shards=" << n_shards << " query " << i;
                 // Dedup really happened: strictly increasing positions.
-                EXPECT_TRUE(std::adjacent_find(r.hits[i].begin(),
-                                               r.hits[i].end()) ==
-                            r.hits[i].end());
+                EXPECT_TRUE(strictlyIncreasing(r.hits[i]));
             }
         }
     }
@@ -112,9 +136,7 @@ TEST(ShardedExmaTable, BoundarySpanningMatchFoundExactlyOnce)
     const Dataset ds = makeDataset("human", 0.001);
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 8, kMaxQueryLen);
     ASSERT_GE(plan.size(), 2u);
-    ShardedExmaTable::Config scfg;
-    scfg.table = tableCfg(ds.exma_k);
-    const ShardedExmaTable sharded(ds.ref, plan, scfg);
+    const ShardRouter router(ds.ref, plan, routerCfg(tableCfg(ds.exma_k)));
 
     for (size_t s = 1; s < plan.size(); ++s) {
         const u64 boundary = plan.shards()[s].begin;
@@ -123,12 +145,13 @@ TEST(ShardedExmaTable, BoundarySpanningMatchFoundExactlyOnce)
             ds.ref.begin() + static_cast<std::ptrdiff_t>(start),
             ds.ref.begin() +
                 static_cast<std::ptrdiff_t>(start + kMaxQueryLen));
-        const auto hits = sharded.findAll(q);
+        const auto hits = router.findAll(q);
         // The planted occurrence is reported once, despite straddling
         // the boundary (and possibly lying in two shards' overlap).
         EXPECT_EQ(std::count(hits.begin(), hits.end(), start), 1)
             << "boundary at " << boundary;
         EXPECT_FALSE(hits.empty());
+        EXPECT_TRUE(strictlyIncreasing(hits));
     }
 }
 
@@ -138,9 +161,13 @@ TEST(ShardedExmaTable, OneShardEqualsSingleTableStats)
     const auto cfg = tableCfg(ds.exma_k);
     const ExmaTable single(ds.ref, cfg);
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 1, kMaxQueryLen);
-    ShardedExmaTable::Config scfg;
-    scfg.table = cfg;
-    const ShardedExmaTable sharded(ds.ref, plan, scfg);
+    ASSERT_EQ(plan.size(), 1u);
+    // The one shard's segment map is the whole reference in one slice,
+    // so its table is the monolith.
+    ASSERT_EQ(plan.segmentsOf(0).size(), 1u);
+    EXPECT_EQ(plan.segmentsOf(0)[0].length, ds.ref.size());
+    const ShardRouter router(ds.ref, plan, routerCfg(cfg));
+    EXPECT_EQ(router.totalLocalBases(), ds.ref.size());
 
     const auto qs = queryMix(ds.ref, plan, 5);
     SearchStats expect;
@@ -148,23 +175,22 @@ TEST(ShardedExmaTable, OneShardEqualsSingleTableStats)
     for (const auto &q : qs)
         expect_hits.push_back(singleTableHits(single, q, &expect));
 
-    const ShardedResult r = sharded.search(qs);
+    const RoutedResult r = router.search(qs);
     EXPECT_EQ(r.stats, expect); // one shard == the monolithic table
     for (size_t i = 0; i < qs.size(); ++i)
         EXPECT_EQ(r.hits[i], expect_hits[i]);
     EXPECT_EQ(r.queries, qs.size());
+    EXPECT_EQ(r.broadcast_queries, 0u);
 }
 
 TEST(ShardedExmaTable, PerShardStatsMergeToTotal)
 {
     const Dataset ds = makeDataset("picea", 0.001);
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 4, kMaxQueryLen);
-    ShardedExmaTable::Config scfg;
-    scfg.table = tableCfg(ds.exma_k);
-    const ShardedExmaTable sharded(ds.ref, plan, scfg);
+    const ShardRouter router(ds.ref, plan, routerCfg(tableCfg(ds.exma_k)));
 
     const auto qs = queryMix(ds.ref, plan, 11);
-    const ShardedResult r = sharded.search(qs);
+    const RoutedResult r = router.search(qs);
     ASSERT_EQ(r.per_shard.size(), plan.size());
     SearchStats merged;
     for (const SearchStats &s : r.per_shard)
@@ -174,7 +200,7 @@ TEST(ShardedExmaTable, PerShardStatsMergeToTotal)
 
     // findAll merges the same per-shard stats for a lone query.
     SearchStats lone;
-    const auto hits = sharded.findAll(qs[0], &lone);
+    const auto hits = router.findAll(qs[0], &lone);
     EXPECT_GT(lone.kstep_iterations, 0u);
     EXPECT_EQ(hits, r.hits[0]);
 }
@@ -183,23 +209,24 @@ TEST(ShardedExmaTable, LearnedModeMatchesExactMode)
 {
     const Dataset ds = makeDataset("human", 0.001);
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 2, kMaxQueryLen);
-    ShardedExmaTable::Config exact, mtl;
-    exact.table = tableCfg(ds.exma_k, OccIndexMode::Exact);
-    mtl.table = tableCfg(ds.exma_k, OccIndexMode::Mtl);
-    const ShardedExmaTable a(ds.ref, plan, exact);
-    const ShardedExmaTable b(ds.ref, plan, mtl);
+    const ShardRouter a(ds.ref, plan,
+                        routerCfg(tableCfg(ds.exma_k, OccIndexMode::Exact)));
+    const ShardRouter b(ds.ref, plan,
+                        routerCfg(tableCfg(ds.exma_k, OccIndexMode::Mtl)));
 
     const auto qs = queryMix(ds.ref, plan, 23);
-    const ShardedResult ra = a.search(qs);
-    const ShardedResult rb = b.search(qs);
+    const RoutedResult ra = a.search(qs);
+    const RoutedResult rb = b.search(qs);
     for (size_t i = 0; i < qs.size(); ++i)
         EXPECT_EQ(ra.hits[i], rb.hits[i]) << "query " << i;
 }
 
 TEST(ShardedExmaTable, PerRecordPlanFindsWithinRecordMatches)
 {
-    // Two-record dataset: per-record shards must find in-record matches
-    // at their global coordinates.
+    // Two records, one shard each: in-record matches come back at
+    // their global coordinates, the unbounded plan takes queries of
+    // any length, and the concatenation seam — which the monolith
+    // does report — is never a match.
     std::vector<FastaRecord> recs;
     ReferenceSpec spec;
     spec.length = 4096;
@@ -211,18 +238,29 @@ TEST(ShardedExmaTable, PerRecordPlanFindsWithinRecordMatches)
 
     const auto plan = ShardPlan::perRecord(ds.records);
     ASSERT_EQ(plan.size(), 2u);
-    ShardedExmaTable::Config scfg;
-    scfg.table = tableCfg(5);
-    const ShardedExmaTable sharded(ds.ref, plan, scfg);
-
-    // A probe from the middle of chrB, located globally.
-    const u64 start = 4096 + 1000;
-    const std::vector<Base> q(
-        ds.ref.begin() + start, ds.ref.begin() + start + 20);
-    const auto hits = sharded.findAll(q);
-    EXPECT_EQ(std::count(hits.begin(), hits.end(), start), 1);
-    // Unbounded plans accept long queries.
     EXPECT_FALSE(plan.boundsQueries());
+    const ShardRouter router(ds.ref, plan, routerCfg(tableCfg(5)));
+
+    const auto probe = [&](u64 start, u64 len) {
+        return std::vector<Base>(
+            ds.ref.begin() + static_cast<std::ptrdiff_t>(start),
+            ds.ref.begin() + static_cast<std::ptrdiff_t>(start + len));
+    };
+    const u64 in_chr_b = 4096 + 1000;
+    const u64 long_in_chr_a = 500;
+    const u64 seam = 4096 - 10;
+    const std::vector<std::vector<Base>> qs = {
+        probe(in_chr_b, 20), probe(long_in_chr_a, 300), probe(seam, 20)};
+    const RoutedResult r = router.search(qs);
+    const auto count = [&](size_t i, u64 pos) {
+        return std::count(r.hits[i].begin(), r.hits[i].end(), pos);
+    };
+    EXPECT_EQ(count(0, in_chr_b), 1);
+    EXPECT_EQ(count(1, long_in_chr_a), 1);
+    EXPECT_EQ(count(2, seam), 0);
+
+    const auto mono = singleTableHits(ExmaTable(ds.ref, tableCfg(5)), qs[2]);
+    EXPECT_EQ(std::count(mono.begin(), mono.end(), seam), 1);
 }
 
 TEST(ShardedExmaTable, LocateLimitAppliesGloballyAfterMerge)
@@ -234,9 +272,7 @@ TEST(ShardedExmaTable, LocateLimitAppliesGloballyAfterMerge)
     const auto cfg = tableCfg(ds.exma_k);
     const ExmaTable single(ds.ref, cfg);
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 8, kMaxQueryLen);
-    ShardedExmaTable::Config scfg;
-    scfg.table = cfg;
-    const ShardedExmaTable sharded(ds.ref, plan, scfg);
+    const ShardRouter router(ds.ref, plan, routerCfg(cfg));
 
     // Short queries so several have multiple occurrences.
     std::vector<std::vector<Base>> qs;
@@ -248,7 +284,7 @@ TEST(ShardedExmaTable, LocateLimitAppliesGloballyAfterMerge)
     }
     BatchConfig bc;
     bc.locate_limit = 3;
-    const ShardedResult r = sharded.search(qs, bc);
+    const RoutedResult r = router.search(qs, bc);
     bool saw_capped = false;
     for (size_t i = 0; i < qs.size(); ++i) {
         const auto full = singleTableHits(single, qs[i]);
@@ -267,10 +303,8 @@ TEST(ShardedExmaTable, EmptyBatch)
 {
     const Dataset ds = makeDataset("human", 0.001);
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 2, kMaxQueryLen);
-    ShardedExmaTable::Config scfg;
-    scfg.table = tableCfg(ds.exma_k);
-    const ShardedExmaTable sharded(ds.ref, plan, scfg);
-    const ShardedResult r = sharded.search({});
+    const ShardRouter router(ds.ref, plan, routerCfg(tableCfg(ds.exma_k)));
+    const RoutedResult r = router.search({});
     EXPECT_TRUE(r.hits.empty());
     EXPECT_EQ(r.queries, 0u);
     EXPECT_EQ(r.stats, SearchStats{});

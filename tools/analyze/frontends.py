@@ -131,7 +131,9 @@ class IRCache:
             return
         self.misses += 1
         os.makedirs(self.dir, exist_ok=True)
-        tmp = os.path.join(self.dir, key + ".tmp")
+        # Per-process tmp name: the analyze.* ctest entries run in
+        # parallel and may all miss the same key on a cold cache.
+        tmp = os.path.join(self.dir, "%s.%d.tmp" % (key, os.getpid()))
         with open(tmp, "w", encoding="utf-8") as f:
             f.write(ir.dumps())
         os.replace(tmp, os.path.join(self.dir, key + ".json"))

@@ -5,7 +5,7 @@
  *
  *   exma-index build  --out DIR [--dataset NAME] [--scale F]
  *                     [--fasta FILE] [--mode exact|naive|mtl] [--k K]
- *                     [--layout mono|sharded|routed] [--shards N]
+ *                     [--layout mono|routed] [--shards N]
  *                     [--max-query-len L] [--prefix-len P] [--json FILE]
  *   exma-index info   --out DIR
  *   exma-index verify --out DIR <same build flags> [--queries N]
@@ -18,15 +18,20 @@
  * face of the tests/io round-trip suite, used by the CI index-format
  * job. Timings print as `key=value` lines and, with --json, land in a
  * flat JSON object (table_build_s / index_save_s / index_load_s).
+ * Malformed or out-of-range arguments exit 2 with a usage message
+ * naming the flag; a load error exits 1.
  */
 
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -74,7 +79,7 @@ usage(const std::string &err = "")
         "usage:\n"
         "  exma-index build  --out DIR [--dataset NAME] [--scale F]\n"
         "                    [--fasta FILE] [--mode exact|naive|mtl]\n"
-        "                    [--k K] [--layout mono|sharded|routed]\n"
+        "                    [--k K] [--layout mono|routed]\n"
         "                    [--shards N] [--max-query-len L]\n"
         "                    [--prefix-len P] [--json FILE]\n"
         "  exma-index info   --out DIR [--json FILE]\n"
@@ -99,6 +104,26 @@ parse(int argc, char **argv)
             usage(std::string(argv[i]) + " needs a value");
         return argv[i + 1];
     };
+    // The whole value must parse as a T in [lo, hi]; anything else is
+    // a usage error naming the flag, never an exception or a panic.
+    const auto number = [&]<typename T>(int i, T &dst, T lo,
+                                        T hi = std::numeric_limits<T>::max()) {
+        const std::string v = need(i);
+        const char *end = v.data() + v.size();
+        T parsed{};
+        const auto [stop, ec] = std::from_chars(v.data(), end, parsed);
+        if (ec == std::errc{} && stop == end && parsed >= lo && parsed <= hi) {
+            dst = parsed;
+            return;
+        }
+        std::ostringstream msg;
+        msg << argv[i] << " takes a number ";
+        if (hi == std::numeric_limits<T>::max())
+            msg << ">= " << lo;
+        else
+            msg << "in [" << lo << ", " << hi << "]";
+        usage(msg.str() + ", got '" + v + "'");
+    };
     for (int i = 2; i < argc; i += 2) {
         const std::string flag = argv[i];
         if (flag == "--out")
@@ -106,23 +131,23 @@ parse(int argc, char **argv)
         else if (flag == "--dataset")
             opt.dataset = need(i);
         else if (flag == "--scale")
-            opt.scale = std::stod(need(i));
+            number(i, opt.scale, 1e-6);
         else if (flag == "--fasta")
             opt.fasta = need(i);
         else if (flag == "--mode")
             opt.mode = need(i);
         else if (flag == "--k")
-            opt.k = std::stoi(need(i));
+            number(i, opt.k, 0);
         else if (flag == "--layout")
             opt.layout = need(i);
         else if (flag == "--shards")
-            opt.shards = static_cast<unsigned>(std::stoul(need(i)));
+            number(i, opt.shards, 1u);
         else if (flag == "--max-query-len")
-            opt.max_query_len = std::stoull(need(i));
+            number(i, opt.max_query_len, u64{1});
         else if (flag == "--prefix-len")
-            opt.prefix_len = std::stoi(need(i));
+            number(i, opt.prefix_len, 0, ShardPlan::kMaxPrefixLen);
         else if (flag == "--queries")
-            opt.queries = std::stoull(need(i));
+            number(i, opt.queries, u64{0});
         else if (flag == "--json")
             opt.json = need(i);
         else
@@ -132,9 +157,8 @@ parse(int argc, char **argv)
         usage("--out is required");
     if (opt.layout.empty())
         opt.layout = opt.shards > 1 ? "routed" : "mono";
-    if (opt.layout != "mono" && opt.layout != "sharded" &&
-        opt.layout != "routed")
-        usage("--layout must be mono, sharded or routed");
+    if (opt.layout != "mono" && opt.layout != "routed")
+        usage("--layout must be mono or routed");
     if (opt.mode != "exact" && opt.mode != "naive" && opt.mode != "mtl")
         usage("--mode must be exact, naive or mtl");
     if (opt.layout == "mono" && opt.shards > 1)
@@ -199,7 +223,6 @@ tableConfig(const Options &opt, const Dataset &ds)
 struct Index
 {
     std::unique_ptr<ExmaTable> table;
-    std::unique_ptr<ShardedExmaTable> sharded;
     std::unique_ptr<ShardRouter> router;
     LoadedIndex loaded; ///< keeps the mmaps alive for loaded indexes
 
@@ -213,8 +236,6 @@ struct Index
                     table->search(queries[i]), queries[i].size());
             return hits;
         }
-        if (sharded)
-            return sharded->search(queries).hits;
         return router->search(queries).hits;
     }
 };
@@ -228,12 +249,6 @@ buildIndex(const Options &opt, const Dataset &ds, Metrics &metrics)
     if (opt.layout == "mono") {
         idx.table = std::make_unique<ExmaTable>(ds.ref, cfg);
         metrics.put("table_build_s", now() - t0);
-    } else if (opt.layout == "sharded") {
-        const ShardPlan plan = ShardPlan::fixedWidth(
-            ds.ref.size(), opt.shards, opt.max_query_len);
-        idx.sharded = std::make_unique<ShardedExmaTable>(
-            ds.ref, plan, ShardedExmaTable::Config{cfg, 0});
-        metrics.put("table_build_s", idx.sharded->buildSeconds());
     } else {
         const ShardPlan plan = ShardPlan::kmerPrefix(
             ds.ref, opt.shards, opt.max_query_len, opt.prefix_len);
@@ -252,8 +267,6 @@ saveBuilt(const Index &idx, const Dataset &ds, const std::string &dir,
     const double t0 = now();
     if (idx.table)
         saveIndex(*idx.table, ds.ref, dir);
-    else if (idx.sharded)
-        saveIndex(*idx.sharded, dir);
     else
         saveIndex(*idx.router, dir);
     metrics.put("index_save_s", now() - t0);
@@ -274,8 +287,6 @@ kindName(IndexKind kind)
     switch (kind) {
     case IndexKind::Mono:
         return "mono";
-    case IndexKind::ShardedText:
-        return "sharded";
     case IndexKind::Routed:
         return "routed";
     }
@@ -322,9 +333,6 @@ cmdInfo(const Options &opt)
     if (idx.loaded.table != nullptr) {
         std::cout << "k=" << idx.loaded.table->k()
                   << " rows=" << idx.loaded.table->rows() << "\n";
-    } else if (idx.loaded.sharded != nullptr) {
-        std::cout << "shards=" << idx.loaded.sharded->shardCount()
-                  << " rows=" << idx.loaded.sharded->totalRows() << "\n";
     } else {
         std::cout << "shards=" << idx.loaded.router->shardCount()
                   << " rows=" << idx.loaded.router->totalRows()
@@ -346,8 +354,6 @@ cmdVerify(const Options &opt)
     // Route searches through the loaded structures.
     if (loaded.loaded.table)
         loaded.table = std::move(loaded.loaded.table);
-    else if (loaded.loaded.sharded)
-        loaded.sharded = std::move(loaded.loaded.sharded);
     else
         loaded.router = std::move(loaded.loaded.router);
 
