@@ -1,217 +1,29 @@
 #include "transport/shard_worker.hh"
 
-#include <stdexcept>
 #include <utility>
-
-#include "common/logging.hh"
 
 namespace exma {
 
 ShardWorker::ShardWorker(std::string name, const ExmaTable *table,
                          const std::vector<Base> *scan_ref,
                          const std::vector<TextSegment> *segments)
-    : name_(std::move(name)), state_{table, scan_ref, segments}
+    : Transport(std::move(name), table != nullptr,
+                table == nullptr && scan_ref == nullptr),
+      state_{table, scan_ref, segments}
 {
-    validateShardState(name_, state_);
-    thread_ = std::thread([this] { run(); });
+    validateShardState(this->name(), state_);
+    startLane();
 }
 
 ShardWorker::~ShardWorker()
 {
-    {
-        MutexLock lock(mtx_);
-        stop_ = true;
-    }
-    cancel_.cancel();
-    cv_.notify_all();
-    if (thread_.joinable())
-        thread_.join();
-    // Anything still queued resolves with a typed WorkerDown response —
-    // never a broken promise surfacing as std::future_error.
-    std::deque<Pending> doomed;
-    {
-        MutexLock lock(mtx_);
-        doomed.swap(inbox_);
-    }
-    for (Pending &p : doomed)
-        resolveDown(p);
+    stopLane();
 }
 
-std::future<ShardWorker::Response>
-ShardWorker::submit(Request req)
+WorkerResponse
+ShardWorker::serveRequest(const WorkerRequest &req)
 {
-    Pending p;
-    p.req = std::move(req);
-    std::future<Response> future = p.promise.get_future();
-    inbox_depth_.fetch_add(1, std::memory_order_relaxed);
-
-    bool down = false;
-    {
-        MutexLock lock(mtx_);
-        // The dead_ check lives under the inbox lock: kill() stores
-        // dead_ before draining under this lock, so either we observe
-        // dead_ here, or our entry is in the inbox before the drain
-        // sweeps it. No request can slip between the two and dangle.
-        if (dead_.load(std::memory_order_acquire) || stop_)
-            down = true;
-        else
-            inbox_.push_back(std::move(p));
-    }
-    if (down)
-        resolveDown(p);
-    else
-        cv_.notify_one();
-    return future;
-}
-
-void
-ShardWorker::kill()
-{
-    markDead();
-    std::deque<Pending> doomed;
-    {
-        MutexLock lock(mtx_);
-        doomed.swap(inbox_);
-    }
-    cv_.notify_all();
-    for (Pending &p : doomed)
-        resolveDown(p);
-}
-
-void
-ShardWorker::markDead()
-{
-    dead_.store(true, std::memory_order_release);
-    cancel_.cancel(); // wake any injected hang/delay immediately
-}
-
-void
-ShardWorker::resolveDown(Pending &p)
-{
-    Response r;
-    r.status = Status::WorkerDown;
-    r.error = "worker '" + name_ + "' down";
-    r.ids = p.req.batch.ids();
-    // Counters first, delivery last: a caller that observed the future
-    // ready must see the post-request counter state.
-    inbox_depth_.fetch_sub(1, std::memory_order_relaxed);
-    p.promise.set_value(std::move(r));
-}
-
-void
-ShardWorker::run()
-{
-    for (;;) {
-        Pending p;
-        {
-            MutexLock lock(mtx_);
-            while (!stop_ && !dead_.load(std::memory_order_relaxed) &&
-                   inbox_.empty())
-                cv_.wait(lock);
-            if (stop_ || dead_.load(std::memory_order_relaxed))
-                return; // queued entries are drained by kill()/dtor
-            p = std::move(inbox_.front());
-            inbox_.pop_front();
-        }
-        serve(std::move(p));
-        if (isDead())
-            return;
-    }
-}
-
-void
-ShardWorker::serve(Pending p)
-{
-    heartbeat_.fetch_add(1, std::memory_order_relaxed);
-
-    bool inject_throw = false;
-    bool inject_corrupt = false;
-    if (FaultInjector *fi = faultInjector()) {
-        for (const FaultAction &a : fi->at(name_)) {
-            switch (a.kind) {
-            case FaultKind::KillWorker:
-                markDead();
-                resolveDown(p);
-                kill(); // drain whatever queued behind this request
-                return;
-            case FaultKind::HangRequest:
-                // Stuck replica: no heartbeat until the supervisor (or
-                // a kill) cancels the sleep; then the worker is gone.
-                cancel_.sleepFor(a.ms);
-                markDead();
-                resolveDown(p);
-                kill();
-                return;
-            case FaultKind::DelayMs:
-                // Slow replica: serve late — unless the worker died
-                // (or is being destroyed) mid-sleep.
-                if (!cancel_.sleepFor(a.ms)) {
-                    resolveDown(p);
-                    return;
-                }
-                break;
-            case FaultKind::ThrowInProcess:
-                inject_throw = true;
-                break;
-            case FaultKind::CorruptResponse:
-                inject_corrupt = true;
-                break;
-            }
-        }
-    }
-
-    Response out;
-    try {
-        if (inject_throw)
-            throw std::runtime_error("injected fault: process() threw in "
-                                     "worker '" +
-                                     name_ + "'");
-        out = process(p.req);
-    } catch (const std::exception &e) {
-        out = Response{};
-        out.status = Status::Failed;
-        out.error = e.what();
-        out.ids = p.req.batch.ids();
-    }
-
-    if (isDead()) {
-        // Killed while computing: a dead worker never answers Ok, so
-        // the router's failover path sees one consistent signal.
-        resolveDown(p);
-        return;
-    }
-
-    if (out.ok()) {
-        out.canary = responseCanary(out);
-        if (inject_corrupt) {
-            // Flip payload *after* the canary stamp — the router must
-            // catch this via recompute, like a wire checksum would.
-            bool flipped = false;
-            for (auto &hits : out.hits) {
-                if (!hits.empty()) {
-                    hits.front() ^= 1;
-                    flipped = true;
-                    break;
-                }
-            }
-            if (!flipped)
-                out.ids.push_back(~u32{0});
-        }
-    }
-    // Counters first, delivery last: a caller that observed the future
-    // ready must see the post-request counter state.
-    processed_.fetch_add(1, std::memory_order_relaxed);
-    inbox_depth_.fetch_sub(1, std::memory_order_relaxed);
-    heartbeat_.fetch_add(1, std::memory_order_relaxed);
-    p.promise.set_value(std::move(out));
-}
-
-ShardWorker::Response
-ShardWorker::process(const Request &req)
-{
-    return serveShardRequest(state_, req, [this] {
-        heartbeat_.fetch_add(1, std::memory_order_relaxed);
-    });
+    return serveShardRequest(state_, req, [this] { tickHeartbeat(); });
 }
 
 } // namespace exma

@@ -1,54 +1,28 @@
 /**
  * @file
- * One shard's in-process execution engine behind the Transport seam:
- * a ShardWorker owns a dedicated thread whose work queue is the
- * worker's inbox. Callers submit a WorkerRequest (a QueryBatchView
- * over a shared query batch) and get a completion future; the worker
- * thread drains its inbox in order and fulfils each future with
- * translated global hit positions (serveShardRequest — the same
- * compute the out-of-process exma-worker binary runs).
+ * The in-process Transport: a ShardWorker answers each request on its
+ * lane thread by running serveShardRequest against its ShardState —
+ * the same compute the out-of-process exma-worker binary runs, which
+ * is what makes this worker the differential oracle for the socket
+ * transport. Requests carry a QueryBatchView borrowed zero-copy from
+ * the router's batch. The lane itself (inbox, fault dispatch,
+ * liveness, the typed-future contract) is Transport's; see
+ * transport.hh.
  *
- * The shape is deliberately that of an RPC endpoint — request in,
- * response out, no shared mutable state beyond the inbox — and since
- * this PR it *is* one implementation of the Transport interface, with
- * SocketTransport as the out-of-process sibling (the EXMA paper's
- * channels are physically separate DIMMs; FindeR's banks are
- * independent rank engines). Failures are *data, not exceptions*:
- * every submitted future resolves with a typed WorkerResponse whose
- * status says Ok, Failed (compute threw; the message rides along), or
- * WorkerDown (the worker died or was destroyed before serving it). A
- * future obtained from submit() never throws and is never abandoned
- * to std::future_error — exactly the contract the socket transport
- * gives, which is what makes this worker the differential oracle.
- *
- * Fault injection (src/fault/) probes the worker's stable name as its
- * site on every dequeue, so a FaultInjector can kill this worker on
- * its Nth request, hang it, delay it, make compute throw, or corrupt
- * the response payload after the integrity canary is stamped. The
- * heartbeat counter ticks on every dequeue and every processed batch
- * chunk (BatchConfig::progress), letting a WorkerSupervisor tell a
- * slow worker from a hung one.
- *
- * Thread-safety analysis: the inbox deque and stop flag are
- * EXMA_GUARDED_BY the worker mutex; depth/heartbeat/processed/dead
- * are lock-free atomics. Everything else the worker touches (the
- * ShardState pointers) is immutable after construction. Route new
- * mutable state through the mutex or an atomic; the analysis gate is
- * on the clang CI leg.
+ * Every compute chunk (BatchConfig::progress) ticks the heartbeat, so
+ * a supervisor sees chunk-granular progress. Nothing interrupts
+ * in-process compute: a kill mid-batch lets the batch finish and then
+ * answers WorkerDown. The ShardState pointers are immutable after
+ * construction; route new mutable state through a mutex or an atomic
+ * (the thread-safety analysis gate is on the clang CI leg).
  */
 
 #ifndef EXMA_TRANSPORT_SHARD_WORKER_HH
 #define EXMA_TRANSPORT_SHARD_WORKER_HH
 
-#include <atomic>
-#include <deque>
-#include <future>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/thread_annotations.hh"
-#include "fault/fault_injector.hh"
 #include "transport/transport.hh"
 #include "transport/worker_core.hh"
 
@@ -57,17 +31,6 @@ namespace exma {
 class ShardWorker final : public Transport
 {
   public:
-    /** Legacy spellings; the seam types live in transport.hh. */
-    using Request = WorkerRequest;
-    using Response = WorkerResponse;
-    using Status = WorkerStatus;
-
-    /** The integrity stamp Response::canary carries (FNV-1a). */
-    static u64 responseCanary(const Response &r)
-    {
-        return exma::responseCanary(r);
-    }
-
     /**
      * @param name      stable worker name; also the fault-injection
      *                  site ("<shard>/r<i>" in a ReplicaSet).
@@ -84,87 +47,15 @@ class ShardWorker final : public Transport
                 const std::vector<Base> *scan_ref,
                 const std::vector<TextSegment> *segments);
 
-    /**
-     * Stops the worker thread. Pending inbox entries resolve with
-     * WorkerDown (never a broken promise); an in-flight request is
-     * allowed to finish, with injected sleeps cancelled.
-     */
+    /** Stops the lane; an in-flight batch finishes, then answers
+     *  WorkerDown. */
     ~ShardWorker() override;
 
-    ShardWorker(const ShardWorker &) = delete;
-    ShardWorker &operator=(const ShardWorker &) = delete;
-
-    std::future<Response> submit(Request req) override;
-
-    /**
-     * Simulate worker death: mark dead, cancel any injected sleep, and
-     * resolve every queued request with WorkerDown. The supervisor
-     * uses this to put down hung workers; tests and the kill-loop soak
-     * use it as the crash switch.
-     */
-    void kill() override;
-
-    bool isDead() const override
-    {
-        return dead_.load(std::memory_order_acquire);
-    }
-
-    u64 inboxDepth() const override
-    {
-        return inbox_depth_.load(std::memory_order_relaxed);
-    }
-
-    u64 heartbeat() const override
-    {
-        return heartbeat_.load(std::memory_order_relaxed);
-    }
-
-    const std::string &name() const override { return name_; }
-
-    bool hasTable() const override { return state_.table != nullptr; }
-
-    bool isEmpty() const override
-    {
-        return state_.table == nullptr && state_.scan_ref == nullptr;
-    }
-
-    u64 processed() const override
-    {
-        return processed_.load(std::memory_order_relaxed);
-    }
-
   private:
-    struct Pending
-    {
-        Request req;
-        std::promise<Response> promise;
-    };
+    WorkerResponse serveRequest(const WorkerRequest &req) override;
 
-    void run();
-    void serve(Pending p);
-    /** Resolve @p p with WorkerDown and release its inbox-depth slot. */
-    void resolveDown(Pending &p);
-    void markDead();
-    Response process(const Request &req);
-
-    std::string name_;
-    ShardState state_;
-
-    std::atomic<u64> processed_{0};
-    std::atomic<u64> heartbeat_{0};
-    std::atomic<u64> inbox_depth_{0};
-    std::atomic<bool> dead_{false};
-    CancelToken cancel_;
-
-    Mutex mtx_;
-    CondVar cv_;
-    std::deque<Pending> inbox_ EXMA_GUARDED_BY(mtx_);
-    bool stop_ EXMA_GUARDED_BY(mtx_) = false;
-    std::thread thread_; ///< last member: joins before the rest dies
+    const ShardState state_;
 };
-
-/** The in-process Transport is the plain ShardWorker. */
-using InProcessTransport = ShardWorker;
 
 } // namespace exma
 

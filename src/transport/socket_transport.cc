@@ -52,12 +52,23 @@ discoverWorkerBinary(const std::string &hint)
 SocketTransport::SocketTransport(std::string name,
                                  SocketTransportConfig cfg, bool has_table,
                                  bool is_empty)
-    : name_(std::move(name)), cfg_(std::move(cfg)), has_table_(has_table),
-      is_empty_(is_empty)
+    : Transport(std::move(name), has_table, is_empty), cfg_(std::move(cfg))
 {
     ignoreSigpipe();
     spawnChild();
-    thread_ = std::thread([this] { run(); });
+    startLane();
+}
+
+SocketTransport::~SocketTransport()
+{
+    // A healthy child's pending response is abandoned: the router
+    // reaps every future before tearing transports down, so nothing
+    // user-visible is in flight.
+    stopLane();
+    if (pid_ > 0)
+        ::waitpid(pid_, nullptr, 0); // reap exactly once, here
+    if (fd_ >= 0)
+        ::close(fd_);
 }
 
 void
@@ -66,7 +77,7 @@ SocketTransport::spawnChild()
     int sv[2] = {-1, -1};
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
         exma_warn("socket worker '%s': socketpair failed: %s",
-                  name_.c_str(), std::strerror(errno));
+                  name().c_str(), std::strerror(errno));
         return; // fd_ stays -1; every request resolves WorkerDown
     }
     // Parent end must not leak into other spawned children.
@@ -82,7 +93,7 @@ SocketTransport::spawnChild()
     const std::string fd_arg = "3";
     const char *argv[] = {
         cfg_.binary.c_str(), "--fd",    fd_arg.c_str(),
-        "--name",            name_.c_str(),
+        "--name",            name().c_str(),
         "--state",           cfg_.state.c_str(),
         "--stem",            cfg_.stem.c_str(),
         nullptr,
@@ -112,141 +123,26 @@ SocketTransport::spawnChild()
         // first round-trip reads EOF and resolves WorkerDown — the
         // same signal as a replica crashing at startup.
         exma_warn("socket worker '%s': spawn of '%s' failed: %s",
-                  name_.c_str(), cfg_.binary.c_str(), std::strerror(rc));
+                  name().c_str(), cfg_.binary.c_str(), std::strerror(rc));
         return;
     }
     pid_ = pid;
 }
 
-SocketTransport::~SocketTransport()
-{
-    {
-        MutexLock lock(mtx_);
-        stop_ = true;
-    }
-    cancel_.cancel();
-    cv_.notify_all();
-    // Unblock an in-flight round-trip; a healthy child's pending
-    // response is abandoned (the router reaps every future before
-    // tearing transports down, so nothing user-visible is in flight).
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RDWR);
-    if (thread_.joinable())
-        thread_.join();
-    killProcess();
-    if (pid_ > 0)
-        ::waitpid(pid_, nullptr, 0); // reap exactly once, here
-    if (fd_ >= 0)
-        ::close(fd_);
-    // Anything still queued resolves with a typed WorkerDown response —
-    // never a broken promise surfacing as std::future_error.
-    std::deque<Pending> doomed;
-    {
-        MutexLock lock(mtx_);
-        doomed.swap(inbox_);
-    }
-    for (Pending &p : doomed)
-        resolveDown(p);
-}
-
-std::future<WorkerResponse>
-SocketTransport::submit(WorkerRequest req)
-{
-    Pending p;
-    p.req = std::move(req);
-    std::future<WorkerResponse> future = p.promise.get_future();
-    inbox_depth_.fetch_add(1, std::memory_order_relaxed);
-
-    bool down = false;
-    {
-        MutexLock lock(mtx_);
-        // The dead_ check lives under the inbox lock: kill() stores
-        // dead_ before draining under this lock, so either we observe
-        // dead_ here, or our entry is in the inbox before the drain
-        // sweeps it. No request can slip between the two and dangle.
-        if (dead_.load(std::memory_order_acquire) || stop_)
-            down = true;
-        else
-            inbox_.push_back(std::move(p));
-    }
-    if (down)
-        resolveDown(p);
-    else
-        cv_.notify_one();
-    return future;
-}
-
 void
-SocketTransport::kill()
-{
-    markDead();
-    killProcess(); // the real signal: SIGKILL, repeatable
-    // Unblock a round-trip parked in read()/write() on either side.
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RDWR);
-    std::deque<Pending> doomed;
-    {
-        MutexLock lock(mtx_);
-        doomed.swap(inbox_);
-    }
-    cv_.notify_all();
-    for (Pending &p : doomed)
-        resolveDown(p);
-}
-
-void
-SocketTransport::markDead()
-{
-    dead_.store(true, std::memory_order_release);
-    cancel_.cancel(); // wake any injected hang/delay immediately
-}
-
-void
-SocketTransport::killProcess()
+SocketTransport::interrupt()
 {
     if (pid_ > 0)
         ::kill(pid_, SIGKILL);
-}
-
-void
-SocketTransport::resolveDown(Pending &p)
-{
-    WorkerResponse r;
-    r.status = WorkerStatus::WorkerDown;
-    r.error = "worker '" + name_ + "' down";
-    r.ids = p.req.batch.ids();
-    // Counters first, delivery last: a caller that observed the future
-    // ready must see the post-request counter state.
-    inbox_depth_.fetch_sub(1, std::memory_order_relaxed);
-    p.promise.set_value(std::move(r));
-}
-
-void
-SocketTransport::run()
-{
-    for (;;) {
-        Pending p;
-        {
-            MutexLock lock(mtx_);
-            while (!stop_ && !dead_.load(std::memory_order_relaxed) &&
-                   inbox_.empty())
-                cv_.wait(lock);
-            if (stop_ || dead_.load(std::memory_order_relaxed))
-                return; // queued entries are drained by kill()/dtor
-            p = std::move(inbox_.front());
-            inbox_.pop_front();
-        }
-        serve(std::move(p));
-        if (isDead())
-            return;
-    }
+    if (fd_ >= 0)
+        ::shutdown(fd_, SHUT_RDWR);
 }
 
 WorkerResponse
-SocketTransport::roundTrip(const WorkerRequest &req)
+SocketTransport::serveRequest(const WorkerRequest &req)
 {
     if (fd_ < 0)
-        throw TransportError("worker '" + name_ + "' has no channel",
+        throw TransportError("worker '" + name() + "' has no channel",
                              -1, 0);
     const u32 seq = ++seq_;
     const std::vector<u8> body = encodeRequest(req);
@@ -254,18 +150,18 @@ SocketTransport::roundTrip(const WorkerRequest &req)
     WireFrame frame;
     for (;;) {
         if (!readFrame(fd_, frame))
-            throw TransportError("worker '" + name_ +
+            throw TransportError("worker '" + name() +
                                      "' closed the channel mid-request",
                                  fd_, 0);
         if (frame.header.type == kFrameHeartbeat) {
             // Chunk-granular liveness across the process boundary.
-            heartbeat_.fetch_add(1, std::memory_order_relaxed);
+            tickHeartbeat();
             continue;
         }
         if (frame.header.type != kFrameResponse ||
             frame.header.seq != seq)
             throw TransportError(
-                "worker '" + name_ + "' sent frame type " +
+                "worker '" + name() + "' sent frame type " +
                     std::to_string(frame.header.type) + " seq " +
                     std::to_string(frame.header.seq) +
                     " while awaiting response " + std::to_string(seq),
@@ -274,104 +170,6 @@ SocketTransport::roundTrip(const WorkerRequest &req)
             std::span<const u8>(frame.body.data(), frame.body.size()),
             fd_);
     }
-}
-
-void
-SocketTransport::serve(Pending p)
-{
-    heartbeat_.fetch_add(1, std::memory_order_relaxed);
-
-    bool inject_throw = false;
-    bool inject_corrupt = false;
-    if (FaultInjector *fi = faultInjector()) {
-        for (const FaultAction &a : fi->at(name_)) {
-            switch (a.kind) {
-            case FaultKind::KillWorker:
-                // Real worker death: kill() SIGKILLs the child.
-                markDead();
-                resolveDown(p);
-                kill(); // drain whatever queued behind this request
-                return;
-            case FaultKind::HangRequest:
-                // Stuck replica: the serving lane stalls, the child
-                // is never contacted, no heartbeat ticks — until the
-                // supervisor (or a kill) cancels the sleep; then the
-                // worker is gone for real.
-                cancel_.sleepFor(a.ms);
-                markDead();
-                resolveDown(p);
-                kill();
-                return;
-            case FaultKind::DelayMs:
-                // Slow replica: serve late — unless the worker died
-                // (or is being destroyed) mid-sleep.
-                if (!cancel_.sleepFor(a.ms)) {
-                    resolveDown(p);
-                    return;
-                }
-                break;
-            case FaultKind::ThrowInProcess:
-                inject_throw = true;
-                break;
-            case FaultKind::CorruptResponse:
-                inject_corrupt = true;
-                break;
-            }
-        }
-    }
-
-    WorkerResponse out;
-    if (inject_throw) {
-        // Parity with the in-process worker: the fault models the
-        // shard *compute* throwing, not the channel. The child is
-        // never contacted, stays alive, and nothing respawns —
-        // identical retry behaviour on both transports.
-        out.status = WorkerStatus::Failed;
-        out.error = "injected fault: process() threw in worker '" +
-                    name_ + "'";
-        out.ids = p.req.batch.ids();
-    } else {
-        try {
-            out = roundTrip(p.req);
-        } catch (const TransportError &e) {
-            // A broken channel is a dead worker: the child crashed,
-            // the stream was shut down, or a frame failed validation.
-            // One consistent signal for the failover path.
-            exma_warn("socket worker '%s': %s", name_.c_str(), e.what());
-            markDead();
-            resolveDown(p);
-            kill();
-            return;
-        }
-    }
-
-    if (isDead()) {
-        // Killed while the request was on the wire: a dead worker
-        // never answers Ok, so failover sees one consistent signal.
-        resolveDown(p);
-        return;
-    }
-
-    if (out.ok() && inject_corrupt) {
-        // Flip payload *after* the child stamped its canary — the
-        // router must catch this via recompute, like a wire checksum.
-        bool flipped = false;
-        for (auto &hits : out.hits) {
-            if (!hits.empty()) {
-                hits.front() ^= 1;
-                flipped = true;
-                break;
-            }
-        }
-        if (!flipped)
-            out.ids.push_back(~u32{0});
-    }
-    // Counters first, delivery last: a caller that observed the future
-    // ready must see the post-request counter state.
-    processed_.fetch_add(1, std::memory_order_relaxed);
-    inbox_depth_.fetch_sub(1, std::memory_order_relaxed);
-    heartbeat_.fetch_add(1, std::memory_order_relaxed);
-    p.promise.set_value(std::move(out));
 }
 
 } // namespace exma

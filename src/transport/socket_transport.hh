@@ -2,35 +2,27 @@
  * @file
  * The out-of-process Transport: each replica is a real child process
  * (tools/exma-worker) spawned over a Unix-domain socketpair and
- * spoken to in wire.hh frames. The parent side keeps the exact inbox
- * discipline of the in-process ShardWorker — an owned thread drains
- * submitted requests in order and fulfils futures — but "serving" a
- * request is a frame round-trip: encode, write, then read frames
- * until the response with the matching sequence number arrives
- * (heartbeat frames tick the liveness counter in between, so the
- * supervisor sees chunk-granular progress across the process
- * boundary).
+ * spoken to in wire.hh frames. The lane (inbox, fault dispatch,
+ * liveness, the typed-future contract) is Transport's; see
+ * transport.hh. What differs is how a request is answered: a frame
+ * round trip — encode, write, then read frames until the response
+ * with the matching sequence number arrives. Heartbeat frames tick
+ * the liveness counter in between, so the supervisor sees
+ * chunk-granular progress across the process boundary; the child
+ * stamps the canary before encoding.
  *
- * Failure semantics are the seam contract made physical. A broken
- * channel — the child died, a read stalled out and was shut down, a
- * frame failed validation — resolves the in-flight request as
- * WorkerDown and puts the replica away; kill() sends a real SIGKILL
- * and shuts the socket down so any blocked read unblocks immediately
- * (idempotent: the supervisor and the router's reap path may call it
- * repeatedly). The child is reaped (waitpid) exactly once, in the
- * destructor.
+ * Failure is physical. A broken channel — the child died, a read was
+ * shut down, a frame failed validation — throws out of the round trip,
+ * which the lane turns into WorkerDown. interrupt() sends a real
+ * SIGKILL and shuts the socket down so any blocked read unblocks
+ * immediately; it is repeatable. The child is reaped (waitpid)
+ * exactly once, in the destructor.
  *
- * Fault injection stays parent-side, probed at the same per-replica
- * site name as in-process — EXMA_FAULTS/EXMA_FAULT_SEED are stripped
- * from the child's environment — so the injector's per-site nth
- * counters survive respawns and one fault plan drives both
- * transports identically. KillWorker becomes a real SIGKILL;
- * HangRequest/DelayMs park the parent lane (a stalled channel);
- * ThrowInProcess synthesizes the in-process Failed response without
- * contacting the child (the fault models *compute* throwing, not the
- * channel — no respawn, same as in-process); CorruptResponse flips
- * the decoded payload after the child stamped its canary, which the
- * router must catch by recompute.
+ * Fault injection stays parent-side, in the lane, at the same
+ * per-replica site name as in-process: EXMA_FAULTS/EXMA_FAULT_SEED
+ * are stripped from the child's environment, so the injector's
+ * per-site nth counters survive respawns and a child never fires a
+ * plan twice.
  */
 
 #ifndef EXMA_TRANSPORT_SOCKET_TRANSPORT_HH
@@ -38,15 +30,8 @@
 
 #include <sys/types.h>
 
-#include <atomic>
-#include <deque>
-#include <future>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "common/thread_annotations.hh"
-#include "fault/fault_injector.hh"
 #include "transport/transport.hh"
 
 namespace exma {
@@ -71,10 +56,10 @@ class SocketTransport final : public Transport
 {
   public:
     /**
-     * Spawns the child and the parent-side serving thread. A spawn
-     * failure is not fatal: the first request finds a closed channel
-     * and resolves WorkerDown, which is exactly what the failover
-     * tier expects from a replica that cannot come up.
+     * Spawns the child and starts the lane. A spawn failure is not
+     * fatal: the first request finds a closed channel and resolves
+     * WorkerDown, which is exactly what the failover tier expects
+     * from a replica that cannot come up.
      *
      * @param name       stable replica name (fault-injection site).
      * @param cfg        child binary + shard files to serve.
@@ -87,86 +72,24 @@ class SocketTransport final : public Transport
                     bool has_table, bool is_empty);
 
     /**
-     * Stops the serving thread (shutting the socket down to unblock
-     * any in-flight round-trip), SIGKILLs and reaps the child, and
-     * resolves everything still queued with WorkerDown.
+     * Stops the lane (SIGKILL plus a socket shutdown unblock any
+     * in-flight round trip), then reaps the child.
      */
     ~SocketTransport() override;
 
-    SocketTransport(const SocketTransport &) = delete;
-    SocketTransport &operator=(const SocketTransport &) = delete;
-
-    std::future<WorkerResponse> submit(WorkerRequest req) override;
-
-    /**
-     * Real worker death: SIGKILL the child, shut the socket down so
-     * any blocked read unblocks, and resolve every queued request
-     * with WorkerDown. Idempotent.
-     */
-    void kill() override;
-
-    bool isDead() const override
-    {
-        return dead_.load(std::memory_order_acquire);
-    }
-
-    u64 inboxDepth() const override
-    {
-        return inbox_depth_.load(std::memory_order_relaxed);
-    }
-
-    u64 heartbeat() const override
-    {
-        return heartbeat_.load(std::memory_order_relaxed);
-    }
-
-    const std::string &name() const override { return name_; }
-    bool hasTable() const override { return has_table_; }
-    bool isEmpty() const override { return is_empty_; }
-
-    u64 processed() const override
-    {
-        return processed_.load(std::memory_order_relaxed);
-    }
-
   private:
-    struct Pending
-    {
-        WorkerRequest req;
-        std::promise<WorkerResponse> promise;
-    };
-
     void spawnChild();
-    void run();
-    void serve(Pending p);
     /** One request over the wire; throws TransportError on breakage. */
-    WorkerResponse roundTrip(const WorkerRequest &req);
-    /** Resolve @p p with WorkerDown and release its inbox-depth slot. */
-    void resolveDown(Pending &p);
-    void markDead();
-    /** SIGKILL the child if it was ever spawned (idempotent). */
-    void killProcess();
+    WorkerResponse serveRequest(const WorkerRequest &req) override;
+    /** SIGKILL the child if it was ever spawned and shut the socket
+     *  down so a blocked read()/write() on either side returns. */
+    void interrupt() override;
 
-    std::string name_;
-    SocketTransportConfig cfg_;
-    const bool has_table_;
-    const bool is_empty_;
+    const SocketTransportConfig cfg_;
 
-    int fd_ = -1;     ///< parent socket end; immutable after ctor
-    pid_t pid_ = -1;  ///< child pid, or -1 if spawn failed
-    u32 seq_ = 0;     ///< request sequence; serving-thread-only
-
-    std::atomic<u64> processed_{0};
-    std::atomic<u64> heartbeat_{0};
-    std::atomic<u64> inbox_depth_{0};
-    std::atomic<bool> dead_{false};
-    CancelToken cancel_;
-
-    Mutex mtx_;
-    CondVar cv_;
-    std::deque<Pending> inbox_ EXMA_GUARDED_BY(mtx_);
-    bool stop_ EXMA_GUARDED_BY(mtx_) = false;
-    std::thread thread_; ///< last member: joins before the rest dies
+    int fd_ = -1;    ///< parent socket end; immutable after ctor
+    pid_t pid_ = -1; ///< child pid, or -1 if spawn failed
+    u32 seq_ = 0;    ///< request sequence; lane-thread-only
 };
 
 } // namespace exma

@@ -1,38 +1,81 @@
 /**
  * @file
- * The transport-agnostic worker seam. A Transport is one replica's
- * endpoint: submit a WorkerRequest, get a future that always resolves
- * with a typed WorkerResponse — Ok, Failed (the worker's compute
- * threw; the message rides along), or WorkerDown (the worker died or
- * was destroyed before serving it). Failures are data, not
- * exceptions, and a future obtained from submit() is never abandoned
- * to std::future_error.
+ * The transport-agnostic worker seam, and the one serving lane every
+ * replica runs. A Transport is one replica's endpoint: submit a
+ * WorkerRequest, get a future that always resolves with a typed
+ * WorkerResponse — Ok, Failed (the worker's compute threw; the
+ * message rides along), or WorkerDown (the worker died or was
+ * destroyed before serving it). Failures are data, not exceptions,
+ * and a future obtained from submit() is never abandoned to
+ * std::future_error.
  *
- * Two implementations exist: ShardWorker (the in-process inbox +
- * dedicated thread — the default, and the differential oracle) and
- * SocketTransport (a spawned exma-worker child process behind a Unix
- * socket speaking length-prefixed canary-stamped frames). ReplicaSet,
+ * Two implementations exist: ShardWorker (answers in process — the
+ * default, and the differential oracle) and SocketTransport (a
+ * spawned exma-worker child process behind a Unix socket speaking
+ * length-prefixed canary-stamped frames). ReplicaSet,
  * WorkerSupervisor and ShardRouter only ever talk through this
  * interface, so the process boundary is a construction-time choice,
- * not a routing-code fork.
+ * not a routing-code fork. The EXMA paper builds one search engine
+ * and repeats it per DRAM channel; likewise the lane below exists
+ * once and a subclass only says how one request is answered
+ * (serveRequest) and how an in-flight answer is cut short
+ * (interrupt).
  *
- * The liveness surface (inboxDepth / heartbeat / processed / isDead /
- * kill) is part of the interface because the failover tier is built
- * on it: power-of-two-choices reads inboxDepth, the supervisor reads
+ * The lane: an inbox (deque + mutex + condvar) drained in submission
+ * order by one owned thread. Every dequeue probes the process-wide
+ * FaultInjector at the replica's name, so one fault plan drives both
+ * transports identically:
+ *   - kill     the replica dies before serving (kill(): for a socket
+ *              replica, a real SIGKILL);
+ *   - hang     the lane stalls with no heartbeat until a kill (or the
+ *              supervisor) cancels the sleep; then the replica is gone;
+ *   - delay    the lane stalls, then serves — unless killed mid-sleep;
+ *   - throw    a Failed response without contacting the compute (the
+ *              fault models compute throwing, not the channel: the
+ *              replica survives and nothing respawns);
+ *   - corrupt  the payload is flipped *after* the canary was stamped,
+ *              which the router must catch by recompute.
+ * An exception escaping serveRequest means the replica itself broke
+ * (a socket child crashed, its stream was shut down, a frame failed
+ * validation): the request resolves WorkerDown and the replica is put
+ * down. A replica killed mid-request never answers Ok.
+ *
+ * Liveness (inboxDepth / heartbeat / processed / isDead / kill) is
+ * part of the interface because the failover tier is built on it:
+ * power-of-two-choices reads inboxDepth, the supervisor reads
  * heartbeat, and kill() is the one idempotent crash switch every
- * layer (supervisor, router reap path, tests) may pull.
+ * layer (supervisor, router reap path, tests) may pull. The heartbeat
+ * ticks on every dequeue, every completion and every compute chunk
+ * (tickHeartbeat), which is how a supervisor tells a slow replica from
+ * a hung one. Counters move before a future is fulfilled, so a caller
+ * that saw its future ready sees the post-request counters.
+ *
+ * Start/stop ordering: a subclass calls startLane() as the last step
+ * of its constructor and stopLane() as the first step of its
+ * destructor. The lane thread calls the subclass's virtual hooks, so
+ * it may only run while the object is fully built: started earlier,
+ * it could reach a half-built object; stopped later, a half-destroyed
+ * one.
+ *
+ * Thread-safety analysis: the inbox deque is EXMA_GUARDED_BY the lane
+ * mutex; the counters and the dead flag are lock-free atomics.
  */
 
 #ifndef EXMA_TRANSPORT_TRANSPORT_HH
 #define EXMA_TRANSPORT_TRANSPORT_HH
 
+#include <atomic>
+#include <deque>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "batch/batch_searcher.hh"
 #include "common/search_stats.hh"
+#include "common/thread_annotations.hh"
 #include "common/types.hh"
+#include "fault/fault_injector.hh"
 #include "transport/query_batch.hh"
 
 namespace exma {
@@ -80,7 +123,11 @@ u64 responseCanary(const WorkerResponse &r);
 class Transport
 {
   public:
-    virtual ~Transport() = default;
+    /** The subclass must have called stopLane() already. */
+    virtual ~Transport();
+
+    Transport(const Transport &) = delete;
+    Transport &operator=(const Transport &) = delete;
 
     /**
      * Enqueue a request; the future resolves when the replica has
@@ -88,7 +135,7 @@ class Transport
      * blocks; submitting to a dead replica resolves immediately with
      * WorkerDown.
      */
-    virtual std::future<WorkerResponse> submit(WorkerRequest req) = 0;
+    std::future<WorkerResponse> submit(WorkerRequest req);
 
     /**
      * Put the replica down: mark dead, interrupt whatever it is
@@ -96,26 +143,97 @@ class Transport
      * Idempotent — the supervisor and the router's reap path may call
      * it repeatedly on an already-dead replica.
      */
-    virtual void kill() = 0;
+    void kill();
 
-    virtual bool isDead() const = 0;
+    bool isDead() const { return dead_.load(std::memory_order_acquire); }
 
     /** Queued + in-flight requests — the power-of-two-choices load
      *  signal. */
-    virtual u64 inboxDepth() const = 0;
+    u64 inboxDepth() const
+    {
+        return inbox_depth_.load(std::memory_order_relaxed);
+    }
 
     /** Liveness counter: ticks on dequeue and per processed chunk. A
      *  replica with inboxDepth() > 0 and a frozen heartbeat is hung. */
-    virtual u64 heartbeat() const = 0;
+    u64 heartbeat() const
+    {
+        return heartbeat_.load(std::memory_order_relaxed);
+    }
 
     /** Requests served to completion (Ok or Failed; monotonic). */
-    virtual u64 processed() const = 0;
+    u64 processed() const
+    {
+        return processed_.load(std::memory_order_relaxed);
+    }
 
     /** Stable replica name; also the fault-injection site. */
-    virtual const std::string &name() const = 0;
+    const std::string &name() const { return name_; }
 
-    virtual bool hasTable() const = 0;
-    virtual bool isEmpty() const = 0;
+    bool hasTable() const { return has_table_; }
+    bool isEmpty() const { return is_empty_; }
+
+  protected:
+    Transport(std::string name, bool has_table, bool is_empty);
+
+    /** Spawn the lane thread: the last step of a subclass ctor. */
+    void startLane();
+
+    /**
+     * kill() the replica and join the lane thread: the first step of
+     * a subclass dtor. Every queued or in-flight request resolves
+     * WorkerDown.
+     */
+    void stopLane();
+
+    /**
+     * Answer one request on the lane thread: Ok with a stamped canary,
+     * or Failed when the compute threw. Throw only when the replica
+     * itself is broken; the lane then resolves WorkerDown and puts it
+     * down.
+     */
+    virtual WorkerResponse serveRequest(const WorkerRequest &req) = 0;
+
+    /**
+     * Cut an in-flight serveRequest short; called by every kill(),
+     * from any thread, so it must be idempotent.
+     */
+    virtual void interrupt() {}
+
+    /** Liveness from inside serveRequest (per compute chunk). */
+    void tickHeartbeat()
+    {
+        heartbeat_.fetch_add(1, std::memory_order_relaxed);
+    }
+
+  private:
+    struct Pending
+    {
+        WorkerRequest req;
+        std::promise<WorkerResponse> promise;
+    };
+
+    void run();
+    void serve(Pending p);
+    /** Resolve @p p with WorkerDown. */
+    void resolveDown(Pending &p);
+    /** Release @p p's inbox slot and fulfil its future with @p r. */
+    void resolve(Pending &p, WorkerResponse r);
+
+    const std::string name_;
+    const bool has_table_;
+    const bool is_empty_;
+
+    std::atomic<u64> processed_{0};
+    std::atomic<u64> heartbeat_{0};
+    std::atomic<u64> inbox_depth_{0};
+    std::atomic<bool> dead_{false};
+    CancelToken cancel_;
+
+    Mutex mtx_;
+    CondVar cv_;
+    std::deque<Pending> inbox_ EXMA_GUARDED_BY(mtx_);
+    std::thread thread_;
 };
 
 } // namespace exma

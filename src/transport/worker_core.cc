@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 
 #include "common/logging.hh"
 
@@ -27,6 +28,45 @@ scanQuery(const ShardState &st, const std::vector<Base> &query,
              it = std::search(it + 1, end, query.begin(), query.end()))
             hits.push_back(seg.global_begin + static_cast<u64>(it - begin));
     }
+}
+
+/** Search (or scan) every query; hits index-aligned with the ids. */
+WorkerResponse
+searchShard(const ShardState &st, const WorkerRequest &req,
+            const std::function<void()> &progress)
+{
+    WorkerResponse out;
+    out.ids = req.batch.ids();
+
+    if (st.table) {
+        BatchConfig cfg = req.cfg;
+        cfg.threads = 1; // the worker thread IS the execution lane
+        cfg.locate = true;
+        cfg.per_query_stats = false;
+        // Caps are the router's job, applied after the cross-shard
+        // merge; a per-shard cap would keep a shard-dependent subset.
+        cfg.locate_limit = 0;
+        // Chunk-granular liveness: the supervisor reads this to tell
+        // "slow batch" from "hung worker".
+        cfg.progress = progress;
+        BatchResult br = BatchSearcher(*st.table, cfg)
+                             .search(req.batch.storage(),
+                                     req.batch.storageIds());
+        out.hits = std::move(br.positions);
+        out.stats = br.stats;
+    } else {
+        out.hits.resize(req.batch.size());
+        if (st.scan_ref) {
+            for (size_t j = 0; j < req.batch.size(); ++j) {
+                scanQuery(st, req.batch.query(j), out.hits[j]);
+                if (progress)
+                    progress();
+            }
+        }
+        // Empty shard: its prefix range has no occurrences, so no
+        // query routed here can match — every response is hitless.
+    }
+    return out;
 }
 
 } // namespace
@@ -61,36 +101,17 @@ serveShardRequest(const ShardState &st, const WorkerRequest &req,
 {
     const auto t0 = std::chrono::steady_clock::now();
     WorkerResponse out;
-    out.ids = req.batch.ids();
-
-    if (st.table) {
-        BatchConfig cfg = req.cfg;
-        cfg.threads = 1; // the worker thread IS the execution lane
-        cfg.locate = true;
-        cfg.per_query_stats = false;
-        // Caps are the router's job, applied after the cross-shard
-        // merge; a per-shard cap would keep a shard-dependent subset.
-        cfg.locate_limit = 0;
-        // Chunk-granular liveness: the supervisor reads this to tell
-        // "slow batch" from "hung worker".
-        cfg.progress = progress;
-        BatchResult br = BatchSearcher(*st.table, cfg)
-                             .search(req.batch.storage(),
-                                     req.batch.storageIds());
-        out.hits = std::move(br.positions);
-        out.stats = br.stats;
-    } else {
-        out.hits.resize(req.batch.size());
-        if (st.scan_ref) {
-            for (size_t j = 0; j < req.batch.size(); ++j) {
-                scanQuery(st, req.batch.query(j), out.hits[j]);
-                if (progress)
-                    progress();
-            }
-        }
-        // Empty shard: its prefix range has no occurrences, so no
-        // query routed here can match — every response is hitless.
+    try {
+        out = searchShard(st, req, progress);
+    } catch (const std::exception &e) {
+        // Compute threw: a typed Failed response, never an exception
+        // across the seam.
+        out.status = WorkerStatus::Failed;
+        out.error = e.what();
+        out.ids = req.batch.ids();
+        return out;
     }
+    out.canary = responseCanary(out);
 
     const auto t1 = std::chrono::steady_clock::now();
     out.seconds = std::chrono::duration<double>(t1 - t0).count();

@@ -40,9 +40,11 @@ void validateShardState(const std::string &name, const ShardState &st);
 /**
  * Serve @p req against @p st: search (or scan) every query in the
  * batch and return global hit positions index-aligned with the
- * request ids. @p progress ticks per processed chunk — both sides
- * turn it into heartbeats so a supervisor can tell a slow batch from
- * a hung worker. Status is always Ok; callers translate exceptions.
+ * request ids, with the canary stamped. A compute exception becomes a
+ * Failed response carrying its message — the same answer in process
+ * and across the wire. @p progress ticks per processed chunk — both
+ * sides turn it into heartbeats so a supervisor can tell a slow batch
+ * from a hung worker.
  */
 WorkerResponse serveShardRequest(const ShardState &st,
                                  const WorkerRequest &req,

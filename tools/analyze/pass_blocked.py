@@ -12,8 +12,10 @@ Flags, at any call site where at least one `exma::Mutex` is held:
 * file / mapping syscalls — open/fopen/read/write/mmap and friends
   (this is how src/io bodies register, without claiming every
   project function that shares a name with an io accessor);
-* worker dispatch — a resolved call to `process()`/`serve()` defined
-  in src/route (a whole query batch runs inside the section);
+* worker dispatch — a resolved call to one of the serving lane's
+  dispatch functions defined in src/transport (`serve()`,
+  `serveRequest()`, `serveShardRequest()`): a whole query batch runs
+  inside the section;
 * one level of inlining — calls to project functions whose own bodies
   contain any of the above (a cv wait on the callee's own lock still
   blocks the caller's lock, so it counts).
@@ -36,6 +38,11 @@ SLEEP_CALLEES = {"sleep_for", "sleep_until", "sleepFor"}
 SYSCALL_CALLEES = {"open", "fopen", "fread", "fwrite", "pread",
                    "pwrite", "mmap", "munmap", "fsync", "msync"}
 FUT_RECV_RE = re.compile(r"fut", re.I)
+# The serving lane's dispatch chain (src/transport/): Transport::serve
+# runs the fault dispatch and calls the subclass's serveRequest, which
+# runs serveShardRequest in process or a frame round trip to a child.
+DISPATCH_CALLEES = {"serve", "serveRequest", "serveShardRequest"}
+DISPATCH_DIR = "transport"
 
 
 def _args_tokens(call):
@@ -72,7 +79,7 @@ def _blocking_reason(call, proj, inline=True):
         return "file/mapping operation %s() blocks on I/O" % c
     if inline:
         for callee in proj.resolve_call(call):
-            if c in ("process", "serve") and "route" in \
+            if c in DISPATCH_CALLEES and DISPATCH_DIR in \
                     callee.path.split("/"):
                 return ("worker dispatch %s() (%s, %s:%d) runs a "
                         "whole batch" % (c, callee.qual, callee.path,

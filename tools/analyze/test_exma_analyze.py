@@ -321,6 +321,23 @@ class BlockedPassTest(unittest.TestCase):
         fs = self.run_on("    fut.get();\n")
         self.assertEqual(fs, [])
 
+    def test_lane_dispatch_under_lock_fires(self):
+        # The serving lane lives in src/transport: serving a request
+        # inside the inbox-lock scope would block every submit() for a
+        # whole batch. The same calls outside the scope are clean.
+        src = ("class Lane {\n"
+               "  void run() { MutexLock l(mtx_); serve(p); }\n"
+               "  void drain() { MutexLock l(mtx_); serveRequest(r); }\n"
+               "  void ok() { { MutexLock l(mtx_); pop(); } serve(p); }\n"
+               "  void serve(Pending p) { serveRequest(p.req); }\n"
+               "  Response serveRequest(const Request &r) { return x; }\n"
+               "};\n")
+        proj = project_from(parse(src, path="src/transport/lane.cc"))
+        fs = pass_blocked.run(proj)
+        self.assertEqual([f.line for f in fs], [2, 3], fs)
+        self.assertIn("worker dispatch serve()", fs[0].message)
+        self.assertIn("worker dispatch serveRequest()", fs[1].message)
+
     def test_inlining_flags_blocking_callee(self):
         src = ("class W {\n"
                "  void f() { MutexLock l(mtx_); slowPath(); }\n"

@@ -12,16 +12,17 @@
  *   exma-worker --fd 3 --name <shard>/r<i> --state table|scan|empty
  *               [--stem <dir>/shardNNNN]
  *
- * Request compute is transport/worker_core.cc — the same code the
- * in-process ShardWorker runs, which is what makes socket serving
- * differentially testable against the inbox path. Compute exceptions
- * become Failed responses; channel breakage ends the process (the
- * router translates the EOF into WorkerDown and respawns).
+ * Request compute is serveShardRequest (transport/worker_core.cc) —
+ * the same code the in-process ShardWorker runs, canary stamp and
+ * compute-exception-to-Failed included, which is what makes socket
+ * serving differentially testable against the in-process path.
+ * Channel breakage ends the process (the router translates the EOF
+ * into WorkerDown and respawns). A malformed or out-of-range flag
+ * exits 2 with a message naming the flag.
  */
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 
@@ -33,14 +34,26 @@ namespace {
 
 using namespace exma;
 
+/** Print @p err (naming the offending flag) and the usage line. */
 int
-usage(const char *argv0)
+usage(const char *argv0, const std::string &err)
 {
     std::fprintf(stderr,
+                 "exma-worker: %s\n"
                  "usage: %s --fd N --name NAME --state table|scan|empty "
                  "[--stem STEM]\n",
-                 argv0);
+                 err.c_str(), argv0);
     return 2;
+}
+
+/** @p v parsed whole-token as a non-negative int, or -1. */
+int
+parseFd(const std::string &v)
+{
+    const char *end = v.data() + v.size();
+    int fd = -1;
+    const auto [stop, ec] = std::from_chars(v.data(), end, fd);
+    return ec == std::errc{} && stop == end && fd >= 0 ? fd : -1;
 }
 
 /**
@@ -63,22 +76,11 @@ serveLoop(int fd, const ShardState &st)
         WorkerResponse resp;
         try {
             const WorkerRequest req = decodeRequest(frame.body, fd);
-            try {
-                u64 ticks = 0;
-                resp = serveShardRequest(st, req, [&] {
-                    if (++ticks % 64 == 0)
-                        writeFrame(fd, kFrameHeartbeat,
-                                   frame.header.seq, {});
-                });
-                resp.canary = responseCanary(resp);
-            } catch (const std::exception &e) {
-                // Compute threw: a typed Failed response, exactly as
-                // the in-process worker reports it.
-                resp = WorkerResponse{};
-                resp.status = WorkerStatus::Failed;
-                resp.error = e.what();
-                resp.ids = req.batch.ids();
-            }
+            u64 ticks = 0;
+            resp = serveShardRequest(st, req, [&] {
+                if (++ticks % 64 == 0)
+                    writeFrame(fd, kFrameHeartbeat, frame.header.seq, {});
+            });
         } catch (const TransportError &e) {
             // The frame decoded as no valid request. Answer Failed so
             // the router retries elsewhere; if the channel itself is
@@ -102,25 +104,31 @@ main(int argc, char **argv)
     std::string name = "exma-worker";
     std::string state;
     std::string stem;
-    for (int i = 1; i < argc; ++i) {
+    for (int i = 1; i < argc; i += 2) {
         const std::string arg = argv[i];
         if (i + 1 >= argc)
-            return usage(argv[0]);
-        if (arg == "--fd")
-            fd = std::atoi(argv[++i]);
-        else if (arg == "--name")
-            name = argv[++i];
-        else if (arg == "--state")
-            state = argv[++i];
-        else if (arg == "--stem")
-            stem = argv[++i];
-        else
-            return usage(argv[0]);
+            return usage(argv[0], arg + " needs a value");
+        const std::string value = argv[i + 1];
+        if (arg == "--fd") {
+            fd = parseFd(value);
+            if (fd < 0)
+                return usage(argv[0], "--fd takes a descriptor number "
+                                      ">= 0, got '" + value + "'");
+        } else if (arg == "--name") {
+            name = value;
+        } else if (arg == "--state") {
+            state = value;
+        } else if (arg == "--stem") {
+            stem = value;
+        } else {
+            return usage(argv[0], "unknown flag '" + arg + "'");
+        }
     }
     if (state != "table" && state != "scan" && state != "empty")
-        return usage(argv[0]);
+        return usage(argv[0], "--state takes table|scan|empty, got '" +
+                                  state + "'");
     if (state != "empty" && stem.empty())
-        return usage(argv[0]);
+        return usage(argv[0], "--stem is required with --state " + state);
 
     ignoreSigpipe();
 

@@ -252,11 +252,12 @@ def check_bench_json(root):
 
 # Constructs whose presence in a test file means TSan must see it: pool
 # machinery itself, the classes that own worker threads or fan work
-# across the pool, and a KmerOccTable construction (its build goes
+# across the pool (both Transport implementations own a serving-lane
+# thread), and a KmerOccTable construction (its build goes
 # pool-parallel above the row threshold).
 CONCURRENCY_MACHINERY_RE = re.compile(
-    r"\b(ThreadPool|parallelFor|BatchSearcher|ShardWorker|ShardRouter"
-    r"|KmerOccTable|std::thread|std::jthread|std::async)\b")
+    r"\b(ThreadPool|parallelFor|BatchSearcher|ShardWorker|SocketTransport"
+    r"|ShardRouter|KmerOccTable|std::thread|std::jthread|std::async)\b")
 
 ADD_TEST_RE = re.compile(r"exma_add_test\(\s*([^\s)]+)([^)]*)\)")
 

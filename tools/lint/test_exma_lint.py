@@ -165,6 +165,20 @@ exma_add_test(batch/test_unlabelled.cc DEPS exma::batch)
                         "TEST(Router, X) { exma::ShardWorker w(n, t, r, s); }\n")
         self.assertEqual(self.rules("concurrency-label"), [])
 
+    def test_socket_transport_only_suite_needs_the_label(self):
+        # A SocketTransport owns a serving-lane thread just like a
+        # ShardWorker, so a suite that only builds socket transports
+        # still belongs on the TSan leg.
+        self.tree.write("tests/CMakeLists.txt",
+                        "exma_add_test(transport/test_sock.cc "
+                        "DEPS exma::transport LABELS socket)\n")
+        self.tree.write("tests/transport/test_sock.cc",
+                        "TEST(Sock, X) { exma::SocketTransport t(n, c, "
+                        "false, true); }\n")
+        findings = self.rules("concurrency-label")
+        self.assertEqual(len(findings), 1, findings)
+        self.assertIn("SocketTransport", findings[0].message)
+
     def test_registration_of_missing_file_is_flagged(self):
         self.tree.write("tests/CMakeLists.txt",
                         "exma_add_test(common/test_gone.cc DEPS x)\n")
