@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -30,6 +31,42 @@ BatchSearcher::search(const std::vector<std::vector<Base>> &queries,
     return run(queries, &ids);
 }
 
+namespace {
+
+/**
+ * Resolve one searched chunk's intervals to hit lists. Every row the
+ * chunk needs goes on one ring of LF walks (ExmaTable::locateRows),
+ * then each query's share is finished by ExmaTable::globalHits.
+ * Contiguous tables locate only the first @p limit rows of an interval
+ * (BatchConfig::locate_limit); segment-mapped ones locate every row,
+ * since the junction filter decides which positions count.
+ */
+void
+locateChunk(const ExmaTable &table,
+            std::span<const std::vector<Base> *const> queries,
+            std::span<const Interval> ivs, u64 limit,
+            std::span<std::vector<u64>> hits)
+{
+    auto rowsOf = [&](const Interval &iv) {
+        return table.segmented() ? iv.count()
+                                 : std::min(iv.count(), limit);
+    };
+    std::vector<u64> rows;
+    for (const Interval &iv : ivs)
+        for (u64 r = iv.low, e = iv.low + rowsOf(iv); r < e; ++r)
+            rows.push_back(r);
+    table.locateRows(rows);
+    auto first = rows.begin();
+    for (size_t j = 0; j < ivs.size(); ++j) {
+        const auto last = first + static_cast<std::ptrdiff_t>(rowsOf(ivs[j]));
+        hits[j].assign(first, last);
+        first = last;
+        table.globalHits(hits[j], queries[j]->size(), limit);
+    }
+}
+
+} // namespace
+
 BatchResult
 BatchSearcher::run(const std::vector<std::vector<Base>> &queries,
                    const std::vector<u32> *ids) const
@@ -50,29 +87,25 @@ BatchSearcher::run(const std::vector<std::vector<Base>> &queries,
     parallelFor(
         n, cfg_.grain,
         [&](u64 begin, u64 end, unsigned slot) {
-            SearchStats &acc = out.per_thread[slot];
-            for (u64 i = begin; i < end; ++i) {
-                const std::vector<Base> &q =
-                    queries[ids ? (*ids)[i] : i];
-                SearchStats qs;
-                out.intervals[i] = table_.search(q, &qs);
-                acc += qs;
-                if (cfg_.per_query_stats)
-                    out.per_query[i] = qs;
-                if (cfg_.locate) {
-                    if (table_.segmented()) {
-                        // Global coordinates, junction artifacts
-                        // dropped before the cap is applied.
-                        out.positions[i] = table_.locateAllGlobal(
-                            out.intervals[i], q.size(), locate_limit);
-                    } else {
-                        auto pos = table_.locateAll(out.intervals[i],
-                                                    locate_limit);
-                        std::sort(pos.begin(), pos.end());
-                        out.positions[i] = std::move(pos);
-                    }
-                }
+            const u64 m = end - begin;
+            std::vector<const std::vector<Base> *> chunk(m);
+            for (u64 j = 0; j < m; ++j)
+                chunk[j] = &queries[ids ? (*ids)[begin + j] : begin + j];
+            std::vector<SearchStats> scratch;
+            std::span<SearchStats> stats;
+            if (cfg_.per_query_stats) {
+                stats = std::span(out.per_query).subspan(begin, m);
+            } else {
+                scratch.resize(m);
+                stats = scratch;
             }
+            const auto ivs = std::span(out.intervals).subspan(begin, m);
+            table_.search(chunk, ivs, stats);
+            for (const SearchStats &qs : stats)
+                out.per_thread[slot] += qs;
+            if (cfg_.locate)
+                locateChunk(table_, chunk, ivs, locate_limit,
+                            std::span(out.positions).subspan(begin, m));
             if (cfg_.progress)
                 cfg_.progress();
         },

@@ -11,6 +11,24 @@
  * regardless of thread count or scheduling order; instrumentation is
  * accumulated per worker slot and merged afterwards (counter sums are
  * order-independent), so the hot path takes no locks.
+ *
+ * Each claimed chunk (`grain` queries) runs in two stages on its
+ * thread, both overlapping cache misses across the chunk's queries:
+ *
+ *  1. search: ExmaTable's staged engine keeps kInFlight of the chunk's
+ *     searches in flight, each advancing one memory stage per visit
+ *     (k-mer base pointers, increment lines, resolve; or a 1-step's two
+ *     rank blocks) while the others' prefetches land;
+ *  2. locate: every row the chunk's intervals need goes on one ring of
+ *     kInFlight LF walks (ExmaTable::locateRows), then each query's
+ *     share is translated, sorted and capped (ExmaTable::globalHits).
+ *
+ * A one-query chunk runs the same stages with nothing to overlap, so
+ * the search is sequential plus a prefetch per stage. The width is the
+ * compile-time constant kInFlight (common/inflight.hh), not a
+ * BatchConfig field: it matches the memory system's miss parallelism,
+ * which no caller knows better. `grain` only decides how many queries
+ * share a ring.
  */
 
 #ifndef EXMA_BATCH_BATCH_SEARCHER_HH
@@ -52,13 +70,18 @@ struct BatchConfig
      */
     bool locate = false;
     /**
-     * Cap on located positions per query; 0 = unlimited. The cap
-     * keeps the first `locate_limit` occurrences in suffix-array row
-     * order — the usual FM-index "report up to N" idiom — then sorts
-     * the survivors, so which subset is kept is index-dependent.
-     * Callers needing the lowest N text positions should use
-     * ShardRouter::search, whose cap applies globally after the
-     * cross-shard merge.
+     * Cap on located positions per query; 0 = unlimited. Which hits
+     * survive depends on the table:
+     *  - contiguous tables keep the first `locate_limit` occurrences in
+     *    suffix-array row order — the usual FM-index "report up to N"
+     *    idiom — then sort them, so the kept subset is index-dependent;
+     *  - segment-mapped tables (ExmaTable::segmented()) locate every
+     *    row, drop junction artifacts, and keep the lowest
+     *    `locate_limit` global positions (ExmaTable::locateAllGlobal),
+     *    so artifacts never consume the budget.
+     * Callers needing the lowest N text positions of a whole reference
+     * should use ShardRouter::search, whose cap applies globally after
+     * the cross-shard merge.
      */
     u64 locate_limit = 0;
 };

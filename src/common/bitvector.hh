@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "common/branchless.hh"
 #include "common/logging.hh"
 #include "common/storage.hh"
 #include "common/types.hh"
@@ -50,6 +51,12 @@ class BitVector
                      (unsigned long long)i, (unsigned long long)n_bits_);
         return (words_[i >> 6] >> (i & 63)) & 1;
     }
+
+    /**
+     * Hint the word holding bit @p i (0..size()) into cache, so a later
+     * get(i) does not stall — the locate ring's SA-sample probe.
+     */
+    void prefetch(u64 i) const { prefetchRead(words_.data() + (i >> 6)); }
 
     /** Build rank checkpoints; must be called after the last set(). */
     void buildRank();

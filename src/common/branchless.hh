@@ -13,7 +13,10 @@
  *    expressed so the comparison compiles to a conditional move, with
  *    software prefetch of both possible next probes;
  *  - probeCount(): integer probe accounting, bit-exact with the old
- *    per-lookup `ceil(log2(n + 1))` floating-point formula.
+ *    per-lookup `ceil(log2(n + 1))` floating-point formula;
+ *  - prefetchRead(): the one software-prefetch spelling, shared by the
+ *    search above and the staged search's per-structure hooks
+ *    (KmerOccTable, PackedRank, BitVector).
  */
 
 #ifndef EXMA_COMMON_BRANCHLESS_HH
@@ -26,6 +29,21 @@
 #include "common/types.hh"
 
 namespace exma {
+
+/**
+ * Hint the cache line holding @p p into cache for a later read. Never
+ * dereferences @p p and cannot fault; callers still keep every address
+ * inside (or one past the end of) the array it points into.
+ */
+inline void
+prefetchRead(const void *p)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(p);
+#else
+    (void)p;
+#endif
+}
 
 /**
  * First position in the sorted range [first, last) whose value is >= @p
@@ -42,10 +60,8 @@ branchlessLowerBound(const u32 *first, const u32 *last, u32 key)
     const u32 *base = first;
     while (n > 1) {
         const size_t half = n / 2;
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(base + half / 2);
-        __builtin_prefetch(base + half + half / 2);
-#endif
+        prefetchRead(base + half / 2);
+        prefetchRead(base + half + half / 2);
         base = base[half] < key ? base + half : base; // cmov
         n -= half;
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/branchless.hh"
+#include "common/inflight.hh"
 #include "common/logging.hh"
 #include "compress/chain.hh"
 #include "fmindex/suffix_array.hh"
@@ -74,22 +75,27 @@ ExmaTable::locateAllGlobal(const Interval &iv, u64 query_len,
     // Locate everything first: in a segment-mapped table the junction
     // filter decides which occurrences are real, so an early cap would
     // let artifacts crowd genuine positions out of the budget.
-    std::vector<u64> local = fm_->locateAll(iv);
-    std::vector<u64> out;
-    if (segments_.empty()) {
-        out = std::move(local);
-    } else {
-        out.reserve(local.size());
-        for (u64 pos : local) {
+    std::vector<u64> out = fm_->locateAll(iv);
+    globalHits(out, query_len, limit);
+    return out;
+}
+
+void
+ExmaTable::globalHits(std::vector<u64> &located, u64 query_len,
+                      u64 limit) const
+{
+    if (!segments_.empty()) {
+        size_t kept = 0;
+        for (u64 pos : located) {
             u64 global = 0;
             if (translateLocalMatch(segments_, pos, query_len, &global))
-                out.push_back(global);
+                located[kept++] = global;
         }
+        located.resize(kept);
     }
-    std::sort(out.begin(), out.end());
-    if (out.size() > limit)
-        out.resize(limit);
-    return out;
+    std::sort(located.begin(), located.end());
+    if (located.size() > limit)
+        located.resize(limit);
 }
 
 IndexLookup
@@ -124,24 +130,108 @@ ExmaTable::stepKmer(const Interval &iv, Kmer code, SearchStats *stats) const
 Interval
 ExmaTable::search(const std::vector<Base> &query, SearchStats *stats) const
 {
-    const int kk = k();
-    Interval iv = fm_->fullInterval();
-    size_t i = query.size();
-    const size_t rem = query.size() % static_cast<size_t>(kk);
-    while (i >= rem + static_cast<size_t>(kk)) {
-        i -= static_cast<size_t>(kk);
-        iv = stepKmer(iv, packKmer(query.data() + i, kk), stats);
-        if (iv.empty())
-            return Interval{iv.low, iv.low};
-    }
-    while (i-- > 0) {
-        iv = fm_->extend(iv, query[i]);
-        if (stats)
-            ++stats->onestep_iterations;
-        if (iv.empty())
-            return Interval{iv.low, iv.low};
-    }
+    const std::vector<Base> *q = &query;
+    Interval iv;
+    SearchStats st;
+    search({&q, 1}, {&iv, 1}, {&st, 1});
+    if (stats)
+        *stats += st;
     return iv;
+}
+
+namespace {
+
+/** The memory stage a staged search resolves on its next visit. */
+enum class Stage : u8
+{
+    KmerBases,      ///< k-step: the k-mer's base pointers were prefetched
+    KmerIncrements, ///< k-step: its increment lines were prefetched
+    OneStep,        ///< 1-step: both ends' rank blocks were prefetched
+};
+
+} // namespace
+
+void
+ExmaTable::search(std::span<const std::vector<Base> *const> queries,
+                  std::span<Interval> out,
+                  std::span<SearchStats> stats) const
+{
+    exma_assert(out.size() == queries.size() &&
+                    stats.size() == queries.size(),
+                "staged search: %zu queries, %zu intervals, %zu stats",
+                queries.size(), out.size(), stats.size());
+    struct Search
+    {
+        size_t job = 0;         ///< index into queries / out / stats
+        const Base *q = nullptr;
+        size_t i = 0;           ///< q[0, i) is still to be matched
+        size_t rem = 0;         ///< length of the 1-step remainder
+        Interval iv;
+        Kmer code = 0;          ///< k-mer of the pending k-step
+        Stage stage = Stage::KmerBases;
+    };
+    const int kk = k();
+    const size_t step = static_cast<size_t>(kk);
+    const PackedRank &rank = fm_->packedRank();
+
+    // Prefetch what the search's next stage reads; false (with the
+    // result written) when nothing is left to match.
+    auto issue = [&](Search &s) {
+        if (s.iv.empty()) {
+            out[s.job] = Interval{s.iv.low, s.iv.low};
+            return false;
+        }
+        if (s.i >= s.rem + step) {
+            s.code = packKmer(s.q + (s.i - step), kk);
+            occ_->prefetchBases(s.code);
+            s.stage = Stage::KmerBases;
+        } else if (s.i > 0) {
+            rank.prefetch(s.iv.low);
+            rank.prefetch(s.iv.high);
+            s.stage = Stage::OneStep;
+        } else {
+            out[s.job] = s.iv;
+            return false;
+        }
+        return true;
+    };
+    // Resolve the stage the last visit prefetched for.
+    auto visit = [&](Search &s) {
+        switch (s.stage) {
+            case Stage::KmerBases:
+                KmerOccTable::prefetchIncrements(occ_->increments(s.code));
+                s.stage = Stage::KmerIncrements;
+                return true;
+            case Stage::KmerIncrements:
+                s.i -= step;
+                s.iv = stepKmer(s.iv, s.code, &stats[s.job]);
+                break;
+            case Stage::OneStep:
+                --s.i;
+                s.iv = fm_->extend(s.iv, s.q[s.i]);
+                ++stats[s.job].onestep_iterations;
+                break;
+        }
+        return issue(s);
+    };
+    size_t next = 0;
+    // Put the next unstarted query on @p s; false when none is left.
+    auto start = [&](Search &s) {
+        while (next < queries.size()) {
+            const std::vector<Base> &q = *queries[next];
+            s.job = next++;
+            s.q = q.data();
+            s.i = q.size();
+            s.rem = q.size() % step;
+            s.iv = fm_->fullInterval();
+            stats[s.job] = SearchStats{};
+            if (issue(s))
+                return true;
+        }
+        return false;
+    };
+
+    runInFlight<Search>(queries.size(), start, visit);
 }
 
 std::vector<ExmaTable::IterTrace>

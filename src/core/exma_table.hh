@@ -6,6 +6,28 @@
  * learned index (MTL or naive) or exact binary search, k-step backward
  * search with a 1-step FM-Index remainder path, and measured CHAIN/B∆I
  * size accounting (Fig. 23).
+ *
+ * The search engine is staged. A backward search is a chain of
+ * dependent random reads, so one search at a time waits on one cache
+ * miss at a time. search(queries, ...) instead keeps kInFlight searches
+ * in flight on the calling thread (common/inflight.hh) and visits them
+ * round-robin; each visit resolves one memory stage, whose lines the
+ * previous visit prefetched, and prefetches the next stage's:
+ *
+ *  1. k-step: the k-mer's base-pointer pair (KmerOccTable `bases`);
+ *  2. k-step: its increment lines, read through that pair;
+ *  3. k-step: stepKmer resolves the new interval (a modelled k-mer's
+ *     learned lookup runs synchronously inside it), and the next
+ *     stage 1 or 1-step is issued;
+ *  - 1-step remainder: the PackedRank blocks of both interval ends,
+ *    resolved by FmIndex::extend on the next visit.
+ *
+ * Results and stats are per query and identical to running the queries
+ * one by one; the one-query search(query) is the same engine with one
+ * search in flight. The width is a compile-time constant rather than an
+ * option because it matches the memory system's miss parallelism,
+ * which no caller knows better. Locating works the same way, as one
+ * ring of LF walks over a list of rows (locateRows).
  */
 
 #ifndef EXMA_CORE_EXMA_TABLE_HH
@@ -13,6 +35,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -118,9 +141,23 @@ class ExmaTable
     Interval stepKmer(const Interval &iv, Kmer code,
                       SearchStats *stats = nullptr) const;
 
-    /** Full backward search; equals FmIndex::search on the same ref. */
+    /**
+     * Full backward search; equals FmIndex::search on the same ref.
+     * @p stats, if given, is added to (not overwritten). One query
+     * through the staged engine below.
+     */
     Interval search(const std::vector<Base> &query,
                     SearchStats *stats = nullptr) const;
+
+    /**
+     * The staged engine (see the file comment): search every query of
+     * @p queries with up to kInFlight in flight, writing out[j] and
+     * stats[j] (overwritten) for queries[j]. All three spans have the
+     * same length; a query may appear more than once.
+     */
+    void search(std::span<const std::vector<Base> *const> queries,
+                std::span<Interval> out,
+                std::span<SearchStats> stats) const;
 
     /**
      * Text positions of up to @p limit occurrences in a search
@@ -132,6 +169,24 @@ class ExmaTable
     {
         return fm_->locateAll(iv, limit);
     }
+
+    /**
+     * Replace every row in @p rows with its local text position, on
+     * one ring of LF walks (FmIndex::locateRows). Batched callers put
+     * all the rows of many intervals on one ring, then finish each
+     * interval's share with globalHits().
+     */
+    void locateRows(std::span<u64> rows) const { fm_->locateRows(rows); }
+
+    /**
+     * Finish one interval's located rows (local positions, any order)
+     * as its hit list: translated to global coordinates with junction
+     * artifacts dropped (segment-mapped tables only, which need
+     * @p query_len for that), sorted ascending, and cut to the lowest
+     * @p limit positions.
+     */
+    void globalHits(std::vector<u64> &located, u64 query_len,
+                    u64 limit) const;
 
     /** Whether this table was built over a segment map. */
     bool segmented() const { return !segments_.empty(); }
@@ -147,7 +202,8 @@ class ExmaTable
      * spanning the concatenation seam between two segments, which need
      * @p query_len to detect) are dropped. @p limit then keeps the
      * lowest @p limit positions — applied after the junction filter,
-     * so artifacts never consume the caller's budget.
+     * so artifacts never consume the caller's budget. Equals
+     * locateAll(iv) finished by globalHits().
      */
     std::vector<u64> locateAllGlobal(const Interval &iv, u64 query_len,
                                      u64 limit = ~u64{0}) const;

@@ -1,5 +1,10 @@
 #include "fmindex/fm_index.hh"
 
+#include <algorithm>
+#include <numeric>
+
+#include "common/branchless.hh"
+#include "common/inflight.hh"
 #include "common/logging.hh"
 
 namespace exma {
@@ -124,21 +129,62 @@ FmIndex::lf(u64 row) const
 u64
 FmIndex::locate(u64 row) const
 {
-    u64 steps = 0;
-    while (!sa_sampled_.get(row)) {
-        row = lf(row);
-        ++steps;
-    }
-    return sa_values_[sa_sampled_.rank1(row)] + steps;
+    locateRows({&row, 1});
+    return row;
 }
 
 std::vector<u64>
 FmIndex::locateAll(const Interval &iv, u64 limit) const
 {
-    std::vector<u64> out;
-    for (u64 row = iv.low; row < iv.high && out.size() < limit; ++row)
-        out.push_back(locate(row));
+    std::vector<u64> out(std::min(iv.count(), limit));
+    std::iota(out.begin(), out.end(), iv.low);
+    locateRows(out);
     return out;
+}
+
+void
+FmIndex::locateRows(std::span<u64> rows) const
+{
+    struct Walk
+    {
+        u64 *slot = nullptr;  ///< where the position goes
+        u64 row = 0;          ///< current row, then its sample's index
+        u64 steps = 0;        ///< LF steps taken so far
+        bool sampled = false; ///< reached a sample; its value is due
+    };
+    auto prefetch = [&](u64 row) {
+        rank_.prefetch(row);
+        sa_sampled_.prefetch(row);
+    };
+    size_t next = 0;
+    auto start = [&](Walk &w) {
+        if (next == rows.size())
+            return false;
+        w = Walk{&rows[next], rows[next], 0, false};
+        ++next;
+        prefetch(w.row);
+        return true;
+    };
+    // One visit is one LF step; a walk that reaches a sampled row takes
+    // one more visit to read the sample value its last visit prefetched.
+    auto visit = [&](Walk &w) {
+        if (w.sampled) {
+            *w.slot = sa_values_[w.row] + w.steps;
+            return false;
+        }
+        if (sa_sampled_.get(w.row)) {
+            w.row = sa_sampled_.rank1(w.row);
+            w.sampled = true;
+            prefetchRead(sa_values_.data() + w.row);
+            return true;
+        }
+        w.row = lf(w.row);
+        ++w.steps;
+        prefetch(w.row);
+        return true;
+    };
+
+    runInFlight<Walk>(rows.size(), start, visit);
 }
 
 u64

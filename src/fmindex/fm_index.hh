@@ -117,11 +117,24 @@ class FmIndex
     /** LF mapping: row of the suffix one position earlier in the text. */
     u64 lf(u64 row) const;
 
-    /** Text position of the suffix at @p row (uses SA samples). */
+    /** Text position of the suffix at @p row: a one-row locateRows. */
     u64 locate(u64 row) const;
 
-    /** Positions of up to @p limit occurrences in an interval. */
+    /**
+     * Positions of the first @p limit rows of an interval, in row
+     * order: the rows, located on one ring (locateRows).
+     */
     std::vector<u64> locateAll(const Interval &iv, u64 limit = ~u64{0}) const;
+
+    /**
+     * Replace every row in @p rows with its text position. Each row is
+     * one LF walk to the nearest SA sample; kInFlight walks advance
+     * round-robin, each visit taking one LF step and prefetching the
+     * next row's rank block and SA-sample word (or, at a sampled row,
+     * the sample value), and a finished walk's slot takes the next row.
+     * Results do not depend on the order.
+     */
+    void locateRows(std::span<u64> rows) const;
 
     /** Approximate heap footprint. */
     u64 sizeBytes() const;

@@ -268,13 +268,11 @@ KmerOccTable::countBefore(Kmer code) const
 {
     // Pure-DNA windows below `code` ...
     u64 cnt = bases_[code];
-    // ... plus sentinel-containing windows that sort below it.
-    for (const u64 t : sentinel_thresholds_) {
-        if (t <= code)
-            ++cnt;
-        else
-            break;
-    }
+    // ... plus sentinel-containing windows that sort below it: a
+    // branch-free count over all k thresholds, since where an ascending
+    // scan would stop is a coin flip per k-mer.
+    for (const u64 t : sentinel_thresholds_)
+        cnt += static_cast<u64>(t <= code);
     return cnt;
 }
 

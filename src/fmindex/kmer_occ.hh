@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/branchless.hh"
 #include "common/dna.hh"
 #include "common/storage.hh"
 #include "common/types.hh"
@@ -105,6 +106,34 @@ class KmerOccTable
 
     /** Offset of the first increment of @p code — the EXMA `base`. */
     u64 baseOf(Kmer code) const { return bases_[code]; }
+
+    /**
+     * Staged-search hook, k-step stage 1: hint into cache the
+     * base-pointer pair that increments(@p code) and countBefore(@p
+     * code) read.
+     */
+    void
+    prefetchBases(Kmer code) const
+    {
+        prefetchRead(bases_.data() + code);
+        prefetchRead(bases_.data() + code + 1);
+    }
+
+    /**
+     * Staged-search hook, k-step stage 2: hint into cache the lines an
+     * Occ lookup into @p inc (an increments() span) reads first: its
+     * first and last entries, which cover the whole list for the short
+     * lists most k-mers have, and the binary search's first probe.
+     */
+    static void
+    prefetchIncrements(std::span<const u32> inc)
+    {
+        if (inc.empty())
+            return;
+        prefetchRead(inc.data());
+        prefetchRead(inc.data() + inc.size() / 2);
+        prefetchRead(inc.data() + inc.size() - 1);
+    }
 
     /** Concatenated increments of all pure-DNA k-mers. */
     std::span<const u32> allIncrements() const { return rows_.span(); }

@@ -25,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "common/branchless.hh"
 #include "common/logging.hh"
 #include "common/storage.hh"
 #include "common/types.hh"
@@ -108,6 +109,13 @@ class PackedRank
         r -= static_cast<u64>(c == 0) & static_cast<u64>(i > primary_);
         return r;
     }
+
+    /**
+     * Hint the block that occ(·, @p i) and symAt(@p i) read into cache
+     * (@p i in 0..size()); the staged search issues this one memory
+     * stage ahead of the read.
+     */
+    void prefetch(u64 i) const { prefetchRead(blocks_.data() + (i >> 6)); }
 
     /** BWT symbol at @p row (0..4). */
     u8

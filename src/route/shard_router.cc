@@ -31,7 +31,8 @@ checkQueries(const ShardPlan &plan,
     exma_assert(queries.size() <= ~u32{0},
                 "batch of %zu queries exceeds the u32 routing id space",
                 queries.size());
-    for (const auto &q : queries) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+        const auto &q = queries[i];
         exma_assert(!q.empty(), "routed search: empty query");
         if (plan.boundsQueries())
             exma_assert(q.size() <= plan.maxQueryLen(),
@@ -41,6 +42,18 @@ checkQueries(const ShardPlan &plan,
                         "with a larger max_query_len",
                         q.size(),
                         (unsigned long long)plan.maxQueryLen());
+        // Codes 0..3 only: a larger code would alias a base in a k-mer
+        // and read past a rank block's checkpoints in a 1-step, and the
+        // wire cannot frame it. The OR of valid codes stays <= 3.
+        Base any = 0;
+        for (const Base b : q)
+            any |= b;
+        exma_assert(any <= 3,
+                    "routed search: query %zu holds base code %u; bases "
+                    "must be coded 0..3 (A, C, G, T)",
+                    i,
+                    (unsigned)*std::find_if(q.begin(), q.end(),
+                                            [](Base b) { return b > 3; }));
     }
 }
 

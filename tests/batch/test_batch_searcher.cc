@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "batch/batch_searcher.hh"
+#include "common/inflight.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "genome/reads.hh"
@@ -297,6 +299,315 @@ TEST(BatchSearcher, SegmentedTableLocatesGlobalPositions)
         EXPECT_TRUE(std::binary_search(r.positions[0].begin(),
                                        r.positions[0].end(), pos))
             << "rep " << rep;
+    }
+}
+
+// ---------------------------------------------------------------------
+// The staged engine at its edges. kInFlight searches (and LF walks) are
+// in flight per lane, so every size below is written in terms of it:
+// retuning the constant keeps the cases on the ring's boundaries. The
+// oracles share no code with the engine: FmIndex::search (the 1-step
+// search) for intervals, and a naive scan of the reference for hits.
+
+constexpr u64 kW = kInFlight;
+
+/** Every occurrence of @p q in @p ref, ascending (std::search). */
+std::vector<u64>
+naiveHits(const std::vector<Base> &ref, const std::vector<Base> &q)
+{
+    std::vector<u64> out;
+    for (auto it = ref.begin();; ++it) {
+        it = std::search(it, ref.end(), q.begin(), q.end());
+        if (it == ref.end())
+            return out;
+        out.push_back(static_cast<u64>(it - ref.begin()));
+    }
+}
+
+/**
+ * The first @p limit suffix-array rows of @p q's interval, as sorted
+ * text positions, by brute force: a row order is the order of its
+ * suffixes (the shorter one first on a tie, since $ is smallest).
+ */
+std::vector<u64>
+naiveFirstRows(const std::vector<Base> &ref, const std::vector<Base> &q,
+               u64 limit)
+{
+    std::vector<u64> hits = naiveHits(ref, q);
+    std::sort(hits.begin(), hits.end(), [&](u64 a, u64 b) {
+        return std::lexicographical_compare(
+            ref.begin() + static_cast<std::ptrdiff_t>(a), ref.end(),
+            ref.begin() + static_cast<std::ptrdiff_t>(b), ref.end());
+    });
+    if (hits.size() > limit)
+        hits.resize(limit);
+    std::sort(hits.begin(), hits.end());
+    return hits;
+}
+
+/**
+ * Queries of every length class around the step: 1, k-1, k, k+1, 2k and
+ * 2k+3 bases, cycling, drawn from @p ref (hits) or at random (mostly
+ * misses at the longer lengths).
+ */
+std::vector<std::vector<Base>>
+edgeQueries(const std::vector<Base> &ref, int k, u64 count, u64 seed)
+{
+    const std::array<u64, 6> lens = {
+        1,
+        static_cast<u64>(k - 1),
+        static_cast<u64>(k),
+        static_cast<u64>(k + 1),
+        static_cast<u64>(2 * k),
+        static_cast<u64>(2 * k + 3)};
+    Rng rng(seed);
+    std::vector<std::vector<Base>> qs;
+    for (u64 i = 0; i < count; ++i) {
+        const u64 len = std::max<u64>(lens[i % lens.size()], 1);
+        std::vector<Base> q(len);
+        if (i % 5 == 4) {
+            for (auto &b : q)
+                b = static_cast<Base>(rng.below(4));
+        } else {
+            const u64 pos = rng.below(ref.size() - len + 1);
+            std::copy_n(ref.begin() + static_cast<std::ptrdiff_t>(pos),
+                        len, q.begin());
+        }
+        qs.push_back(std::move(q));
+    }
+    return qs;
+}
+
+/** naiveHits of every query of @p qs, index-aligned. */
+std::vector<std::vector<u64>>
+naiveHitsOfAll(const std::vector<Base> &ref,
+               const std::vector<std::vector<Base>> &qs)
+{
+    std::vector<std::vector<u64>> out;
+    for (const auto &q : qs)
+        out.push_back(naiveHits(ref, q));
+    return out;
+}
+
+/**
+ * Check one located batch result against the oracles, query by query:
+ * @p hits holds the naive hits of every query of @p qs.
+ */
+void
+expectMatchesOracles(const ExmaTable &table,
+                     const std::vector<std::vector<Base>> &qs,
+                     const std::vector<std::vector<u64>> &hits,
+                     const std::vector<u32> &ids, const BatchResult &r,
+                     const std::string &what)
+{
+    ASSERT_EQ(r.intervals.size(), ids.size()) << what;
+    ASSERT_EQ(r.positions.size(), ids.size()) << what;
+    ASSERT_EQ(r.per_query.size(), ids.size()) << what;
+    SearchStats total;
+    for (size_t j = 0; j < ids.size(); ++j) {
+        const std::vector<Base> &q = qs[ids[j]];
+        const Interval expect = table.fmIndex().search(q);
+        // An empty interval's position is where the search stopped,
+        // which differs between k-step and 1-step search.
+        EXPECT_EQ(r.intervals[j].empty(), expect.empty())
+            << what << " j=" << j;
+        if (!expect.empty()) {
+            EXPECT_EQ(r.intervals[j], expect) << what << " j=" << j;
+        }
+        EXPECT_EQ(r.positions[j], hits[ids[j]]) << what << " j=" << j;
+        SearchStats lone;
+        table.search(q, &lone);
+        EXPECT_EQ(r.per_query[j], lone) << what << " j=" << j;
+        total += r.per_query[j];
+    }
+    EXPECT_EQ(r.stats, total) << what;
+}
+
+TEST(StagedSearch, BatchSizesAndGrainsAroundTheRingWidth)
+{
+    const auto &ref = testRef();
+    const ExmaTable &table = mtlTable();
+    const auto pool = edgeQueries(ref, table.k(), 3 * kW + 1, 5);
+    const auto hits = naiveHitsOfAll(ref, pool);
+    for (const u64 n : {u64{0}, u64{1}, kW - 1, kW, kW + 1, 3 * kW + 1}) {
+        // A grain of 1 divides every n and kW divides kW; 3 divides
+        // few of them; n + 1 puts the whole batch in one chunk.
+        for (const u64 grain : {u64{1}, u64{3}, kW, n + 1}) {
+            BatchConfig cfg;
+            cfg.threads = 2;
+            cfg.grain = grain;
+            cfg.locate = true;
+            cfg.per_query_stats = true;
+            std::vector<u32> ids(n);
+            for (u32 j = 0; j < n; ++j)
+                ids[j] = j;
+            const BatchResult r =
+                BatchSearcher(table, cfg).search(pool, ids);
+            expectMatchesOracles(table, pool, hits, ids, r,
+                                 "n=" + std::to_string(n) +
+                                     " grain=" + std::to_string(grain));
+        }
+    }
+}
+
+TEST(StagedSearch, EveryOccModeWithDuplicateIds)
+{
+    const auto &ref = testRef();
+    for (const OccIndexMode mode :
+         {OccIndexMode::Exact, OccIndexMode::NaiveLearned,
+          OccIndexMode::Mtl}) {
+        const ExmaTable table(ref, cfgFor(mode));
+        const auto qs = edgeQueries(ref, table.k(), 2 * kW + 3, 41);
+        // Every query twice, the copies kW apart, so a chunk holds
+        // the same query in two ring slots at once.
+        std::vector<u32> ids;
+        for (u32 j = 0; j < qs.size(); ++j) {
+            ids.push_back(j);
+            if (j >= kW)
+                ids.push_back(static_cast<u32>(j - kW));
+        }
+        for (u32 j = static_cast<u32>(qs.size() - kW); j < qs.size(); ++j)
+            ids.push_back(j);
+        BatchConfig cfg;
+        cfg.threads = 1;
+        cfg.grain = 2 * kW;
+        cfg.locate = true;
+        cfg.per_query_stats = true;
+        const BatchResult r = BatchSearcher(table, cfg).search(qs, ids);
+        expectMatchesOracles(
+            table, qs, naiveHitsOfAll(ref, qs), ids, r,
+            "mode=" + std::to_string(static_cast<int>(mode)));
+    }
+}
+
+TEST(StagedSearch, EngineCallMatchesLoneSearches)
+{
+    // ExmaTable's span entry point directly: one chunk of 3kW+1
+    // queries, one of them repeated, against the one-query call.
+    const ExmaTable &table = mtlTable();
+    const auto qs = edgeQueries(testRef(), table.k(), 3 * kW + 1, 8);
+    std::vector<const std::vector<Base> *> chunk;
+    for (const auto &q : qs)
+        chunk.push_back(&q);
+    chunk[kW] = chunk[0];
+    std::vector<Interval> ivs(chunk.size());
+    std::vector<SearchStats> stats(chunk.size(), SearchStats{99, 0, 0, 0, 0});
+    table.search(chunk, ivs, stats);
+    for (size_t j = 0; j < chunk.size(); ++j) {
+        SearchStats lone;
+        EXPECT_EQ(ivs[j], table.search(*chunk[j], &lone)) << "j=" << j;
+        EXPECT_EQ(stats[j], lone) << "j=" << j; // overwritten, not added
+    }
+}
+
+TEST(StagedSearch, RepeatRichIntervalsRefillTheLocateRing)
+{
+    // A 37-base unit tandem-repeated hundreds of times between random
+    // stretches: its substrings have intervals of hundreds of rows, so
+    // each one alone refills the kW-walk ring many times over.
+    Rng rng(12);
+    std::vector<Base> unit(37);
+    for (auto &b : unit)
+        b = static_cast<Base>(rng.below(4));
+    std::vector<Base> ref;
+    for (int block = 0; block < 6; ++block) {
+        for (int i = 0; i < 2000; ++i)
+            ref.push_back(static_cast<Base>(rng.below(4)));
+        for (int copy = 0; copy < 60; ++copy)
+            ref.insert(ref.end(), unit.begin(), unit.end());
+    }
+    const ExmaTable table(ref, cfgFor(OccIndexMode::Exact));
+    std::vector<Base> twice = unit;
+    twice.insert(twice.end(), unit.begin(), unit.end());
+    std::vector<std::vector<Base>> qs;
+    for (u64 len : {u64{3}, u64{6}, u64{9}, u64{20}, u64{37}, u64{40}})
+        for (u64 at : {u64{0}, u64{11}})
+            qs.emplace_back(
+                twice.begin() + static_cast<std::ptrdiff_t>(at),
+                twice.begin() + static_cast<std::ptrdiff_t>(at + len));
+    std::vector<u32> ids(qs.size());
+    for (u32 j = 0; j < ids.size(); ++j)
+        ids[j] = j;
+    BatchConfig cfg;
+    cfg.threads = 1;
+    cfg.grain = kW + 1;
+    cfg.locate = true;
+    cfg.per_query_stats = true;
+    const BatchResult r = BatchSearcher(table, cfg).search(qs, ids);
+    u64 most = 0;
+    for (const auto &pos : r.positions)
+        most = std::max<u64>(most, pos.size());
+    EXPECT_GE(most, 300u) << "fixture no longer yields big intervals";
+    expectMatchesOracles(table, qs, naiveHitsOfAll(ref, qs), ids, r,
+                         "repeat-rich");
+}
+
+TEST(StagedSearch, LocateLimitKeepsFirstRowsOnContiguousTables)
+{
+    // Contiguous tables keep the first `locate_limit` SA rows of each
+    // interval, sorted (BatchConfig::locate_limit) — the oracle orders
+    // the naive hits by their suffixes. A small reference keeps that
+    // brute-force suffix sort cheap.
+    ReferenceSpec spec;
+    spec.length = 1 << 13;
+    spec.repeat_fraction = 0.5;
+    spec.seed = 78;
+    const std::vector<Base> ref = generateReference(spec);
+    const ExmaTable table(ref, cfgFor(OccIndexMode::Exact));
+    const auto qs = edgeQueries(ref, table.k(), 3 * kW + 1, 19);
+    for (const u64 limit : {u64{1}, kW - 1, kW + 1}) {
+        BatchConfig cfg;
+        cfg.threads = 1;
+        cfg.locate = true;
+        cfg.locate_limit = limit;
+        const BatchResult r = BatchSearcher(table, cfg).search(qs);
+        for (size_t i = 0; i < qs.size(); ++i)
+            EXPECT_EQ(r.positions[i], naiveFirstRows(ref, qs[i], limit))
+                << "limit=" << limit << " i=" << i;
+    }
+}
+
+TEST(StagedSearch, LocateLimitKeepsLowestGlobalHitsOnSegmentedTables)
+{
+    // Segmented tables locate every row, drop junction artifacts, then
+    // keep the lowest `locate_limit` global positions: the oracle is a
+    // naive scan of each segment's own slice of the reference.
+    const auto &ref = testRef();
+    const std::vector<TextSegment> segs = {
+        {100, 0, 3000}, {9000, 3000, 2000}, {30000, 5000, 3000}};
+    const ExmaTable table(ref, segs, cfgFor(OccIndexMode::Exact));
+    std::vector<Base> local;
+    for (const TextSegment &seg : segs)
+        local.insert(local.end(),
+                     ref.begin() +
+                         static_cast<std::ptrdiff_t>(seg.global_begin),
+                     ref.begin() +
+                         static_cast<std::ptrdiff_t>(seg.global_end()));
+    const auto qs = edgeQueries(local, table.k(), 3 * kW + 1, 23);
+    for (const u64 limit : {u64{0}, u64{1}, kW + 1}) {
+        BatchConfig cfg;
+        cfg.threads = 1;
+        cfg.grain = kW - 1;
+        cfg.locate = true;
+        cfg.locate_limit = limit;
+        const BatchResult r = BatchSearcher(table, cfg).search(qs);
+        for (size_t i = 0; i < qs.size(); ++i) {
+            std::vector<u64> expect;
+            for (const TextSegment &seg : segs) {
+                const std::vector<Base> slice(
+                    ref.begin() +
+                        static_cast<std::ptrdiff_t>(seg.global_begin),
+                    ref.begin() +
+                        static_cast<std::ptrdiff_t>(seg.global_end()));
+                for (u64 pos : naiveHits(slice, qs[i]))
+                    expect.push_back(seg.global_begin + pos);
+            }
+            std::sort(expect.begin(), expect.end());
+            if (limit != 0 && expect.size() > limit)
+                expect.resize(limit);
+            EXPECT_EQ(r.positions[i], expect)
+                << "limit=" << limit << " i=" << i;
+        }
     }
 }
 

@@ -214,5 +214,33 @@ TEST(SocketRouter, LoadedIndexServesWorkersFromItsOwnDirectory)
     fs::remove_all(dir, ec);
 }
 
+TEST(SocketRouter, BaseCodeAboveThreeDiesOnTheCallerOnBothTransports)
+{
+    // Base codes are 0..3. A 4 used to alias 'A' in-process (k-mers
+    // pack with & 3) while a socket worker's request encoder aborted
+    // the router from a lane thread; the router now rejects it on the
+    // caller's thread, naming the query and the code, on either
+    // transport. Threadsafe style: the child re-runs the test instead
+    // of forking a process whose lane threads would not survive.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const Dataset ds = makeDataset("human", 0.001);
+    const auto plan = ShardPlan::kmerPrefix(ds.ref, 2, kMaxQueryLen);
+    const std::vector<Base> good(ds.ref.begin() + 100,
+                                 ds.ref.begin() + 120);
+    std::vector<Base> bad = good;
+    bad[14] = 4; // inside a k-step, not the 1-step remainder
+    for (const TransportKind kind :
+         {TransportKind::InProcess, TransportKind::Socket}) {
+        RouterConfig rcfg;
+        rcfg.table = tableCfg(4);
+        rcfg.transport.kind = kind;
+        const ShardRouter router(ds.ref, plan, rcfg);
+        ASSERT_EQ(router.transportKind(), kind);
+        EXPECT_DEATH(router.search({good, bad}),
+                     "query 1 holds base code 4")
+            << (kind == TransportKind::Socket ? "socket" : "in-process");
+    }
+}
+
 } // namespace
 } // namespace exma
