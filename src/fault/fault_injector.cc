@@ -192,6 +192,10 @@ namespace {
 struct InjectorOwner {
     Mutex mtx;
     std::shared_ptr<FaultInjector> owner EXMA_GUARDED_BY(mtx);
+    // Every injector ever replaced, freed only at exit: a lane serving
+    // an attempt that outlived its search may still be probing one
+    // through a raw faultInjector() pointer.
+    std::vector<std::shared_ptr<FaultInjector>> retired EXMA_GUARDED_BY(mtx);
 };
 
 InjectorOwner &
@@ -209,6 +213,8 @@ installFaultInjector(std::shared_ptr<FaultInjector> injector)
     InjectorOwner &slot = injectorOwner();
     MutexLock lock(slot.mtx);
     std::shared_ptr<FaultInjector> prev = std::move(slot.owner);
+    if (prev)
+        slot.retired.push_back(prev);
     slot.owner = std::move(injector);
     detail::g_fault_injector.store(slot.owner.get(),
                                    std::memory_order_release);

@@ -111,7 +111,11 @@ class FaultInjector
 
 /** @{ Global injector registration (process-wide, test-overridable). */
 
-/** Install (or clear with nullptr); returns the previous injector. */
+/**
+ * Install (or clear with nullptr); returns the previous injector. A
+ * replaced injector is kept alive until exit, because a serving lane
+ * may still be probing it through the raw faultInjector() pointer.
+ */
 std::shared_ptr<FaultInjector>
 installFaultInjector(std::shared_ptr<FaultInjector> injector);
 

@@ -109,8 +109,8 @@ ReplicaSet::replica(unsigned i) const
 void
 ReplicaSet::killReplica(unsigned i)
 {
-    // Snapshot under the lock, kill outside it: kill() resolves queued
-    // promises, and promise continuations must not run under mtx_.
+    // Snapshot under the lock, kill outside it: kill() runs the queued
+    // requests' completions, which must not run under mtx_.
     std::shared_ptr<Transport> w = replica(i);
     w->kill();
 }
@@ -167,7 +167,7 @@ ReplicaSet::superviseOnce(u64 hang_timeout_ms)
                 hung.push_back(w);
         }
     }
-    // Kill outside the lock (resolves promises), then respawn.
+    // Kill outside the lock (it runs completions), then respawn.
     for (const auto &w : hung) {
         exma_warn("supervisor: replica '%s' hung (inbox %llu, no "
                   "heartbeat for %llu ms) — killing",

@@ -79,7 +79,9 @@ class ReplicaSet
     /** Snapshot of replica @p i (present even when dead). */
     std::shared_ptr<Transport> replica(unsigned i) const;
 
-    /** Crash switch for tests, benches, and the kill-loop soak. */
+    /** Crash switch for tests, benches, and the kill-loop soak; the
+     *  victim's queued completions run on this thread, with no set
+     *  lock held. */
     void killReplica(unsigned i);
 
     /** Respawn every dead replica now; returns how many. */

@@ -7,11 +7,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <future>
 #include <string_view>
-#include <thread>
+#include <utility>
 
 #include "common/logging.hh"
+#include "common/thread_annotations.hh"
 #include "common/thread_pool.hh"
 #include "fault/fault_injector.hh"
 #include "io/table_io.hh"
@@ -75,36 +75,67 @@ resolveTransportKind(TransportKind kind)
     return TransportKind::InProcess;
 }
 
-/** One submission of a shard call to a specific replica. */
-struct Attempt
-{
-    std::shared_ptr<Transport> worker;
-    std::future<WorkerResponse> fut;
-};
-
 /** One shard's slice of the batch, across however many attempts its
  *  resolution takes. */
 struct ShardCall
 {
     size_t shard = 0;
     std::vector<u32> ids; ///< kept for resubmission
-    std::vector<Attempt> attempts;
+    std::shared_ptr<Transport> last; ///< the latest attempt's replica
+    unsigned in_flight = 0; ///< attempts whose response is still out
     unsigned retries = 0;
     bool hedged = false;
-    bool done = false;
-    bool failed = false; ///< done without a verified response
-    WorkerResponse resp; ///< the accepted response iff !failed
-    Clock::time_point last_submit;
+    bool done = false; ///< answered, or out of retries
+    bool ok = false;   ///< resp holds the accepted, verified response
+    WorkerResponse resp;
+    /** The next due time: a retry while no attempt is in flight, else
+     *  a hedge; max when neither is pending. */
+    Clock::time_point due = Clock::time_point::max();
 };
 
-bool
-anyAttemptInFlight(const ShardCall &c)
+/**
+ * One search's completion queue: every attempt's completion pushes its
+ * response here, tagged with its shard call's index, and the gather
+ * loop sleeps on it. The completions share ownership, so an attempt
+ * that outlives its search (a hedge loser, a call abandoned at the
+ * deadline) still lands somewhere — with the batch copy it reads from.
+ * The queue never owns a Transport: a replica would then own itself
+ * through its own inbox.
+ */
+struct CompletionQueue
 {
-    for (const Attempt &a : c.attempts)
-        if (a.fut.valid())
-            return true;
-    return false;
-}
+    Mutex mtx;
+    CondVar cv;
+    std::vector<std::pair<size_t, WorkerResponse>> ready
+        EXMA_GUARDED_BY(mtx);
+    /** The batch attempts read when they may outlive the search. */
+    std::vector<std::vector<Base>> queries;
+
+    void
+    push(size_t call, WorkerResponse r)
+    {
+        {
+            MutexLock lock(mtx);
+            ready.emplace_back(call, std::move(r));
+        }
+        cv.notify_one();
+    }
+
+    /** Wait until a response is ready or @p wake passes, then take
+     *  every ready response. */
+    std::vector<std::pair<size_t, WorkerResponse>>
+    takeUntil(Clock::time_point wake)
+    {
+        MutexLock lock(mtx);
+        while (ready.empty()) {
+            if (wake == Clock::time_point::max())
+                cv.wait(lock); // nothing is due: only a response wakes us
+            else if (cv.wait_until(lock, wake) == std::cv_status::timeout)
+                break;
+        }
+        return std::exchange(ready, {});
+    }
+};
 
 } // namespace
 
@@ -261,6 +292,10 @@ ShardRouter::shardFactory(size_t s)
 void
 ShardRouter::spawnReplicas()
 {
+    exma_assert(cfg_.failover.supervisor_interval_ms > 0,
+                "failover.supervisor_interval_ms must be > 0: the "
+                "supervisor is the only hang handler, and without it a "
+                "hung replica would stall every call routed to it");
     transport_kind_ = resolveTransportKind(cfg_.transport.kind);
     if (transport_kind_ == TransportKind::Socket)
         prepareWorkerFiles();
@@ -268,16 +303,14 @@ ShardRouter::spawnReplicas()
         sets_.push_back(std::make_unique<ReplicaSet>(
             plan_.shards()[s].name, shardFactory(s),
             cfg_.failover.replicas));
-    if (cfg_.failover.supervisor_interval_ms > 0) {
-        std::vector<ReplicaSet *> raw;
-        raw.reserve(sets_.size());
-        for (const auto &set : sets_)
-            raw.push_back(set.get());
-        supervisor_ = std::make_unique<WorkerSupervisor>(
-            std::move(raw),
-            WorkerSupervisor::Config{cfg_.failover.supervisor_interval_ms,
-                                     cfg_.failover.hang_timeout_ms});
-    }
+    std::vector<ReplicaSet *> raw;
+    raw.reserve(sets_.size());
+    for (const auto &set : sets_)
+        raw.push_back(set.get());
+    supervisor_ = std::make_unique<WorkerSupervisor>(
+        std::move(raw),
+        WorkerSupervisor::Config{cfg_.failover.supervisor_interval_ms,
+                                 cfg_.failover.hang_timeout_ms});
 }
 
 u64
@@ -358,160 +391,114 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
         c.ids = std::move(ids[s]);
         calls.push_back(std::move(c));
     }
-    const auto submitTo = [&queries, &cfg](ShardCall &c,
-                                           std::shared_ptr<Transport> w) {
-        Attempt at;
-        at.fut =
-            w->submit({QueryBatchView::borrow(queries, c.ids), cfg});
-        at.worker = std::move(w);
-        c.attempts.push_back(std::move(at));
-        c.last_submit = Clock::now();
+    // An attempt outlives the search only when the deadline abandons
+    // its call or a hedge leaves it running as the loser; only then
+    // do attempts read a copy of the batch. Otherwise every attempt
+    // has answered before search() returns, so they borrow the
+    // caller's batch.
+    const bool hedging = fo.hedge_ms > 0 && fo.replicas > 1;
+    const bool outlives = fo.deadline_ms > 0 || hedging;
+    const auto queue = std::make_shared<CompletionQueue>();
+    if (outlives)
+        queue->queries = queries;
+    const auto &batch = outlives ? queue->queries : queries;
+    // No lock is held here: a dead replica completes inside submit().
+    const auto submitTo = [&](size_t i, std::shared_ptr<Transport> w) {
+        ShardCall &c = calls[i];
+        ++c.in_flight;
+        c.due = hedging && !c.hedged
+                    ? Clock::now() + std::chrono::milliseconds(fo.hedge_ms)
+                    : Clock::time_point::max();
+        c.last = w;
+        w->submit({QueryBatchView::borrow(batch, c.ids), cfg},
+                  [queue, i](WorkerResponse r) {
+                      queue->push(i, std::move(r));
+                  });
     };
-    for (ShardCall &c : calls)
-        submitTo(c, sets_[c.shard]->pick());
+    for (size_t i = 0; i < calls.size(); ++i)
+        submitTo(i, sets_[calls[i].shard]->pick());
 
-    // Gather with failover. Every future wait is bounded (wait_for);
-    // a .get() only ever follows an observed ready state.
-    const bool bounded = fo.deadline_ms > 0;
-    const auto deadline = t0 + std::chrono::milliseconds(fo.deadline_ms);
+    // Gather with failover: sleep until a response arrives or the
+    // earliest due time (the deadline, a hedge, a retry), then act on
+    // what is ready. First verified Ok per call wins.
+    const auto deadline =
+        fo.deadline_ms > 0 ? t0 + std::chrono::milliseconds(fo.deadline_ms)
+                           : Clock::time_point::max();
     size_t open = calls.size();
     while (open > 0) {
-        if (bounded && Clock::now() >= deadline) {
-            for (ShardCall &c : calls) {
-                if (c.done)
-                    continue;
-                c.done = true;
-                c.failed = true;
+        Clock::time_point wake = deadline;
+        for (const ShardCall &c : calls)
+            if (!c.done)
+                wake = std::min(wake, c.due);
+        for (auto &[i, r] : queue->takeUntil(wake)) {
+            ShardCall &c = calls[i];
+            --c.in_flight;
+            if (c.done)
+                continue; // a hedge loser: one response per call merges
+            if (r.ok() && responseCanary(r) == r.canary) {
+                c.resp = std::move(r);
+                c.done = c.ok = true;
                 --open;
-                ++out.failover.deadline_misses;
+                continue;
             }
-            break;
+            switch (r.status) {
+            case WorkerStatus::WorkerDown:
+                ++out.failover.worker_down;
+                break;
+            case WorkerStatus::Failed:
+                ++out.failover.failed;
+                break;
+            case WorkerStatus::Ok: // canary mismatch
+                ++out.failover.corrupt;
+                break;
+            }
+            if (c.in_flight > 0)
+                continue; // the other attempt may still answer
+            // Every attempt came back bad: retry on another replica
+            // once the backoff has passed, or give up and degrade.
+            if (c.retries >= fo.max_retries) {
+                c.done = true;
+                --open;
+                continue;
+            }
+            const u64 backoff =
+                fo.retry_backoff_ms ? fo.retry_backoff_ms << c.retries : 0;
+            ++c.retries;
+            ++out.failover.retries;
+            c.due = Clock::now() + std::chrono::milliseconds(backoff);
         }
 
-        bool progressed = false;
-        for (ShardCall &c : calls) {
-            if (c.done)
+        const auto now = Clock::now();
+        if (now >= deadline)
+            break; // calls still open are abandoned: deadline misses
+        for (size_t i = 0; i < calls.size(); ++i) {
+            ShardCall &c = calls[i];
+            if (c.done || now < c.due)
                 continue;
-            // Poll every in-flight attempt; first verified Ok wins.
-            for (Attempt &at : c.attempts) {
-                if (!at.fut.valid())
-                    continue;
-                if (at.fut.wait_for(std::chrono::seconds(0)) !=
-                    std::future_status::ready)
-                    continue;
-                WorkerResponse r = at.fut.get();
-                progressed = true;
-                if (r.ok() && responseCanary(r) == r.canary) {
-                    c.resp = std::move(r);
-                    c.done = true;
-                    --open;
-                    break;
-                }
-                switch (r.status) {
-                case WorkerStatus::WorkerDown:
-                    ++out.failover.worker_down;
-                    break;
-                case WorkerStatus::Failed:
-                    ++out.failover.failed;
-                    break;
-                case WorkerStatus::Ok: // canary mismatch
-                    ++out.failover.corrupt;
-                    break;
-                }
-            }
-            if (c.done)
-                continue;
-
-            if (!anyAttemptInFlight(c)) {
-                // Every attempt came back bad: retry on another
-                // replica, or give up and degrade.
-                if (c.retries >= fo.max_retries) {
-                    c.done = true;
-                    c.failed = true;
-                    --open;
-                    continue;
-                }
-                const u64 backoff = fo.retry_backoff_ms
-                                        ? fo.retry_backoff_ms
-                                              << c.retries
-                                        : 0;
-                ++c.retries;
-                ++out.failover.retries;
-                if (backoff)
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(backoff));
-                sets_[c.shard]->reviveDead();
-                const Transport *last =
-                    c.attempts.back().worker.get();
-                submitTo(c, sets_[c.shard]->pickOther(last));
-                progressed = true;
-            } else if (fo.hedge_ms > 0 && !c.hedged &&
-                       sets_[c.shard]->size() > 1 &&
-                       Clock::now() - c.last_submit >=
-                           std::chrono::milliseconds(fo.hedge_ms)) {
+            if (c.in_flight > 0) {
                 // Straggler: duplicate on a second replica.
                 c.hedged = true;
                 ++out.failover.hedges;
-                const Transport *primary =
-                    c.attempts.back().worker.get();
-                submitTo(c, sets_[c.shard]->pickOther(primary));
-                progressed = true;
+            } else {
+                // Retry: the backoff has passed.
+                sets_[c.shard]->reviveDead();
             }
-        }
-
-        if (open > 0 && !progressed) {
-            // Nothing resolved this sweep: block briefly on one
-            // in-flight future instead of spinning. The slice keeps
-            // deadline/hedge checks responsive.
-            for (ShardCall &c : calls) {
-                if (c.done)
-                    continue;
-                bool waited = false;
-                for (Attempt &at : c.attempts) {
-                    if (!at.fut.valid())
-                        continue;
-                    at.fut.wait_for(std::chrono::milliseconds(2));
-                    waited = true;
-                    break;
-                }
-                if (waited)
-                    break;
-            }
+            submitTo(i, sets_[c.shard]->pickOther(c.last.get()));
         }
     }
 
-    // Reap: every still-outstanding attempt (hedge losers, abandoned
-    // deadline-missed calls) must resolve before we return — its
-    // worker may still be reading the caller's query batch. A worker
-    // that stays unresponsive past the hang timeout is killed, which
-    // cancels injected sleeps and resolves its inbox as WorkerDown.
-    for (ShardCall &c : calls) {
-        for (Attempt &at : c.attempts) {
-            if (!at.fut.valid())
-                continue;
-            u64 waited_ms = 0;
-            while (at.fut.wait_for(std::chrono::milliseconds(10)) !=
-                   std::future_status::ready) {
-                waited_ms += 10;
-                if (waited_ms >= fo.hang_timeout_ms)
-                    at.worker->kill(); // idempotent
-            }
-            at.fut.get(); // discard the duplicate/late response
-        }
-        if (c.failed) {
-            for (const u32 id : c.ids)
-                out.degraded[id] = 1;
-        }
-    }
-    for (const u8 d : out.degraded)
-        out.degraded_queries += d;
-
-    // Merge: single-owner hits move straight in (already sorted and
+    // Merge: a call without a verified response flags its queries
+    // degraded; single-owner hits move straight in (already sorted and
     // duplicate-free within one shard); fanned-out queries collect all
     // owners' hits and dedup below.
     for (ShardCall &c : calls) {
-        if (c.failed)
+        if (!c.ok) {
+            if (!c.done) // still open when the deadline passed
+                ++out.failover.deadline_misses;
+            for (const u32 id : c.ids)
+                out.degraded[id] = 1;
             continue;
+        }
         WorkerResponse &resp = c.resp;
         out.per_shard[c.shard] = resp.stats;
         for (size_t j = 0; j < resp.ids.size(); ++j) {
@@ -523,6 +510,8 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
                            resp.hits[j].end());
         }
     }
+    for (const u8 d : out.degraded)
+        out.degraded_queries += d;
     // Dedup/cap pass — skipped entirely when every query ran on one
     // shard and no cap applies (single-shard hits are already sorted
     // and duplicate-free), which is the routed fast path.

@@ -25,12 +25,23 @@
  *
  * Fault tolerance (RouterConfig::failover): each prefix range is
  * served by an R-way ReplicaSet with power-of-two-choices routing, a
- * WorkerSupervisor respawns dead/hung replicas in the background, and
+ * WorkerSupervisor — the one hang handler, always running — kills
+ * hung replicas and respawns dead ones in the background, and
  * search() itself retries failed shard calls on a different replica
- * with backoff, hedges stragglers, and — when a range stays down past
- * the per-request deadline — returns partial results with the
+ * after a backoff, hedges stragglers, and — when a range stays down
+ * past the per-request deadline — returns partial results with the
  * affected queries flagged in RoutedResult::degraded instead of
  * blocking. What fired is tallied in RoutedResult::failover.
+ *
+ * Gather: every attempt's completion pushes its response onto one
+ * completion queue per search, and search() sleeps on that queue
+ * until a response arrives or the next due time — the deadline, a
+ * hedge, a retry — comes. Nothing polls and nothing sleeps out a
+ * backoff, so a hedge returns on its winner and the deadline is the
+ * deadline. An attempt still out when search() returns (a hedge
+ * loser, a call abandoned at the deadline) lands in the queue later,
+ * which its completion keeps alive; such attempts read a copy of the
+ * batch, made only when a deadline or hedging is configured.
  *
  * Text-partitioned plans (fixedWidth, perRecord) have no routing
  * prefix and are served broadcast-only through the same workers: each
@@ -40,7 +51,8 @@
  *
  * Thread-safety analysis: search() is const and keeps all cross-thread
  * traffic inside annotated machinery — requests ride the workers'
- * annotated inbox queues, responses come back through futures, replica
+ * annotated inbox queues, responses come back through the search's
+ * annotated completion queue (never locked across a submit()), replica
  * swaps stay behind ReplicaSet's annotated mutex, and the merge writes
  * out.hits on the calling thread only (the dedup/cap parallelFor
  * touches disjoint queries per chunk). The router itself therefore has
@@ -75,12 +87,15 @@ struct FailoverConfig
     /**
      * Per-search wall-clock budget in ms; 0 = none. When it expires,
      * unresolved shard calls are abandoned and their queries come back
-     * flagged degraded rather than blocking the caller.
+     * flagged degraded rather than blocking the caller; search()
+     * returns at the deadline, not after its abandoned attempts.
      */
     u64 deadline_ms = 0;
     /** Resubmissions per shard call after a failed attempt. */
     unsigned max_retries = 2;
-    /** First retry backoff in ms (doubles per retry; 0 = immediate). */
+    /** First retry backoff in ms (doubles per retry; 0 = immediate).
+     *  A due time for that call alone: other calls and the deadline
+     *  keep running while it waits. */
     u64 retry_backoff_ms = 2;
     /**
      * Hedge threshold in ms; 0 = off. A shard call still unresolved
@@ -88,12 +103,15 @@ struct FailoverConfig
      * the first Ok response wins (classic tail-at-scale hedging).
      */
     u64 hedge_ms = 0;
-    /** Supervisor sweep period in ms; 0 = no supervisor thread. */
+    /**
+     * Supervisor sweep period in ms; must be > 0. The supervisor is
+     * the only hang handler, so the router rejects 0 at construction.
+     */
     u64 supervisor_interval_ms = 20;
     /**
      * A replica with queued work whose heartbeat stalls this long is
-     * declared hung, killed, and respawned (by the supervisor, or by
-     * the router's reap path when no supervisor runs).
+     * declared hung, killed, and respawned by the supervisor. A search
+     * never waits on it: its deadline, not this timeout, bounds it.
      */
     u64 hang_timeout_ms = 1000;
 };
@@ -265,11 +283,12 @@ class ShardRouter
      * Failover contract: a shard call that fails (worker down, thrown
      * exception, corrupt canary) is retried on a different replica up
      * to failover.max_retries times with doubling backoff; calls still
-     * unresolved failover.hedge_ms after submission are hedged. When a
-     * call exhausts its budget — or failover.deadline_ms expires — its
-     * queries are flagged in RoutedResult::degraded and whatever the
-     * other shards produced is returned. Queries are never lost and
-     * never double-merged: exactly one verified response per shard
+     * unresolved failover.hedge_ms after submission are hedged, and
+     * the first verified answer wins. When a call exhausts its budget
+     * — or failover.deadline_ms expires, at which point search()
+     * returns — its queries are flagged in RoutedResult::degraded and
+     * whatever the other shards produced is returned. Queries are never lost
+     * and never double-merged: exactly one verified response per shard
      * call is accepted.
      */
     RoutedResult search(const std::vector<std::vector<Base>> &queries,
@@ -281,7 +300,7 @@ class ShardRouter
 
   private:
     /** Spawn the replica sets over tables_/scan_refs_, plus the
-     *  supervisor when configured. */
+     *  supervisor. */
     void spawnReplicas();
     /** Factory for shard @p s's replicas under transport_kind_. */
     TransportFactory shardFactory(size_t s);

@@ -3,10 +3,11 @@
  * Background health-checker for a router's replica tier: one thread
  * sweeps every ReplicaSet on a fixed interval, respawning dead
  * replicas and putting down hung ones (ReplicaSet::superviseOnce).
- * A hang becomes a kill, a kill resolves the victim's queued futures
- * as WorkerDown, and the router's retry path re-routes those requests
- * to a live replica — so in-flight work survives a frozen worker even
- * when the submitting thread is blocked waiting on it.
+ * It is the only hang handler, so every router runs one. A hang
+ * becomes a kill, a kill completes the victim's queued requests as
+ * WorkerDown, and the router's retry path re-routes those requests to
+ * a live replica — so in-flight work survives a frozen worker, and a
+ * hung replica does not keep failing the searches routed to it.
  *
  * The supervisor only ever talks to workers through ReplicaSet's
  * public surface, the same surface an out-of-process transport would

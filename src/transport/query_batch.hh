@@ -27,9 +27,12 @@ class QueryBatchView
     QueryBatchView() = default;
 
     /**
-     * Borrow @p batch — the router's shared query storage, which must
-     * outlive the completion future — and serve batch[ids[j]] for
-     * every j. This is the in-process fast path: no query is copied.
+     * Borrow @p batch — query storage that must outlive every request
+     * holding this view, up to its completion — and serve
+     * batch[ids[j]] for every j. The router lends the caller's batch
+     * when every attempt answers before search() returns, and
+     * otherwise a copy its completions keep alive. This is the
+     * in-process fast path: no query is copied per request.
      */
     static QueryBatchView borrow(const std::vector<std::vector<Base>> &batch,
                                  std::vector<u32> ids);

@@ -6,7 +6,7 @@
  * is what makes this worker the differential oracle for the socket
  * transport. Requests carry a QueryBatchView borrowed zero-copy from
  * the router's batch. The lane itself (inbox, fault dispatch,
- * liveness, the typed-future contract) is Transport's; see
+ * liveness, the completion contract) is Transport's; see
  * transport.hh.
  *
  * Every compute chunk (BatchConfig::progress) ticks the heartbeat, so

@@ -61,9 +61,10 @@ SocketTransport::SocketTransport(std::string name,
 
 SocketTransport::~SocketTransport()
 {
-    // A healthy child's pending response is abandoned: the router
-    // reaps every future before tearing transports down, so nothing
-    // user-visible is in flight.
+    // A healthy child's pending response is abandoned: every queued or
+    // in-flight request completes WorkerDown, and a router's
+    // completions own what they touch (their queue, any batch copy),
+    // so nothing they reach dangles.
     stopLane();
     if (pid_ > 0)
         ::waitpid(pid_, nullptr, 0); // reap exactly once, here

@@ -3,7 +3,7 @@
  * The out-of-process Transport: each replica is a real child process
  * (tools/exma-worker) spawned over a Unix-domain socketpair and
  * spoken to in wire.hh frames. The lane (inbox, fault dispatch,
- * liveness, the typed-future contract) is Transport's; see
+ * liveness, the completion contract) is Transport's; see
  * transport.hh. What differs is how a request is answered: a frame
  * round trip — encode, write, then read frames until the response
  * with the matching sequence number arrives. Heartbeat frames tick

@@ -1,6 +1,7 @@
 #include "transport/transport.hh"
 
 #include <exception>
+#include <memory>
 #include <utility>
 
 #include "common/logging.hh"
@@ -65,9 +66,8 @@ Transport::startLane()
 void
 Transport::stopLane()
 {
-    // kill() resolves everything queued with a typed WorkerDown — never
-    // a broken promise surfacing as std::future_error — and the lane
-    // answers an in-flight request WorkerDown once it returns.
+    // kill() resolves everything queued with a typed WorkerDown, and
+    // the lane answers an in-flight request WorkerDown once it returns.
     kill();
     if (thread_.joinable())
         thread_.join();
@@ -76,9 +76,17 @@ Transport::stopLane()
 std::future<WorkerResponse>
 Transport::submit(WorkerRequest req)
 {
-    Pending p;
-    p.req = std::move(req);
-    std::future<WorkerResponse> future = p.promise.get_future();
+    auto promise = std::make_shared<std::promise<WorkerResponse>>();
+    std::future<WorkerResponse> future = promise->get_future();
+    submit(std::move(req),
+           [promise](WorkerResponse r) { promise->set_value(std::move(r)); });
+    return future;
+}
+
+void
+Transport::submit(WorkerRequest req, Completion done)
+{
+    Pending p{std::move(req), std::move(done)};
     inbox_depth_.fetch_add(1, std::memory_order_relaxed);
 
     bool down = false;
@@ -97,7 +105,6 @@ Transport::submit(WorkerRequest req)
         resolveDown(p);
     else
         cv_.notify_one();
-    return future;
 }
 
 void
@@ -129,14 +136,15 @@ Transport::resolveDown(Pending &p)
 void
 Transport::resolve(Pending &p, WorkerResponse r)
 {
-    // Counters first, delivery last: a caller that observed the future
-    // ready must see the post-request counter state.
+    // Counters first, delivery last: a caller that has its response
+    // must see the post-request counter state. Every caller of
+    // resolve() holds no transport lock, so the completion may submit.
     if (r.status != WorkerStatus::WorkerDown) {
         processed_.fetch_add(1, std::memory_order_relaxed);
         heartbeat_.fetch_add(1, std::memory_order_relaxed);
     }
     inbox_depth_.fetch_sub(1, std::memory_order_relaxed);
-    p.promise.set_value(std::move(r));
+    p.done(std::move(r));
 }
 
 void

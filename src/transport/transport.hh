@@ -2,12 +2,11 @@
  * @file
  * The transport-agnostic worker seam, and the one serving lane every
  * replica runs. A Transport is one replica's endpoint: submit a
- * WorkerRequest, get a future that always resolves with a typed
- * WorkerResponse — Ok, Failed (the worker's compute threw; the
- * message rides along), or WorkerDown (the worker died or was
- * destroyed before serving it). Failures are data, not exceptions,
- * and a future obtained from submit() is never abandoned to
- * std::future_error.
+ * WorkerRequest with a completion, and the completion runs exactly
+ * once with a typed WorkerResponse — Ok, Failed (the worker's compute
+ * threw; the message rides along), or WorkerDown (the worker died or
+ * was destroyed before serving it). Failures are data, not
+ * exceptions, and no submitted request is ever dropped unanswered.
  *
  * Two implementations exist: ShardWorker (answers in process — the
  * default, and the differential oracle) and SocketTransport (a
@@ -40,15 +39,24 @@
  * validation): the request resolves WorkerDown and the replica is put
  * down. A replica killed mid-request never answers Ok.
  *
+ * Every response reaches its caller through one function, resolve():
+ * counters first, then the completion, with no transport lock held.
+ * A completion runs on the lane thread, on the thread that called
+ * kill() (or destroyed the transport), or — for a replica already
+ * dead — on the submitting thread before submit() returns. Because
+ * no lock is held, a completion may submit again, even to the same
+ * transport.
+ *
  * Liveness (inboxDepth / heartbeat / processed / isDead / kill) is
  * part of the interface because the failover tier is built on it:
  * power-of-two-choices reads inboxDepth, the supervisor reads
  * heartbeat, and kill() is the one idempotent crash switch every
- * layer (supervisor, router reap path, tests) may pull. The heartbeat
- * ticks on every dequeue, every completion and every compute chunk
- * (tickHeartbeat), which is how a supervisor tells a slow replica from
- * a hung one. Counters move before a future is fulfilled, so a caller
- * that saw its future ready sees the post-request counters.
+ * layer (supervisor, ReplicaSet::killReplica, tests) may pull. The
+ * heartbeat ticks on every dequeue, every completion and every
+ * compute chunk (tickHeartbeat), which is how a supervisor tells a
+ * slow replica from a hung one. Counters move before the completion
+ * runs, so a caller that has its response sees the post-request
+ * counters.
  *
  * Start/stop ordering: a subclass calls startLane() as the last step
  * of its constructor and stopLane() as the first step of its
@@ -66,6 +74,7 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
@@ -129,19 +138,26 @@ class Transport
     Transport(const Transport &) = delete;
     Transport &operator=(const Transport &) = delete;
 
+    /** Receives one request's response; see submit(). */
+    using Completion = std::function<void(WorkerResponse)>;
+
     /**
-     * Enqueue a request; the future resolves when the replica has
-     * served it. Requests are served in submission order. Never
-     * blocks; submitting to a dead replica resolves immediately with
-     * WorkerDown.
+     * Enqueue a request; @p done runs exactly once with its response
+     * once the replica has served it or gone down (see the file
+     * comment for the thread it runs on). Requests are served in
+     * submission order. Never blocks; submitting to a dead replica
+     * runs @p done with WorkerDown before returning.
      */
+    void submit(WorkerRequest req, Completion done);
+
+    /** submit(), with the response delivered through a future. */
     std::future<WorkerResponse> submit(WorkerRequest req);
 
     /**
      * Put the replica down: mark dead, interrupt whatever it is
      * doing, and resolve every queued request with WorkerDown.
-     * Idempotent — the supervisor and the router's reap path may call
-     * it repeatedly on an already-dead replica.
+     * Idempotent — the supervisor, ReplicaSet::killReplica and tests
+     * may call it repeatedly on an already-dead replica.
      */
     void kill();
 
@@ -210,14 +226,14 @@ class Transport
     struct Pending
     {
         WorkerRequest req;
-        std::promise<WorkerResponse> promise;
+        Completion done;
     };
 
     void run();
     void serve(Pending p);
     /** Resolve @p p with WorkerDown. */
     void resolveDown(Pending &p);
-    /** Release @p p's inbox slot and fulfil its future with @p r. */
+    /** Release @p p's inbox slot and run its completion with @p r. */
     void resolve(Pending &p, WorkerResponse r);
 
     const std::string name_;

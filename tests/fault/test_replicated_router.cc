@@ -12,6 +12,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hh"
@@ -72,6 +73,24 @@ queryMix(const std::vector<Base> &ref, int prefix_len, u64 seed)
     return qs;
 }
 
+/**
+ * queryMix without its sub-prefix queries, for the timed cases. Those
+ * short queries match thousands of positions, and locating them costs
+ * a Debug TSan build 250-350 ms per search on a 4-vCPU host — as long
+ * as the deadlines under test; without them a search costs 2-5 ms, so
+ * the timed window holds the router's waiting, not locate work.
+ * RangeFullyDownDegradesExactlyItsQueries covers the straddlers.
+ */
+std::vector<std::vector<Base>>
+routedMix(const std::vector<Base> &ref, int prefix_len, u64 seed)
+{
+    auto qs = queryMix(ref, prefix_len, seed);
+    std::erase_if(qs, [prefix_len](const std::vector<Base> &q) {
+        return q.size() < static_cast<size_t>(prefix_len);
+    });
+    return qs;
+}
+
 /** The shared fixture: one dataset, one monolith, one plan. */
 struct Fixture
 {
@@ -129,6 +148,66 @@ ownersOf(const std::vector<Base> &q)
     const ShardPlan &plan = fixture().plan;
     const PrefixRange r = plan.queryPrefixRange(q.data(), q.size());
     return plan.ownersOfRange(r.lo, r.hi);
+}
+
+/**
+ * Exactly the queries shard @p target serves come back degraded
+ * (partial for broadcast straddlers, empty for solely-owned ones);
+ * every other query is identical to the monolith.
+ */
+void
+expectExactlyRangeDegraded(const RoutedResult &r,
+                           const std::vector<std::vector<Base>> &qs,
+                           size_t target)
+{
+    const Fixture &fx = fixture();
+    ASSERT_EQ(r.hits.size(), qs.size());
+    EXPECT_GT(r.degraded_queries, 0u);
+    EXPECT_LT(r.degraded_queries, qs.size())
+        << "only the dead range's queries may degrade";
+    u64 flagged = 0;
+    for (size_t i = 0; i < qs.size(); ++i) {
+        const auto [first, last] = ownersOf(qs[i]);
+        const bool expect_degraded = first <= target && target <= last;
+        EXPECT_EQ(r.degraded[i] != 0, expect_degraded) << "query " << i;
+        flagged += r.degraded[i];
+        const auto expect = singleTableHits(fx.single, qs[i]);
+        if (expect_degraded) {
+            // Partial: whatever the live owners produced, never more.
+            EXPECT_TRUE(std::includes(expect.begin(), expect.end(),
+                                      r.hits[i].begin(),
+                                      r.hits[i].end()))
+                << "degraded query " << i << " invented hits";
+        } else {
+            EXPECT_EQ(r.hits[i], expect) << "query " << i;
+        }
+    }
+    EXPECT_EQ(r.degraded_queries, flagged);
+}
+
+/** Every replica of shard @p target fires @p kind on every request. */
+std::shared_ptr<FaultInjector>
+wholeRangeFault(const ShardRouter &router, size_t target, FaultKind kind)
+{
+    FaultRule rule;
+    rule.kind = kind;
+    rule.site = router.plan().shards()[target].name + "*";
+    rule.every = 1; // every hit, so respawned replicas fail too
+    rule.ms = 600'000; // a hang never ends on its own
+    return std::make_shared<FaultInjector>(std::vector<FaultRule>{rule});
+}
+
+/** Wall-clock ms of one search of @p qs, whose result lands in @p out. */
+u64
+timedSearch(const ShardRouter &router,
+            const std::vector<std::vector<Base>> &qs, RoutedResult &out)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    out = router.search(qs);
+    return static_cast<u64>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
 }
 
 TEST(ReplicatedRouter, WorkerDeathFailsOverWithIdenticalHits)
@@ -237,36 +316,11 @@ TEST(ReplicatedRouter, RangeFullyDownDegradesExactlyItsQueries)
     const auto qs = queryMix(fx.ds.ref, fx.plan.prefixLen(), 36);
 
     const size_t target = ownersOf(qs[0]).first;
-    FaultRule rule;
-    rule.kind = FaultKind::KillWorker;
-    rule.site = router.plan().shards()[target].name + "*";
-    rule.every = 1; // every hit, so respawned replicas die too
     ScopedFaultInjector scope(
-        std::make_shared<FaultInjector>(std::vector<FaultRule>{rule}));
+        wholeRangeFault(router, target, FaultKind::KillWorker));
 
     const RoutedResult r = router.search(qs);
-    ASSERT_EQ(r.hits.size(), qs.size());
-    EXPECT_GT(r.degraded_queries, 0u);
-    EXPECT_LT(r.degraded_queries, qs.size())
-        << "only the dead range's queries may degrade";
-    u64 flagged = 0;
-    for (size_t i = 0; i < qs.size(); ++i) {
-        const auto [first, last] = ownersOf(qs[i]);
-        const bool expect_degraded = first <= target && target <= last;
-        EXPECT_EQ(r.degraded[i] != 0, expect_degraded) << "query " << i;
-        flagged += r.degraded[i];
-        const auto expect = singleTableHits(fx.single, qs[i]);
-        if (expect_degraded) {
-            // Partial: whatever the live owners produced, never more.
-            EXPECT_TRUE(std::includes(expect.begin(), expect.end(),
-                                      r.hits[i].begin(),
-                                      r.hits[i].end()))
-                << "degraded query " << i << " invented hits";
-        } else {
-            EXPECT_EQ(r.hits[i], expect) << "query " << i;
-        }
-    }
-    EXPECT_EQ(r.degraded_queries, flagged);
+    expectExactlyRangeDegraded(r, qs, target);
     EXPECT_GT(r.failover.worker_down, 0u);
 
     // With the injector gone the respawned range recovers fully.
@@ -277,43 +331,141 @@ TEST(ReplicatedRouter, RangeFullyDownDegradesExactlyItsQueries)
 
 TEST(ReplicatedRouter, DeadlineBoundsAnUnresponsiveRange)
 {
-    // Both replicas of one shard hang forever and no supervisor runs:
-    // the per-request deadline is the only thing standing between the
-    // caller and a ten-minute stall. The search must return within the
-    // deadline (plus the reap's hang timeout), flag the stuck range's
-    // queries, and tally the deadline miss.
+    // Both replicas of one shard hang forever, and the supervisor's
+    // hang timeout lies far past the deadline: the deadline alone must
+    // bound the search. It returns within the deadline plus a
+    // scheduling margin, abandoning the hung attempts rather than
+    // waiting for them, flags the stuck range's queries, and tallies
+    // the deadline miss.
     const Fixture &fx = fixture();
     RouterConfig rcfg = replicatedCfg();
-    rcfg.failover.supervisor_interval_ms = 0; // no watchdog
-    rcfg.failover.deadline_ms = 500;
-    rcfg.failover.hang_timeout_ms = 200; // reap kills hung workers
+    rcfg.failover.deadline_ms = 300;
+    rcfg.failover.hang_timeout_ms = 10'000;
     const ShardRouter router(fx.ds.ref, fx.plan, rcfg);
-    const auto qs = queryMix(fx.ds.ref, fx.plan.prefixLen(), 37);
+    const auto qs = routedMix(fx.ds.ref, fx.plan.prefixLen(), 37);
+    router.search(qs); // socket children start up outside the timing
 
     const size_t target = ownersOf(qs[0]).first;
-    FaultRule rule;
-    rule.kind = FaultKind::HangRequest;
-    rule.site = router.plan().shards()[target].name + "*";
-    rule.every = 1;
-    rule.ms = 600'000;
     ScopedFaultInjector scope(
-        std::make_shared<FaultInjector>(std::vector<FaultRule>{rule}));
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const RoutedResult r = router.search(qs);
-    const auto elapsed = std::chrono::steady_clock::now() - t0;
-    EXPECT_LT(elapsed, std::chrono::seconds(30))
-        << "deadline failed to bound an unresponsive range";
+        wholeRangeFault(router, target, FaultKind::HangRequest));
+    RoutedResult r;
+    const auto elapsed = timedSearch(router, qs, r);
+    EXPECT_LT(elapsed, rcfg.failover.deadline_ms + 250)
+        << "the search outlived its deadline";
     EXPECT_GE(r.failover.deadline_misses, 1u);
-    EXPECT_GT(r.degraded_queries, 0u);
-    for (size_t i = 0; i < qs.size(); ++i) {
-        const auto [first, last] = ownersOf(qs[i]);
-        if (first <= target && target <= last)
-            EXPECT_EQ(r.degraded[i], 1) << "query " << i;
-        else
-            EXPECT_EQ(r.hits[i], singleTableHits(fx.single, qs[i]))
-                << "query " << i;
+    expectExactlyRangeDegraded(r, qs, target);
+}
+
+TEST(ReplicatedRouter, RetryBackoffDoesNotOutlastTheDeadline)
+{
+    // Both replicas of one shard throw on every request, and the first
+    // retry backoff (2 s) outlasts the deadline (300 ms). A backoff is
+    // a due time, not a sleep on the caller's thread, so the deadline
+    // still bounds the search and the other shards' answers merge.
+    const Fixture &fx = fixture();
+    RouterConfig rcfg = replicatedCfg();
+    rcfg.failover.retry_backoff_ms = 2000;
+    rcfg.failover.deadline_ms = 300;
+    rcfg.failover.hang_timeout_ms = 10'000;
+    const ShardRouter router(fx.ds.ref, fx.plan, rcfg);
+    const auto qs = routedMix(fx.ds.ref, fx.plan.prefixLen(), 40);
+    router.search(qs); // socket children start up outside the timing
+
+    const size_t target = ownersOf(qs[0]).first;
+    ScopedFaultInjector scope(
+        wholeRangeFault(router, target, FaultKind::ThrowInProcess));
+    RoutedResult r;
+    const auto elapsed = timedSearch(router, qs, r);
+    EXPECT_LT(elapsed, rcfg.failover.deadline_ms + 250)
+        << "the retry backoff held the search past its deadline";
+    EXPECT_GT(r.failover.failed, 0u);
+    EXPECT_GE(r.failover.deadline_misses, 1u);
+    expectExactlyRangeDegraded(r, qs, target);
+}
+
+TEST(ReplicatedRouter, RetryBackoffsOfDifferentShardsWaitConcurrently)
+{
+    // One replica per shard, and every replica throws once, so every
+    // shard call retries after a 1 s backoff. The backoffs run side
+    // by side as due times instead of as one sleep per shard on the
+    // caller's thread: the search takes about one backoff, not one
+    // per shard, and loses nothing.
+    const Fixture &fx = fixture();
+    RouterConfig rcfg = replicatedCfg(1);
+    rcfg.failover.retry_backoff_ms = 1000;
+    rcfg.failover.hang_timeout_ms = 10'000;
+    const ShardRouter router(fx.ds.ref, fx.plan, rcfg);
+    const auto qs = routedMix(fx.ds.ref, fx.plan.prefixLen(), 41);
+    expectIdenticalToMonolith(router.search(qs), qs);
+
+    ScopedFaultInjector scope(std::make_shared<FaultInjector>(
+        FaultInjector::parseSpec("throw@*")));
+    RoutedResult r;
+    const auto elapsed = timedSearch(router, qs, r);
+    ASSERT_GE(r.failover.retries, 2u)
+        << "the batch must retry on at least two shards at once";
+    EXPECT_LT(elapsed, 2 * rcfg.failover.retry_backoff_ms)
+        << "the shards' backoffs ran one after another";
+    EXPECT_EQ(r.failover.failed, r.failover.retries);
+    expectIdenticalToMonolith(r, qs);
+}
+
+TEST(ReplicatedRouter, HedgeReturnsOnItsWinner)
+{
+    // One replica of a shard stalls 2 s on its first request. The
+    // search that reaches it hedges after 10 ms and returns on the
+    // other replica's answer instead of waiting for the loser. The
+    // loser keeps serving after search() returns: the caller's batch
+    // is freed at once and the loser is let finish, so a sanitizer
+    // sees any read of the caller's storage.
+    const Fixture &fx = fixture();
+    RouterConfig rcfg = replicatedCfg();
+    rcfg.failover.hedge_ms = 10;
+    rcfg.failover.hang_timeout_ms = 10'000;
+    const ShardRouter router(fx.ds.ref, fx.plan, rcfg);
+    const auto qs = routedMix(fx.ds.ref, fx.plan.prefixLen(), 42);
+    const size_t target = ownersOf(qs[0]).first;
+    const std::string site = router.plan().shards()[target].name + "/r0";
+    const auto injector = std::make_shared<FaultInjector>(
+        FaultInjector::parseSpec("delay@" + site + ":ms=2000"));
+    ScopedFaultInjector scope(injector);
+
+    // Power-of-two-choices picks r0 for about half of the searches.
+    for (int round = 0; round < 64 && injector->hits(site) == 0; ++round) {
+        auto owned = std::make_unique<std::vector<std::vector<Base>>>(qs);
+        RoutedResult r;
+        const auto elapsed = timedSearch(router, *owned, r);
+        owned.reset();
+        if (injector->hits(site) == 0)
+            continue;
+        EXPECT_LT(elapsed, 1000u)
+            << "the search waited for its hedge loser";
+        EXPECT_GE(r.failover.hedges, 1u);
+        expectIdenticalToMonolith(r, qs);
     }
+    ASSERT_EQ(injector->hits(site), 1u) << "no search reached " << site;
+
+    const auto loser = router.replicaSet(target).replica(0);
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (loser->inboxDepth() > 0 &&
+           std::chrono::steady_clock::now() < until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(loser->inboxDepth(), 0u) << "the loser was never served";
+    EXPECT_FALSE(loser->isDead()) << "a slow replica is not a hung one";
+}
+
+TEST(ReplicatedRouter, RouterWithoutSupervisorIsRejected)
+{
+    // The supervisor is the only hang handler, so a router that would
+    // run without one fails at construction. Threadsafe style: the
+    // child re-runs the test rather than forking a threaded process.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const Fixture &fx = fixture();
+    RouterConfig rcfg = replicatedCfg();
+    rcfg.failover.supervisor_interval_ms = 0;
+    EXPECT_DEATH({ const ShardRouter router(fx.ds.ref, fx.plan, rcfg); },
+                 "only hang handler");
 }
 
 TEST(ReplicatedRouter, ManualReplicaKillBetweenBatchesIsAbsorbed)

@@ -1,17 +1,23 @@
 // The serving lane's failure contract (the RPC seam under stress):
-// futures always resolve with typed responses — WorkerDown on
-// destruction with a non-empty inbox (the std::future_error regression
-// this file pins), Failed with the message when the compute throws —
-// plus kill(), inbox-depth accounting, and heartbeat liveness. The
-// lane is Transport's, shared by both transports: the kill and
-// liveness bodies run on a ShardWorker and again on an empty-state
-// SocketTransport backed by a real exma-worker child.
+// every submit() completion runs exactly once with a typed response —
+// WorkerDown on destruction with a non-empty inbox (the
+// std::future_error regression this file pins), Failed with the
+// message when the compute throws — plus kill(), inbox-depth
+// accounting, and heartbeat liveness. The future-returning submit() is
+// an adapter over the completion one, so the future cases exercise
+// both. The lane is Transport's, shared by both transports: the
+// completion, kill and liveness bodies run on a ShardWorker and again
+// on an empty-state SocketTransport backed by a real exma-worker child.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -59,6 +65,159 @@ emptyWorkerConfig()
     cfg.binary = discoverWorkerBinary("");
     cfg.state = "empty";
     return cfg;
+}
+
+/** Counts each completion's runs and keeps its last status. */
+class CompletionLog
+{
+  public:
+    static constexpr size_t kSlots = 8;
+
+    /** A completion for request @p slot; the log outlives its run. */
+    Transport::Completion
+    completion(size_t slot)
+    {
+        return [this, slot](WorkerResponse r) {
+            std::lock_guard<std::mutex> lock(mtx_);
+            ++runs_[slot];
+            status_[slot] = r.status;
+            cv_.notify_all();
+        };
+    }
+
+    /** Runs of @p slot, after waiting (bounded) for the first. */
+    int
+    awaitRuns(size_t slot)
+    {
+        std::unique_lock<std::mutex> lock(mtx_);
+        cv_.wait_for(lock, std::chrono::seconds(60),
+                     [&] { return runs_[slot] > 0; });
+        return runs_[slot];
+    }
+
+    /** Runs of @p slot so far, without waiting. */
+    int
+    runs(size_t slot)
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        return runs_[slot];
+    }
+
+    WorkerStatus
+    status(size_t slot)
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        return status_[slot];
+    }
+
+  private:
+    std::mutex mtx_;
+    std::condition_variable cv_;
+    std::array<int, kSlots> runs_{};
+    std::array<WorkerStatus, kSlots> status_{};
+};
+
+/** Builds a transport named after its fault-injection site. */
+using MakeTransport =
+    std::function<std::unique_ptr<Transport>(const std::string &name)>;
+
+/**
+ * Every completion runs exactly once, on every path: Ok; Failed (an
+ * injected throw); WorkerDown for the requests kill() drains;
+ * WorkerDown for a submit to a dead replica, before submit() returns;
+ * WorkerDown at destruction with a non-empty inbox. The counts are
+ * read after both transports are gone, so a second run would have
+ * happened by then.
+ */
+void
+expectEveryCompletionRunsExactlyOnce(const MakeTransport &make)
+{
+    ScopedFaultInjector scope(
+        std::make_shared<FaultInjector>(FaultInjector::parseSpec(
+            "throw@a:nth=2,delay@a:nth=3:ms=60000,delay@b:ms=60000")));
+    CompletionLog log;
+    {
+        const auto a = make("a");
+        a->submit(requestFor(batch()), log.completion(0)); // Ok
+        a->submit(requestFor(batch()), log.completion(1)); // throws
+        EXPECT_EQ(log.awaitRuns(0), 1);
+        EXPECT_EQ(log.awaitRuns(1), 1);
+        a->submit(requestFor(batch()), log.completion(2)); // sleeps
+        a->submit(requestFor(batch()), log.completion(3)); // queued
+        a->kill();
+        a->submit(requestFor(batch()), log.completion(4)); // dead
+        EXPECT_EQ(log.runs(4), 1)
+            << "a dead replica completes before submit() returns";
+
+        const auto b = make("b");
+        for (size_t slot = 5; slot < CompletionLog::kSlots; ++slot)
+            b->submit(requestFor(batch()), log.completion(slot));
+        // b is destroyed here with one request asleep and two queued.
+    }
+    EXPECT_EQ(log.status(0), WorkerStatus::Ok);
+    EXPECT_EQ(log.status(1), WorkerStatus::Failed);
+    for (size_t slot = 0; slot < CompletionLog::kSlots; ++slot) {
+        EXPECT_EQ(log.runs(slot), 1) << "request " << slot;
+        if (slot >= 2) {
+            EXPECT_EQ(log.status(slot), WorkerStatus::WorkerDown)
+                << "request " << slot;
+        }
+    }
+}
+
+TEST(WorkerRobustness, EveryCompletionRunsExactlyOnce)
+{
+    expectEveryCompletionRunsExactlyOnce([](const std::string &name) {
+        return std::make_unique<ShardWorker>(name, nullptr, nullptr,
+                                             nullptr);
+    });
+}
+
+TEST(WorkerRobustness, SocketEveryCompletionRunsExactlyOnce)
+{
+    expectEveryCompletionRunsExactlyOnce([](const std::string &name) {
+        return std::make_unique<SocketTransport>(name, emptyWorkerConfig(),
+                                                 false, true);
+    });
+}
+
+/**
+ * A completion may submit to its own transport: no transport lock is
+ * held while it runs, whether on the lane thread (a live replica) or
+ * inside submit() (a dead one). A held lock would deadlock here.
+ */
+void
+expectCompletionMaySubmitToItsOwnTransport(Transport &worker)
+{
+    CompletionLog log;
+    const auto resubmitting = [&worker, &log](size_t slot) {
+        return [&worker, &log, slot](WorkerResponse r) {
+            worker.submit(requestFor(batch()), log.completion(slot + 1));
+            log.completion(slot)(std::move(r));
+        };
+    };
+    worker.submit(requestFor(batch()), resubmitting(0));
+    EXPECT_EQ(log.awaitRuns(1), 1);
+    EXPECT_EQ(log.status(0), WorkerStatus::Ok);
+    EXPECT_EQ(log.status(1), WorkerStatus::Ok);
+
+    worker.kill();
+    worker.submit(requestFor(batch()), resubmitting(2));
+    EXPECT_EQ(log.runs(2), 1);
+    EXPECT_EQ(log.runs(3), 1) << "the nested submit completes inline too";
+    EXPECT_EQ(log.status(3), WorkerStatus::WorkerDown);
+}
+
+TEST(WorkerRobustness, CompletionMaySubmitToItsOwnTransport)
+{
+    ShardWorker worker("w", nullptr, nullptr, nullptr);
+    expectCompletionMaySubmitToItsOwnTransport(worker);
+}
+
+TEST(WorkerRobustness, SocketCompletionMaySubmitToItsOwnTransport)
+{
+    SocketTransport worker("w", emptyWorkerConfig(), false, true);
+    expectCompletionMaySubmitToItsOwnTransport(worker);
 }
 
 TEST(WorkerRobustness, DestructionWithPendingInboxYieldsWorkerDown)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """exma-lint: fast checks for project invariants clang-tidy can't express.
 
-Seven rules, each born from a convention an earlier PR established and
+Eight rules, each born from a convention an earlier PR established and
 that code review alone won't keep enforced:
 
   bare-assert        src/**.{hh,cc} must not use bare assert() or
@@ -33,6 +33,13 @@ that code review alone won't keep enforced:
                      that can die or hang, so every get must sit behind
                      an observed-ready / deadline-bounded wait, never
                      block unconditionally.
+
+  no-raw-sleep       src/** must not call std::this_thread::sleep_for /
+                     sleep_until, usleep or nanosleep. Such a sleep
+                     cannot be cut short by kill() or a deadline, so a
+                     thread parked in one stalls whatever waits on it;
+                     sleep on CancelToken::sleepFor, or wait for a due
+                     time on an exma::CondVar (wait_until).
 
   mutex-annotations  src/** must not declare std::mutex (or friends),
                      the raw std lock adapters, or a raw
@@ -352,6 +359,30 @@ def check_no_naked_future_get(root):
 
 
 # --------------------------------------------------------------------------
+# Rule: no-raw-sleep
+# --------------------------------------------------------------------------
+
+RAW_SLEEP_RE = re.compile(
+    r"\bthis_thread::(sleep_for|sleep_until)\b"
+    r"|\b(usleep|nanosleep)\s*\(")
+
+
+def check_no_raw_sleep(root):
+    findings = []
+    for rel in cxx_files_under(root, "src"):
+        stripped = strip_comments_and_strings(
+            read_text(os.path.join(root, rel)))
+        for line, m in iter_matches(RAW_SLEEP_RE, stripped):
+            findings.append(Finding(
+                rel, line, "no-raw-sleep",
+                "raw %s() in src/ cannot be cut short by kill() or a "
+                "deadline; sleep on CancelToken::sleepFor, or wait for "
+                "a due time on an exma::CondVar (wait_until)"
+                % (m.group(1) or m.group(2))))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Rule: mutex-annotations
 # --------------------------------------------------------------------------
 
@@ -495,6 +526,7 @@ RULES = {
     "concurrency-label": check_concurrency_label,
     "mutex-annotations": check_mutex_annotations,
     "no-naked-future-get": check_no_naked_future_get,
+    "no-raw-sleep": check_no_raw_sleep,
     "ondisk-pod-assert": check_ondisk_pod_assert,
 }
 

@@ -310,6 +310,54 @@ void stale(std::future<int> &fut)
         self.assertEqual(self.rules("no-naked-future-get"), [])
 
 
+class NoRawSleepTest(LintTestCase):
+
+    def test_backoff_sleep_and_posix_sleeps_are_flagged(self):
+        # The retry backoff the router's gather loop used to sleep on
+        # the caller's thread, plus the POSIX spellings.
+        rel = self.tree.write("src/route/gather.cc", """\
+void retry(u64 backoff)
+{
+    if (backoff)
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(backoff));
+    ::usleep(1000);
+    nanosleep(&ts, nullptr);
+    std::this_thread::sleep_until(t);
+}
+""")
+        findings = self.rules("no-raw-sleep")
+        self.assertEqual([(f.rule, f.path, f.line) for f in findings],
+                         [("no-raw-sleep", rel, 4),
+                          ("no-raw-sleep", rel, 6),
+                          ("no-raw-sleep", rel, 7),
+                          ("no-raw-sleep", rel, 8)])
+        self.assertIn("CancelToken::sleepFor", findings[0].message)
+
+    def test_cancellable_sleeps_and_due_time_waits_pass(self):
+        self.tree.write("src/transport/lane.cc", """\
+void stall(CancelToken &cancel, u64 ms)
+{
+    if (!cancel.sleepFor(ms))
+        return;
+}
+void gather(Queue &q, Clock::time_point wake)
+{
+    MutexLock lock(q.mtx);
+    while (q.ready.empty())
+        if (q.cv.wait_until(lock, wake) == std::cv_status::timeout)
+            break;
+    // a comment naming std::this_thread::sleep_for is fine
+    const char *s = "usleep(1) in a string is fine";
+    my_usleep(5);
+}
+""")
+        # Tests and benches may sleep: scope is src/ only.
+        self.tree.write("tests/fault/test_x.cc",
+                        "void t() { std::this_thread::sleep_for(d); }\n")
+        self.assertEqual(self.rules("no-raw-sleep"), [])
+
+
 class OndiskPodAssertTest(LintTestCase):
 
     def test_write_site_without_asserts_is_flagged(self):
