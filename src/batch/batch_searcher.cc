@@ -33,19 +33,23 @@ BatchSearcher::search(const std::vector<std::vector<Base>> &queries,
 
 namespace {
 
+/** Rows per locateRows call: the heartbeat ticks between slices. */
+constexpr size_t kLocateSlice = 4096;
+
 /**
- * Resolve one searched chunk's intervals to hit lists. Every row the
- * chunk needs goes on one ring of LF walks (ExmaTable::locateRows),
+ * Resolve one searched chunk's intervals to hit lists. The rows the
+ * chunk needs go on rings of LF walks (ExmaTable::locateRows) of up to
+ * kLocateSlice rows, with a @p progress tick after each, so a chunk
+ * whose short queries locate thousands of hits still shows movement;
  * then each query's share is finished by ExmaTable::globalHits.
- * Contiguous tables locate only the first @p limit rows of an interval
- * (BatchConfig::locate_limit); segment-mapped ones locate every row,
- * since the junction filter decides which positions count.
+ * Whole-reference tables locate only the first @p limit rows of an
+ * interval (BatchConfig::locate_limit); slice tables locate every row
+ * and keep the lowest @p limit global positions.
  */
 void
-locateChunk(const ExmaTable &table,
-            std::span<const std::vector<Base> *const> queries,
-            std::span<const Interval> ivs, u64 limit,
-            std::span<std::vector<u64>> hits)
+locateChunk(const ExmaTable &table, std::span<const Interval> ivs,
+            u64 limit, std::span<std::vector<u64>> hits,
+            const std::function<void()> &progress)
 {
     auto rowsOf = [&](const Interval &iv) {
         return table.segmented() ? iv.count()
@@ -55,13 +59,18 @@ locateChunk(const ExmaTable &table,
     for (const Interval &iv : ivs)
         for (u64 r = iv.low, e = iv.low + rowsOf(iv); r < e; ++r)
             rows.push_back(r);
-    table.locateRows(rows);
+    for (size_t at = 0; at < rows.size(); at += kLocateSlice) {
+        table.locateRows(std::span(rows).subspan(
+            at, std::min(kLocateSlice, rows.size() - at)));
+        if (progress)
+            progress();
+    }
     auto first = rows.begin();
     for (size_t j = 0; j < ivs.size(); ++j) {
         const auto last = first + static_cast<std::ptrdiff_t>(rowsOf(ivs[j]));
         hits[j].assign(first, last);
         first = last;
-        table.globalHits(hits[j], queries[j]->size(), limit);
+        table.globalHits(hits[j], limit);
     }
 }
 
@@ -104,8 +113,9 @@ BatchSearcher::run(const std::vector<std::vector<Base>> &queries,
             for (const SearchStats &qs : stats)
                 out.per_thread[slot] += qs;
             if (cfg_.locate)
-                locateChunk(table_, chunk, ivs, locate_limit,
-                            std::span(out.positions).subspan(begin, m));
+                locateChunk(table_, ivs, locate_limit,
+                            std::span(out.positions).subspan(begin, m),
+                            cfg_.progress);
             if (cfg_.progress)
                 cfg_.progress();
         },

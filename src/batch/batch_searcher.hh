@@ -19,9 +19,10 @@
  *     searches in flight, each advancing one memory stage per visit
  *     (k-mer base pointers, increment lines, resolve; or a 1-step's two
  *     rank blocks) while the others' prefetches land;
- *  2. locate: every row the chunk's intervals need goes on one ring of
- *     kInFlight LF walks (ExmaTable::locateRows), then each query's
- *     share is translated, sorted and capped (ExmaTable::globalHits).
+ *  2. locate: the rows the chunk's intervals need go on rings of
+ *     kInFlight LF walks (ExmaTable::locateRows), 4096 rows per call,
+ *     then each query's share is translated, sorted and capped
+ *     (ExmaTable::globalHits).
  *
  * A one-query chunk runs the same stages with nothing to overlap, so
  * the search is sequential plus a prefetch per stage. The width is the
@@ -50,11 +51,12 @@ struct BatchConfig
     /** Queries per dynamically claimed chunk. */
     u64 grain = 16;
     /**
-     * Liveness hook: called once per completed chunk, from whichever
-     * thread ran it. ShardWorker points this at its heartbeat counter
-     * so the WorkerSupervisor can tell a legitimately slow batch
-     * (heartbeat advancing) from a hung one (heartbeat frozen). Must
-     * be cheap and thread-safe; null = no calls.
+     * Liveness hook: called after every 4096 located rows and once
+     * per completed chunk, from whichever thread ran it. ShardWorker
+     * points this at its heartbeat counter so the WorkerSupervisor
+     * can tell a legitimately slow batch (heartbeat advancing) from a
+     * hung one (heartbeat frozen). Must be cheap and thread-safe;
+     * null = no calls.
      */
     std::function<void()> progress;
     /** Record per-query SearchStats too (costs one vector of stats). */
@@ -63,10 +65,9 @@ struct BatchConfig
      * Also resolve each query's interval to text positions
      * (BatchResult::positions, sorted ascending). This is what sharded
      * serving needs: row intervals of different shard tables are not
-     * comparable, text positions are. Segment-mapped tables
-     * (ExmaTable::segmented()) locate through locateAllGlobal, so the
-     * reported positions are global coordinates with junction
-     * artifacts already dropped.
+     * comparable, text positions are. Slice tables
+     * (ExmaTable::segmented()) report global coordinates, as
+     * locateAllGlobal does.
      */
     bool locate = false;
     /**
@@ -75,10 +76,9 @@ struct BatchConfig
      *  - contiguous tables keep the first `locate_limit` occurrences in
      *    suffix-array row order — the usual FM-index "report up to N"
      *    idiom — then sort them, so the kept subset is index-dependent;
-     *  - segment-mapped tables (ExmaTable::segmented()) locate every
-     *    row, drop junction artifacts, and keep the lowest
-     *    `locate_limit` global positions (ExmaTable::locateAllGlobal),
-     *    so artifacts never consume the budget.
+     *  - slice tables (ExmaTable::segmented()) locate every row and
+     *    keep the lowest `locate_limit` global positions
+     *    (ExmaTable::locateAllGlobal).
      * Callers needing the lowest N text positions of a whole reference
      * should use ShardRouter::search, whose cap applies globally after
      * the cross-shard merge.

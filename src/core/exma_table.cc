@@ -16,17 +16,15 @@ ExmaTable::ExmaTable(const std::vector<Base> &ref, const Config &cfg)
     build(ref);
 }
 
-ExmaTable::ExmaTable(const std::vector<Base> &ref,
-                     std::vector<TextSegment> segments, const Config &cfg)
-    : cfg_(cfg), segments_(std::move(segments))
+ExmaTable::ExmaTable(const std::vector<Base> &ref, TextSegment slice,
+                     const Config &cfg)
+    : cfg_(cfg), slice_(slice)
 {
-    validateSegments(segments_, ref.size());
-    const std::vector<Base> local = extractSegments(ref, segments_);
-    build(local);
+    validateSegment(slice, ref.size());
+    build(extractSegment(ref, slice));
 }
 
-ExmaTable::ExmaTable(Parts parts)
-    : cfg_(parts.cfg), segments_(std::move(parts.segments))
+ExmaTable::ExmaTable(Parts parts) : cfg_(parts.cfg), slice_(parts.slice)
 {
     fm_ = std::make_unique<FmIndex>(std::move(parts.fm));
     occ_ = std::make_unique<KmerOccTable>(std::move(parts.occ));
@@ -69,30 +67,20 @@ ExmaTable::build(const std::vector<Base> &ref)
 }
 
 std::vector<u64>
-ExmaTable::locateAllGlobal(const Interval &iv, u64 query_len,
+ExmaTable::locateAllGlobal(const Interval &iv, u64 /*query_len*/,
                            u64 limit) const
 {
-    // Locate everything first: in a segment-mapped table the junction
-    // filter decides which occurrences are real, so an early cap would
-    // let artifacts crowd genuine positions out of the budget.
     std::vector<u64> out = fm_->locateAll(iv);
-    globalHits(out, query_len, limit);
+    globalHits(out, limit);
     return out;
 }
 
 void
-ExmaTable::globalHits(std::vector<u64> &located, u64 query_len,
-                      u64 limit) const
+ExmaTable::globalHits(std::vector<u64> &located, u64 limit) const
 {
-    if (!segments_.empty()) {
-        size_t kept = 0;
-        for (u64 pos : located) {
-            u64 global = 0;
-            if (translateLocalMatch(segments_, pos, query_len, &global))
-                located[kept++] = global;
-        }
-        located.resize(kept);
-    }
+    if (slice_)
+        for (u64 &pos : located)
+            pos += slice_->global_begin;
     std::sort(located.begin(), located.end());
     if (located.size() > limit)
         located.resize(limit);

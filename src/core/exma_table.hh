@@ -28,6 +28,11 @@
  * option because it matches the memory system's miss parallelism,
  * which no caller knows better. Locating works the same way, as one
  * ring of LF walks over a list of rows (locateRows).
+ *
+ * A table covers either the whole reference or one slice of it (a
+ * text shard's stride or record); a slice table reports global
+ * positions by adding the slice's first position. Every shard of a
+ * kmerPrefix plan shares one whole-reference table.
  */
 
 #ifndef EXMA_CORE_EXMA_TABLE_HH
@@ -73,17 +78,14 @@ class ExmaTable
     ExmaTable(const std::vector<Base> &ref, const Config &cfg);
 
     /**
-     * Prefix-range / segment-mapped build: construct the table over the
-     * concatenation of @p segments' global slices of @p ref (see
-     * core/text_segments.hh). Search intervals are local to that
-     * concatenation; locateAllGlobal() translates located matches back
-     * to global coordinates and drops junction artifacts. This is how
-     * a k-mer-prefix shard — a scattered set of owned positions plus
-     * their query-length context windows — gets an ExmaTable of its
-     * own.
+     * Slice build: construct the table over the global slice @p slice
+     * of @p ref (see core/text_segments.hh). Search intervals are
+     * local to the slice; globalHits() and locateAllGlobal() add the
+     * slice's first position to report global coordinates. This is
+     * how a shard gets an ExmaTable of its own.
      */
-    ExmaTable(const std::vector<Base> &ref,
-              std::vector<TextSegment> segments, const Config &cfg);
+    ExmaTable(const std::vector<Base> &ref, TextSegment slice,
+              const Config &cfg);
 
     /**
      * Serialized parts of a whole table (src/io/index_io.cc): the
@@ -94,7 +96,7 @@ class ExmaTable
     struct Parts
     {
         Config cfg;
-        std::vector<TextSegment> segments;
+        std::optional<TextSegment> slice;
         FmIndex::Restored fm;
         KmerOccTable::Restored occ;
         std::optional<MtlIndex::Restored> mtl;
@@ -180,30 +182,25 @@ class ExmaTable
 
     /**
      * Finish one interval's located rows (local positions, any order)
-     * as its hit list: translated to global coordinates with junction
-     * artifacts dropped (segment-mapped tables only, which need
-     * @p query_len for that), sorted ascending, and cut to the lowest
-     * @p limit positions.
+     * as its hit list: moved to global coordinates (slice tables
+     * only), sorted ascending, and cut to the lowest @p limit
+     * positions.
      */
-    void globalHits(std::vector<u64> &located, u64 query_len,
-                    u64 limit) const;
+    void globalHits(std::vector<u64> &located, u64 limit) const;
 
-    /** Whether this table was built over a segment map. */
-    bool segmented() const { return !segments_.empty(); }
+    /** Whether this table was built over a slice of a larger text. */
+    bool segmented() const { return slice_.has_value(); }
 
-    /** The segment map (empty for contiguous builds). */
-    const std::vector<TextSegment> &segments() const { return segments_; }
+    /** The slice (empty for whole-reference builds). */
+    const std::optional<TextSegment> &slice() const { return slice_; }
 
     /**
      * Global text positions of a search interval's occurrences, sorted
-     * ascending. For a contiguous build this is locateAll + sort; for
-     * a segment-mapped build every occurrence is located, translated
-     * through the segment map, and junction artifacts (matches
-     * spanning the concatenation seam between two segments, which need
-     * @p query_len to detect) are dropped. @p limit then keeps the
-     * lowest @p limit positions — applied after the junction filter,
-     * so artifacts never consume the caller's budget. Equals
-     * locateAll(iv) finished by globalHits().
+     * ascending: every occurrence is located, moved to global
+     * coordinates, and @p limit then keeps the lowest @p limit
+     * positions. Equals locateAll(iv) finished by globalHits().
+     * @p query_len is unused: a slice table holds no seam a match
+     * could cross, so no hit is filtered.
      */
     std::vector<u64> locateAllGlobal(const Interval &iv, u64 query_len,
                                      u64 limit = ~u64{0}) const;
@@ -256,7 +253,7 @@ class ExmaTable
     void build(const std::vector<Base> &ref);
 
     Config cfg_;
-    std::vector<TextSegment> segments_; ///< empty for contiguous builds
+    std::optional<TextSegment> slice_; ///< empty for whole-reference builds
     std::unique_ptr<FmIndex> fm_;
     std::unique_ptr<KmerOccTable> occ_;
     std::unique_ptr<MtlIndex> mtl_;

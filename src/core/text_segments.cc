@@ -1,84 +1,29 @@
 #include "core/text_segments.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace exma {
 
 void
-validateSegments(const std::vector<TextSegment> &segments, u64 ref_len)
+validateSegment(const TextSegment &slice, u64 ref_len)
 {
-    exma_assert(!segments.empty(), "segment map holds no segments");
-    u64 local_cursor = 0;
-    u64 prev_global_end = 0;
-    for (size_t i = 0; i < segments.size(); ++i) {
-        const TextSegment &s = segments[i];
-        exma_assert(s.length > 0, "segment %zu is empty", i);
-        exma_assert(s.local_begin == local_cursor,
-                    "segment %zu begins at local %llu, expected %llu "
-                    "(local coordinates must be dense from 0)",
-                    i, (unsigned long long)s.local_begin,
-                    (unsigned long long)local_cursor);
-        exma_assert(s.global_end() <= ref_len,
-                    "segment %zu [%llu, %llu) runs past the %llu-base "
-                    "reference",
-                    i, (unsigned long long)s.global_begin,
-                    (unsigned long long)s.global_end(),
-                    (unsigned long long)ref_len);
-        exma_assert(i == 0 || s.global_begin >= prev_global_end,
-                    "segment %zu overlaps its predecessor in global "
-                    "coordinates (begins at %llu, predecessor ends at "
-                    "%llu)",
-                    i, (unsigned long long)s.global_begin,
-                    (unsigned long long)prev_global_end);
-        local_cursor += s.length;
-        prev_global_end = s.global_end();
-    }
-}
-
-u64
-segmentsLocalLength(const std::vector<TextSegment> &segments)
-{
-    u64 n = 0;
-    for (const TextSegment &s : segments)
-        n += s.length;
-    return n;
+    exma_assert(slice.length > 0, "text slice is empty");
+    exma_assert(slice.local_begin == 0,
+                "text slice begins at local %llu, expected 0",
+                (unsigned long long)slice.local_begin);
+    exma_assert(slice.global_end() <= ref_len,
+                "text slice [%llu, %llu) runs past the %llu-base "
+                "reference",
+                (unsigned long long)slice.global_begin,
+                (unsigned long long)slice.global_end(),
+                (unsigned long long)ref_len);
 }
 
 std::vector<Base>
-extractSegments(const std::vector<Base> &ref,
-                const std::vector<TextSegment> &segments)
+extractSegment(const std::vector<Base> &ref, const TextSegment &slice)
 {
-    std::vector<Base> out;
-    out.reserve(segmentsLocalLength(segments));
-    for (const TextSegment &s : segments)
-        out.insert(out.end(),
-                   ref.begin() + static_cast<std::ptrdiff_t>(s.global_begin),
-                   ref.begin() + static_cast<std::ptrdiff_t>(s.global_end()));
-    return out;
-}
-
-bool
-translateLocalMatch(const std::vector<TextSegment> &segments, u64 local_pos,
-                    u64 query_len, u64 *global_pos)
-{
-    // Owning segment: the last one whose local_begin <= local_pos.
-    auto it = std::upper_bound(segments.begin(), segments.end(), local_pos,
-                               [](u64 pos, const TextSegment &s) {
-                                   return pos < s.local_begin;
-                               });
-    exma_dassert(it != segments.begin(),
-                 "local position %llu precedes every segment",
-                 (unsigned long long)local_pos);
-    const TextSegment &seg = *(it - 1);
-    const u64 offset = local_pos - seg.local_begin;
-    // A match running past the segment's end spans the concatenation
-    // junction — text that does not exist in the real reference.
-    if (offset + query_len > seg.length)
-        return false;
-    *global_pos = seg.global_begin + offset;
-    return true;
+    return {ref.begin() + static_cast<std::ptrdiff_t>(slice.global_begin),
+            ref.begin() + static_cast<std::ptrdiff_t>(slice.global_end())};
 }
 
 } // namespace exma

@@ -1,22 +1,19 @@
 /**
  * @file
- * Segment-mapped sub-references: the geometry that lets an ExmaTable be
- * built over a *non-contiguous* selection of the global reference.
+ * The one-slice geometry of a shard's text: an ExmaTable (or a scan
+ * shard) built over a contiguous slice of the global reference reports
+ * hits in global coordinates by adding the slice's first position.
  *
- * A segment list describes a sub-reference assembled from contiguous
- * global slices, concatenated in local coordinate order. The table is
- * built over the concatenation; located matches are translated back to
- * global coordinates through the segment list, and matches that span
- * the junction between two concatenated slices — text that never
- * occurs in the real reference — are filtered out.
+ * Every shard of every ShardPlan is one slice. A text plan's shard is
+ * its stride or record; a k-mer-prefix shard is the whole reference,
+ * so all of a prefix plan's shards share one table and differ only in
+ * which queries the router sends them. A table built over a slice
+ * cannot report a match that runs past the slice's end, so no hit
+ * needs filtering.
  *
- * This is the software seam of the EXMA paper's channel-parallel
- * placement (§V): a k-mer-prefix shard owns every text position whose
- * leading p bases fall in its prefix range, which is a scattered set of
- * positions, not a slice. Each owned position contributes a
- * max_query_len window of following context; the union of those
- * windows, merged into maximal runs, is exactly the segment list the
- * shard's table is built over.
+ * TextSegment keeps the three-field on-disk layout of the `.pac`
+ * file's segment section (io/format_abi.lock), which now holds exactly
+ * one slice, with local_begin always 0.
  */
 
 #ifndef EXMA_CORE_TEXT_SEGMENTS_HH
@@ -29,43 +26,27 @@
 
 namespace exma {
 
-/** One contiguous global slice of a segment-mapped sub-reference. */
+/** One contiguous global slice: the text a shard's table covers. */
 struct TextSegment
 {
     u64 global_begin = 0; ///< first base in the global reference
-    u64 local_begin = 0;  ///< first base in the concatenated sub-reference
+    u64 local_begin = 0;  ///< always 0: the slice is the whole local text
     u64 length = 0;       ///< slice length in bases
 
     u64 global_end() const { return global_begin + length; }
-    u64 local_end() const { return local_begin + length; }
     bool operator==(const TextSegment &) const = default;
 };
 
 /**
- * Check that @p segments form a well-formed segment map over a
- * @p ref_len-base reference: non-empty, every slice non-empty and
- * within [0, ref_len), local coordinates dense from 0 in order, and
- * global slices strictly increasing without overlap (so every global
- * position appears at most once and translated hit sets need no
- * per-table dedup). Panics on violation.
+ * Check that @p slice is a well-formed slice of a @p ref_len-base
+ * reference: non-empty, local_begin 0, and within [0, ref_len).
+ * Panics on violation.
  */
-void validateSegments(const std::vector<TextSegment> &segments, u64 ref_len);
+void validateSegment(const TextSegment &slice, u64 ref_len);
 
-/** Total local length of a segment map (sum of slice lengths). */
-u64 segmentsLocalLength(const std::vector<TextSegment> &segments);
-
-/** Concatenate the global slices of @p segments into a local reference. */
-std::vector<Base> extractSegments(const std::vector<Base> &ref,
-                                  const std::vector<TextSegment> &segments);
-
-/**
- * Translate a local match position back to global coordinates.
- * Returns false — a junction artifact — when the @p query_len bases
- * starting at @p local_pos do not fit inside one segment; otherwise
- * stores the global position in @p global_pos.
- */
-bool translateLocalMatch(const std::vector<TextSegment> &segments,
-                         u64 local_pos, u64 query_len, u64 *global_pos);
+/** Copy the bases of @p slice out of @p ref. */
+std::vector<Base> extractSegment(const std::vector<Base> &ref,
+                                 const TextSegment &slice);
 
 } // namespace exma
 

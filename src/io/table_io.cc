@@ -370,7 +370,9 @@ saveTableFiles(const ExmaTable &table, const std::string &stem,
         w.putU64(local_len);
         w.putU32(local_text.empty() ? 0 : 1);
         writeBlob(fb, kPacMeta, w);
-        fb.writeArray<TextSegment>(kPacSegments, table.segments());
+        fb.writeArray<TextSegment>(
+            kPacSegments, table.slice() ? std::span(&*table.slice(), 1)
+                                        : std::span<const TextSegment>{});
         if (!local_text.empty()) {
             const std::vector<u64> words = packText(local_text);
             fb.writeArray<u64>(kPacText, words);
@@ -428,21 +430,19 @@ saveTableFiles(const ExmaTable &table, const std::string &stem,
 }
 
 void
-saveScanFiles(std::span<const Base> local_text,
-              const std::vector<TextSegment> &segments,
+saveScanFiles(std::span<const Base> local_text, const TextSegment &slice,
               const std::string &stem)
 {
-    exma_assert(local_text.size() == segmentsLocalLength(segments),
-                "scan text holds %zu bases, its segment map %llu",
-                local_text.size(),
-                (unsigned long long)segmentsLocalLength(segments));
+    exma_assert(local_text.size() == slice.length,
+                "scan text holds %zu bases, its slice %llu",
+                local_text.size(), (unsigned long long)slice.length);
     FileBuilder fb(kMagicPac);
     BlobWriter w;
     io_detail::putTableConfig(w, ExmaTable::Config{}); // no table here
     w.putU64(local_text.size());
     w.putU32(1);
     writeBlob(fb, kPacMeta, w);
-    fb.writeArray<TextSegment>(kPacSegments, segments);
+    fb.writeArray<TextSegment>(kPacSegments, std::span(&slice, 1));
     const std::vector<u64> words = packText(local_text);
     fb.writeArray<u64>(kPacText, words);
     fb.save(stem + kExtPac);
@@ -463,7 +463,7 @@ loadTableFiles(const std::string &stem)
 
     ExmaTable::Parts parts;
 
-    { // .exma.pac: config echo + segment map
+    { // .exma.pac: config echo + text slice
         const std::vector<u8> blob = pac.readBlob(kPacMeta);
         BlobReader r(blob, stem + kExtPac);
         parts.cfg = io_detail::getTableConfig(r);
@@ -471,7 +471,12 @@ loadTableFiles(const std::string &stem)
         r.getU32(); // has-text flag
         r.finish();
         const auto segs = pac.viewArray<TextSegment>(kPacSegments);
-        parts.segments.assign(segs.begin(), segs.end());
+        if (segs.size() > 1)
+            throw LoadError(stem + kExtPac + ": " +
+                            std::to_string(segs.size()) +
+                            " text slices, a table covers at most one");
+        if (!segs.empty())
+            parts.slice = segs[0];
     }
 
     { // .exma.occ: the EXMA table
@@ -539,6 +544,11 @@ loadTableFiles(const std::string &stem)
         break;
     }
 
+    if (parts.slice && (parts.slice->local_begin != 0 ||
+                        parts.slice->length + 1 != parts.fm.n_rows))
+        throw LoadError(stem + kExtPac +
+                        ": text slice disagrees with the table's " +
+                        std::to_string(parts.fm.n_rows) + " rows");
     out.table = std::make_unique<ExmaTable>(std::move(parts));
     return out;
 }
@@ -560,14 +570,16 @@ loadScanFiles(const std::string &stem)
 
     LoadedScanShard out;
     const auto segs = pac.viewArray<TextSegment>(kPacSegments);
-    out.segments.assign(segs.begin(), segs.end());
+    if (segs.size() != 1 || segs[0].local_begin != 0 ||
+        segs[0].length != local_len)
+        throw LoadError(stem + kExtPac +
+                        ": scan shard needs one text slice of " +
+                        std::to_string(local_len) + " bases");
+    out.slice = segs[0];
     // Scan text is copied out (unpacking is a format change anyway),
     // so the mapping can be dropped right here.
     out.text = unpackText(pac.viewArray<u64>(kPacText), local_len,
                           stem + kExtPac);
-    if (out.text.size() != segmentsLocalLength(out.segments))
-        throw LoadError(stem + kExtPac +
-                        ": text echo disagrees with the segment map");
     return out;
 }
 

@@ -5,7 +5,7 @@
  *
  * One table is three files at a stem:
  *
- *   stem.exma.pac   table config echo, segment map, optional 2-bit text
+ *   stem.exma.pac   table config echo, text slice, optional 2-bit text
  *   stem.exma.occ   EXMA table: base pointers, increments, sentinels,
  *                   and the trained learned-index model (MTL or naive)
  *   stem.exma.sa    FM-index: packed-rank blocks, SA samples, sampled-
@@ -42,20 +42,19 @@ namespace exma {
 
 /**
  * Write @p table as stem.exma.{pac,occ,sa}. @p local_text is the text
- * the table was built over (the segment extraction for segment-mapped
- * tables, the whole reference otherwise); pass empty to omit the text
- * echo — every table load works without it, it exists for tooling.
+ * the table was built over (its slice for slice tables, the whole
+ * reference otherwise); pass empty to omit the text echo — every table
+ * load works without it, it exists for tooling.
  */
 void saveTableFiles(const ExmaTable &table, const std::string &stem,
                     std::span<const Base> local_text = {});
 
 /**
- * Write a table-less scan shard as stem.exma.pac only: its segment map
- * plus the extracted local text the worker scans.
+ * Write a table-less scan shard as stem.exma.pac only: its slice plus
+ * the slice's text the worker scans.
  */
 void saveScanFiles(std::span<const Base> local_text,
-                   const std::vector<TextSegment> &segments,
-                   const std::string &stem);
+                   const TextSegment &slice, const std::string &stem);
 
 /** A loaded table plus the mappings its hot arrays are borrowed from. */
 struct LoadedExmaTable
@@ -68,10 +67,10 @@ struct LoadedExmaTable
 /** Load stem.exma.{pac,occ,sa}; throws LoadError on any defect. */
 LoadedExmaTable loadTableFiles(const std::string &stem);
 
-/** Load a scan shard's stem.exma.pac: segment map + unpacked text. */
+/** Load a scan shard's stem.exma.pac: slice + unpacked text. */
 struct LoadedScanShard
 {
-    std::vector<TextSegment> segments;
+    TextSegment slice;
     std::vector<Base> text;
 };
 LoadedScanShard loadScanFiles(const std::string &stem);

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <span>
 #include <utility>
 
 #include "common/logging.hh"
@@ -41,19 +42,6 @@ putPlan(BlobWriter &w, const ShardPlan &plan)
         w.putU64(r.lo);
         w.putU64(r.hi);
     }
-    // A text plan's one-slice segment maps follow from its shards
-    // (restore() re-derives them), so only prefix maps are written.
-    if (plan.kind() == ShardPlanKind::KmerPrefix) {
-        for (size_t s = 0; s < plan.size(); ++s) {
-            const auto &segs = plan.segmentsOf(s);
-            w.putU64(segs.size());
-            for (const TextSegment &seg : segs) {
-                w.putU64(seg.global_begin);
-                w.putU64(seg.local_begin);
-                w.putU64(seg.length);
-            }
-        }
-    }
 }
 
 ShardPlan
@@ -81,21 +69,8 @@ getPlan(BlobReader &r)
         pr.lo = r.getU64();
         pr.hi = r.getU64();
     }
-    std::vector<std::vector<TextSegment>> segments;
-    if (kind == ShardPlanKind::KmerPrefix) {
-        segments.resize(n_shards);
-        for (auto &segs : segments) {
-            segs.resize(r.getU64());
-            for (TextSegment &seg : segs) {
-                seg.global_begin = r.getU64();
-                seg.local_begin = r.getU64();
-                seg.length = r.getU64();
-            }
-        }
-    }
     return ShardPlan::restore(std::move(shards), kind, ref_len, overlap,
-                              max_query_len, prefix_len,
-                              std::move(ranges), std::move(segments));
+                              max_query_len, prefix_len, std::move(ranges));
 }
 
 // --- helpers ------------------------------------------------------------
@@ -110,9 +85,30 @@ saveManifest(const std::string &dir, const BlobWriter &w)
 }
 
 /** Per-shard worker state bytes in a routed manifest. */
-constexpr u32 kShardEmpty = 0;
 constexpr u32 kShardScan = 1;
 constexpr u32 kShardTable = 2;
+
+/** Companion files of a table shard; a scan shard has only the .pac. */
+constexpr const char *kTableExts[] = {kExtPac, kExtOcc, kExtSa};
+
+/**
+ * Point @p dst's companion files (@p exts) at @p src's as hard links,
+ * replacing any file already there. A failed link panics, like any
+ * other save IO failure.
+ */
+void
+linkShardFiles(const std::string &src, const std::string &dst,
+               std::span<const char *const> exts)
+{
+    for (const char *ext : exts) {
+        std::error_code ec;
+        std::filesystem::remove(dst + ext, ec);
+        std::filesystem::create_hard_link(src + ext, dst + ext, ec);
+        if (ec)
+            exma_panic("cannot link '%s%s' to '%s%s': %s", dst.c_str(),
+                       ext, src.c_str(), ext, ec.message().c_str());
+    }
+}
 
 /** Manifest kind of the retired text-sharded layout (see IndexKind). */
 constexpr u32 kRetiredTextShardedKind = 1;
@@ -138,23 +134,24 @@ saveIndex(const ShardRouter &router, const std::string &dir)
     BlobWriter w;
     w.putU32(static_cast<u32>(IndexKind::Routed));
     putTableConfig(w, router.config().table);
-    w.putU32(router.config().build_threads);
-    w.putU32(router.config().force_broadcast ? 1 : 0);
     w.putU64(router.config().min_table_bases);
     putPlan(w, plan);
     w.putU64(plan.size());
-    for (size_t s = 0; s < plan.size(); ++s) {
-        const u32 state = router.shardTable(s) != nullptr ? kShardTable
-                          : !router.shardScanRef(s).empty() ? kShardScan
-                                                            : kShardEmpty;
-        w.putU32(state);
-    }
+    for (size_t s = 0; s < plan.size(); ++s)
+        w.putU32(router.shardTable(s) != nullptr ? kShardTable : kShardScan);
     saveManifest(dir, w);
+    // Each distinct text is written once, at its first shard's stem;
+    // every other shard sharing it gets hard links at its own stem.
     for (size_t s = 0; s < plan.size(); ++s) {
-        if (router.shardTable(s) != nullptr)
-            saveTableFiles(*router.shardTable(s), shardStem(dir, s));
-        else if (!router.shardScanRef(s).empty())
-            saveScanFiles(router.shardScanRef(s), plan.segmentsOf(s),
+        const ExmaTable *table = router.shardTable(s);
+        const size_t text = plan.textOf(s);
+        if (text != s)
+            linkShardFiles(shardStem(dir, text), shardStem(dir, s),
+                           std::span(kTableExts).first(table ? 3 : 1));
+        else if (table)
+            saveTableFiles(*table, shardStem(dir, s));
+        else
+            saveScanFiles(router.shardScanRef(s), plan.sliceOf(s),
                           shardStem(dir, s));
     }
 }
@@ -196,8 +193,6 @@ loadIndex(const std::string &dir)
     case IndexKind::Routed: {
         RouterConfig cfg;
         cfg.table = getTableConfig(r);
-        cfg.build_threads = r.getU32();
-        cfg.force_broadcast = r.getU32() != 0;
         cfg.min_table_bases = r.getU64();
         ShardPlan plan = getPlan(r);
         const u64 n_states = r.getU64();
@@ -216,31 +211,39 @@ loadIndex(const std::string &dir)
         // directory instead of re-saving into a temp dir.
         cfg.transport.worker_dir = dir;
 
+        // Each distinct text is mapped once, at its first shard's stem,
+        // and the router hands it to every shard sharing it.
         std::vector<std::unique_ptr<ExmaTable>> tables(plan.size());
         std::vector<std::vector<Base>> scan_refs(plan.size());
         for (size_t s = 0; s < plan.size(); ++s) {
-            switch (states[s]) {
-            case kShardEmpty:
-                break;
-            case kShardScan: {
+            const size_t text = plan.textOf(s);
+            if (states[s] != kShardTable && states[s] != kShardScan)
+                throw LoadError(manifest_path + ": unknown shard state " +
+                                std::to_string(states[s]));
+            if (states[s] != states[text])
+                throw LoadError(manifest_path + ": shard " +
+                                std::to_string(s) +
+                                " shares its text with shard " +
+                                std::to_string(text) +
+                                " but not its state");
+            if (text != s)
+                continue;
+            if (states[s] == kShardScan) {
                 LoadedScanShard scan = loadScanFiles(shardStem(dir, s));
-                if (scan.segments != plan.segmentsOf(s))
+                if (scan.slice != plan.sliceOf(s))
                     throw LoadError(shardStem(dir, s) + kExtPac +
-                                    ": segment map disagrees with the "
+                                    ": text slice disagrees with the "
                                     "manifest's plan");
                 scan_refs[s] = std::move(scan.text);
-                break;
-            }
-            case kShardTable: {
+            } else {
                 LoadedExmaTable t = loadTableFiles(shardStem(dir, s));
+                if (t.table->slice() != plan.sliceOf(s))
+                    throw LoadError(shardStem(dir, s) + kExtPac +
+                                    ": text slice disagrees with the "
+                                    "manifest's plan");
                 for (MappedFile &f : t.files)
                     out.files.push_back(std::move(f));
                 tables[s] = std::move(t.table);
-                break;
-            }
-            default:
-                throw LoadError(manifest_path + ": unknown shard state " +
-                                std::to_string(states[s]));
             }
         }
         // load_seconds is stamped below; buildSeconds() reports the

@@ -4,7 +4,10 @@
  * `index.exma.manifest` (kind, configs, serialized ShardPlan,
  * per-shard state) plus `table.exma.*` for a monolithic index or
  * `shardNNNN.exma.*` per shard for a routed one (scan shards carry
- * only the `.pac`). Single-table companion files are the layer
+ * only the `.pac`). Shards that share a text (every shard of a
+ * kmerPrefix plan) share its files: the first shard's stem holds
+ * them, every other shard's stem holds hard links to them, and a load
+ * maps them once. Single-table companion files are the layer
  * below, io/table_io.hh — this layer adds the manifest and the
  * shard-plan/router wiring, which is why it lives *above* route/shard
  * in the module DAG (src/persist) while the table layer stays below.

@@ -23,10 +23,9 @@ ReplicaSet::ReplicaSet(std::string shard_name, TransportFactory factory,
         replicas_.push_back(spawnLocked(i));
         health_[i] = {0, now};
     }
-    // Shard-state flags are a property of the shared shard state, not
-    // of any one incarnation, so the first spawn's answer stands.
+    // The shard-state flag is a property of the shared shard state,
+    // not of any one incarnation, so the first spawn's answer stands.
     has_table_ = replicas_[0]->hasTable();
-    is_empty_ = replicas_[0]->isEmpty();
 }
 
 std::shared_ptr<Transport>

@@ -1,11 +1,11 @@
 /**
  * @file
  * R-way replication of one shard: a ReplicaSet owns R transports
- * serving the same prefix range off the same immutable shard state
- * (table / scan reference / segment map — mmap-backed when the index
- * was loaded, so a respawn is pointer reuse, not a rebuild; the
- * software analogue of the paper's per-channel redundancy the hardware
- * never needed).
+ * serving the same prefix range off the same immutable shard state (a
+ * table or scan text, which every shard of a kmerPrefix plan shares,
+ * mmap-backed when the index was loaded, so a respawn is pointer
+ * reuse, not a rebuild; the software analogue of the paper's
+ * per-channel redundancy the hardware never needed).
  *
  * The set is transport-agnostic: it spawns replicas through a
  * TransportFactory, so the same routing/supervision machinery drives
@@ -100,10 +100,9 @@ class ReplicaSet
         return respawns_.load(std::memory_order_relaxed);
     }
 
-    /** @{ Shard-state views, uniform across replicas. */
+    /** Whether the shard serves a table (else it scans); uniform
+     *  across replicas. */
     bool hasTable() const { return has_table_; }
-    bool isEmpty() const { return is_empty_; }
-    /** @} */
 
     /** Requests served across all replicas, dead incarnations
      *  included (monotonic). */
@@ -128,9 +127,8 @@ class ReplicaSet
     const std::string shard_name_;
     const TransportFactory factory_;
     const unsigned replica_count_;
-    /** Shard-state flags, captured from the first spawn (uniform). */
+    /** Shard-state flag, captured from the first spawn (uniform). */
     bool has_table_ = false;
-    bool is_empty_ = false;
 
     /** Per-replica heartbeat watermark for hang detection. */
     struct Health

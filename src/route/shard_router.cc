@@ -37,9 +37,8 @@ checkQueries(const ShardPlan &plan,
         if (plan.boundsQueries())
             exma_assert(q.size() <= plan.maxQueryLen(),
                         "routed search: %zu-base query exceeds the "
-                        "plan's max_query_len of %llu — matches could "
-                        "run past a shard's context windows; re-plan "
-                        "with a larger max_query_len",
+                        "plan's max_query_len of %llu — re-plan with a "
+                        "larger max_query_len",
                         q.size(),
                         (unsigned long long)plan.maxQueryLen());
         // Codes 0..3 only: a larger code would alias a base in a k-mer
@@ -150,26 +149,24 @@ ShardRouter::ShardRouter(const std::vector<Base> &ref, const ShardPlan &plan,
                 "%zu",
                 (unsigned long long)plan_.refLength(), ref.size());
 
+    // One table (or scan text) per distinct slice, built at the first
+    // shard that has it: every shard of a prefix plan shares shard 0's.
     const size_t n_shards = plan_.size();
     tables_.resize(n_shards);
     scan_refs_.resize(n_shards);
     const auto t0 = Clock::now();
-    parallelFor(
-        n_shards, 1,
-        [&](u64 begin, u64 end, unsigned) {
-            for (u64 s = begin; s < end; ++s) {
-                const auto &segs = plan_.segmentsOf(s);
-                const u64 local = segmentsLocalLength(segs);
-                if (local == 0)
-                    continue; // empty prefix range: hitless worker
-                if (local < cfg_.min_table_bases)
-                    scan_refs_[s] = extractSegments(ref, segs);
-                else
-                    tables_[s] =
-                        std::make_unique<ExmaTable>(ref, segs, cfg_.table);
-            }
-        },
-        cfg_.build_threads);
+    parallelFor(n_shards, 1, [&](u64 begin, u64 end, unsigned) {
+        for (u64 s = begin; s < end; ++s) {
+            if (plan_.textOf(s) != s)
+                continue;
+            const TextSegment slice = plan_.sliceOf(s);
+            if (slice.length < cfg_.min_table_bases)
+                scan_refs_[s] = extractSegment(ref, slice);
+            else
+                tables_[s] = std::make_unique<ExmaTable>(ref, slice,
+                                                         cfg_.table);
+        }
+    });
     const auto t1 = Clock::now();
     build_seconds_ = std::chrono::duration<double>(t1 - t0).count();
 
@@ -192,22 +189,29 @@ ShardRouter::ShardRouter(ShardPlan plan, RouterConfig cfg,
                 "plan",
                 n_shards);
     for (size_t s = 0; s < n_shards; ++s) {
-        const u64 local = segmentsLocalLength(plan_.segmentsOf(s));
+        if (plan_.textOf(s) != s) {
+            exma_assert(!tables_[s] && scan_refs_[s].empty(),
+                        "shard %zu adopted a text it shares with shard "
+                        "%zu",
+                        s, plan_.textOf(s));
+            continue;
+        }
+        const u64 length = plan_.sliceOf(s).length;
         if (tables_[s]) {
             exma_assert(scan_refs_[s].empty(),
                         "shard %zu adopted both a table and a scan ref",
                         s);
-            exma_assert(tables_[s]->rows() == local + 1,
+            exma_assert(tables_[s]->rows() == length + 1,
                         "adopted table for shard %zu covers %llu rows, "
-                        "its segment map holds %llu bases",
+                        "its slice holds %llu bases",
                         s, (unsigned long long)tables_[s]->rows(),
-                        (unsigned long long)local);
+                        (unsigned long long)length);
         } else {
-            exma_assert(scan_refs_[s].size() == local,
+            exma_assert(scan_refs_[s].size() == length,
                         "adopted scan ref for shard %zu holds %zu "
-                        "bases, its segment map %llu",
+                        "bases, its slice %llu",
                         s, scan_refs_[s].size(),
-                        (unsigned long long)local);
+                        (unsigned long long)length);
         }
     }
     spawnReplicas();
@@ -251,11 +255,13 @@ ShardRouter::prepareWorkerFiles()
           std::to_string(dir_seq.fetch_add(1))))
             .string();
     std::filesystem::create_directories(dir);
+    // Each distinct text once, at its first shard's stem, which the
+    // workers of every shard sharing it load.
     for (size_t s = 0; s < plan_.size(); ++s) {
         if (tables_[s])
             saveTableFiles(*tables_[s], io_detail::shardStem(dir, s));
         else if (!scan_refs_[s].empty())
-            saveScanFiles(scan_refs_[s], plan_.segmentsOf(s),
+            saveScanFiles(scan_refs_[s], plan_.sliceOf(s),
                           io_detail::shardStem(dir, s));
     }
     worker_dir_ = dir;
@@ -265,27 +271,24 @@ ShardRouter::prepareWorkerFiles()
 TransportFactory
 ShardRouter::shardFactory(size_t s)
 {
+    const size_t text = plan_.textOf(s);
+    const ExmaTable *table = tables_[text].get();
     if (transport_kind_ == TransportKind::InProcess) {
-        const ExmaTable *table = tables_[s].get();
-        const std::vector<Base> *scan =
-            scan_refs_[s].empty() ? nullptr : &scan_refs_[s];
-        const std::vector<TextSegment> *segs = &plan_.segmentsOf(s);
-        return [table, scan,
-                segs](const std::string &name) -> std::shared_ptr<Transport> {
-            return std::make_shared<ShardWorker>(name, table, scan, segs);
+        const ShardState st{table, table ? nullptr : &scan_refs_[text],
+                            plan_.sliceOf(s).global_begin};
+        return [st](const std::string &name) -> std::shared_ptr<Transport> {
+            return std::make_shared<ShardWorker>(name, st);
         };
     }
-    const bool has_table = tables_[s] != nullptr;
-    const bool is_empty = !has_table && scan_refs_[s].empty();
     SocketTransportConfig scfg;
     scfg.binary = worker_binary_;
-    scfg.state = has_table ? "table" : is_empty ? "empty" : "scan";
-    if (!is_empty)
-        scfg.stem = io_detail::shardStem(worker_dir_, s);
-    return [scfg, has_table,
-            is_empty](const std::string &name) -> std::shared_ptr<Transport> {
+    scfg.state = table ? "table" : "scan";
+    scfg.stem = io_detail::shardStem(worker_dir_, text);
+    const bool has_table = table != nullptr;
+    return [scfg, has_table](const std::string &name)
+               -> std::shared_ptr<Transport> {
         return std::make_shared<SocketTransport>(name, scfg, has_table,
-                                                 is_empty);
+                                                 false);
     };
 }
 
@@ -318,7 +321,8 @@ ShardRouter::totalLocalBases() const
 {
     u64 n = 0;
     for (size_t s = 0; s < plan_.size(); ++s)
-        n += segmentsLocalLength(plan_.segmentsOf(s));
+        if (plan_.textOf(s) == s)
+            n += plan_.sliceOf(s).length;
     return n;
 }
 
@@ -326,7 +330,7 @@ u64
 ShardRouter::totalRows() const
 {
     u64 rows = 0;
-    for (const auto &t : tables_)
+    for (const auto &t : tables_) // shards sharing a text hold null
         if (t)
             rows += t->rows();
     return rows;
@@ -347,31 +351,28 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
     for (const auto &q : queries)
         out.bases += q.size();
 
-    const bool broadcast_only =
-        cfg_.force_broadcast || plan_.kind() != ShardPlanKind::KmerPrefix;
-
     const auto t0 = Clock::now();
 
-    // Classify: one id list per shard, and per query the number of
-    // shards serving it (hits from fan-out > 1 need deduplication).
+    // Classify: one id list per shard. A prefix plan's shards all hold
+    // the whole text, so each query goes to one of them — the owner of
+    // the lowest code its padded prefix range holds. A text plan sends
+    // every query to every shard.
     std::vector<std::vector<u32>> ids(sets_.size());
-    std::vector<u8> fanout(queries.size(), 0);
-    for (size_t i = 0; i < queries.size(); ++i) {
-        size_t first = 0;
-        size_t last = sets_.size() - 1;
-        if (!broadcast_only) {
+    if (plan_.kind() == ShardPlanKind::KmerPrefix) {
+        for (size_t i = 0; i < queries.size(); ++i) {
             const PrefixRange r = plan_.queryPrefixRange(
                 queries[i].data(), queries[i].size());
-            std::tie(first, last) = plan_.ownersOfRange(r.lo, r.hi);
+            ids[plan_.ownerOf(r.lo)].push_back(static_cast<u32>(i));
         }
-        for (size_t s = first; s <= last; ++s)
-            ids[s].push_back(static_cast<u32>(i));
-        const size_t n_owners = last - first + 1;
-        fanout[i] = static_cast<u8>(std::min<size_t>(n_owners, 255));
-        if (n_owners == 1)
-            ++out.routed_queries;
+        out.routed_queries = queries.size();
+    } else {
+        for (auto &shard_ids : ids)
+            for (size_t i = 0; i < queries.size(); ++i)
+                shard_ids.push_back(static_cast<u32>(i));
+        if (sets_.size() == 1)
+            out.routed_queries = queries.size();
         else
-            ++out.broadcast_queries;
+            out.broadcast_queries = queries.size();
     }
 
     u64 respawns_before = 0;
@@ -488,9 +489,9 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
     }
 
     // Merge: a call without a verified response flags its queries
-    // degraded; single-owner hits move straight in (already sorted and
-    // duplicate-free within one shard); fanned-out queries collect all
-    // owners' hits and dedup below.
+    // degraded; single-shard hits move straight in (already sorted and
+    // duplicate-free within one shard); broadcast queries collect every
+    // shard's hits and dedup below.
     for (ShardCall &c : calls) {
         if (!c.ok) {
             if (!c.done) // still open when the deadline passed
@@ -515,14 +516,15 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
     // Dedup/cap pass — skipped entirely when every query ran on one
     // shard and no cap applies (single-shard hits are already sorted
     // and duplicate-free), which is the routed fast path.
-    if (out.broadcast_queries > 0 || cfg.locate_limit > 0) {
+    const bool broadcast = out.broadcast_queries > 0;
+    if (broadcast || cfg.locate_limit > 0) {
         const u64 grain = std::max<u64>(cfg.grain, 1);
         parallelFor(
             queries.size(), grain,
             [&](u64 begin, u64 end, unsigned) {
                 for (u64 i = begin; i < end; ++i) {
                     auto &h = out.hits[i];
-                    if (fanout[i] > 1) {
+                    if (broadcast) {
                         std::sort(h.begin(), h.end());
                         h.erase(std::unique(h.begin(), h.end()),
                                 h.end());

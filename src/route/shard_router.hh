@@ -6,14 +6,17 @@
  *
  * Broadcasting every query to every shard makes one core do
  * shard-count times the work per query. The ShardRouter instead serves
- * a kmerPrefix ShardPlan: a query's first prefixLen() bases name the
- * one shard owning every position its matches can start at, so the
+ * a kmerPrefix ShardPlan as lanes over one table: every shard's text
+ * is the whole reference, so the router builds one ExmaTable (or scan
+ * text) per distinct shard text and shares it across the shards that
+ * have it, and a prefix plan holds exactly one whatever its shard
+ * count. A query's first prefixLen() bases name its shard, so the
  * router classifies a batch by prefix, hands each shard's ReplicaSet
- * only the queries it owns, and merges the responses into sorted,
- * deduplicated global positions under a global locate_limit. Queries
- * shorter than the routing prefix whose padded code range straddles a
- * partition boundary fall back to a broadcast across the straddled
- * shards (their matches' owners all lie in that range).
+ * only the queries it owns, and merges the responses into sorted
+ * global positions under a global locate_limit. A query shorter than
+ * the routing prefix goes to the owner of the lowest code its padded
+ * range holds: any owner can serve it, since every owner holds the
+ * whole text.
  *
  * Transports (RouterConfig::transport): each replica is either an
  * in-process ShardWorker sharing the router's address space (the
@@ -44,10 +47,10 @@
  * batch, made only when a deadline or hedging is configured.
  *
  * Text-partitioned plans (fixedWidth, perRecord) have no routing
- * prefix and are served broadcast-only through the same workers: each
- * shard's table covers one text slice, fixed-width overlaps let every
- * match of up to maxQueryLen() bases lie inside some shard, and the
- * merge reports a match found by two overlapping shards once.
+ * prefix and are the only plans served broadcast: each shard's table
+ * covers one text slice, fixed-width overlaps let every match of up to
+ * maxQueryLen() bases lie inside some shard, and the merge reports a
+ * match found by two overlapping shards once.
  *
  * Thread-safety analysis: search() is const and keeps all cross-thread
  * traffic inside annotated machinery — requests ride the workers'
@@ -132,8 +135,10 @@ struct TransportConfig
     /**
      * Directory already holding per-shard `shardNNNN.exma.*` files for
      * workers to mmap-load (set by loadIndex on routed directories).
-     * Empty = the router saves its shards into a temp directory it
-     * owns for the workers' lifetime.
+     * Empty = the router saves each distinct shard text once into a
+     * temp directory it owns for the workers' lifetime. Either way a
+     * shard's workers load the stem of the first shard sharing its
+     * text (ShardPlan::textOf).
      */
     std::string worker_dir;
     /**
@@ -147,16 +152,9 @@ struct RouterConfig
 {
     /** Per-shard table configuration (same k for every shard). */
     ExmaTable::Config table;
-    /** Shard-build parallelism: 0 = pool width, 1 = serial. */
-    unsigned build_threads = 0;
     /**
-     * Serve every query via every shard (measurement baseline; also
-     * the only mode text-partitioned plans support).
-     */
-    bool force_broadcast = false;
-    /**
-     * Shards whose searchable text is shorter than this are served by
-     * direct segment scanning instead of an ExmaTable of their own.
+     * Shards whose text is shorter than this are served by direct
+     * scanning instead of an ExmaTable of their own.
      */
     u64 min_table_bases = ShardPlan::kMinShardBases;
     /** Replication / failover policy (see FailoverConfig). */
@@ -183,8 +181,10 @@ struct RoutedResult
     FailoverStats failover; ///< recovery machinery fired for this batch
     u64 queries = 0;
     u64 bases = 0;             ///< total query symbols searched
-    u64 routed_queries = 0;    ///< served by exactly one shard
-    u64 broadcast_queries = 0; ///< served by two or more shards
+    u64 routed_queries = 0; ///< served by exactly one shard
+    /** Served by two or more shards: only a text plan of two or more
+     *  shards broadcasts, and then it broadcasts every query. */
+    u64 broadcast_queries = 0;
     double seconds = 0.0;
 
     u64
@@ -209,22 +209,22 @@ class ShardRouter
 {
   public:
     /**
-     * Build one replica set per shard of @p plan over @p ref:
-     * segment-mapped ExmaTables built pool-parallel for indexable
-     * shards, scan workers for tiny ones, hitless workers for empty
-     * prefix ranges. Replicas share the shard state; only workers are
-     * duplicated.
+     * Build one replica set per shard of @p plan over @p ref, serving
+     * one slice ExmaTable per distinct shard text (built pool-parallel
+     * across texts), or a scan text for a slice shorter than
+     * min_table_bases. Shards with equal texts and all replicas share
+     * that state; only workers are duplicated.
      */
     ShardRouter(const std::vector<Base> &ref, const ShardPlan &plan,
                 const RouterConfig &cfg);
 
     /**
-     * Adopt pre-restored per-shard state (src/persist/index_io.cc)
-     * instead of building: @p tables / @p scan_refs are index-parallel
-     * with @p plan's shards (a shard has a table, a scan ref, or
-     * neither — matching what the building constructor would have
-     * produced over plan.segmentsOf()). Workers are spawned over the
-     * adopted state; @p load_seconds is reported as buildSeconds().
+     * Adopt pre-restored state (src/persist/index_io.cc) instead of
+     * building: @p tables / @p scan_refs are index-parallel with
+     * @p plan's shards, and shard s holds a table or a scan ref iff
+     * plan.textOf(s) == s — what the building constructor would have
+     * produced. Workers are spawned over the adopted state;
+     * @p load_seconds is reported as buildSeconds().
      */
     ShardRouter(ShardPlan plan, RouterConfig cfg,
                 std::vector<std::unique_ptr<ExmaTable>> tables,
@@ -250,31 +250,40 @@ class ShardRouter
      */
     ReplicaSet &replicaSet(size_t i) const { return *sets_[i]; }
 
-    /** Shard @p i's table, or null for scan/empty shards (serialization). */
-    const ExmaTable *shardTable(size_t i) const { return tables_[i].get(); }
+    /**
+     * Shard @p i's table, or null for a scan shard (serialization).
+     * Shards sharing a text return the same table.
+     */
+    const ExmaTable *shardTable(size_t i) const
+    {
+        return tables_[plan_.textOf(i)].get();
+    }
 
-    /** Shard @p i's extracted scan text (empty unless a scan shard). */
+    /** Shard @p i's scan text (empty unless a scan shard). */
     const std::vector<Base> &shardScanRef(size_t i) const
     {
-        return scan_refs_[i];
+        return scan_refs_[plan_.textOf(i)];
     }
 
     /** Wall-clock seconds the (parallel) shard builds took. */
     double buildSeconds() const { return build_seconds_; }
 
     /**
-     * Sum of per-shard searchable bases. Prefix shards replicate
-     * context windows, so this exceeds the reference length; the ratio
-     * is the plan's replication factor.
+     * Searchable bases summed over distinct shard texts, each counted
+     * once. A prefix plan's shards share the whole reference, so this
+     * equals the reference length; fixed-width overlaps make it
+     * exceed it slightly. The ratio is the plan's replication factor.
      */
     u64 totalLocalBases() const;
 
-    /** Sum of per-shard BW-matrix row counts (indexed shards only). */
+    /** BW-matrix rows summed over distinct tables, each counted once:
+     *  a prefix router over an indexed reference holds n + 1. */
     u64 totalRows() const;
 
     /**
-     * Classify @p queries by prefix, run each on its owner shard(s)
-     * through the replica tier, and merge into global positions.
+     * Classify @p queries by prefix, run each on its owner shard (on
+     * every shard for a text plan) through the replica tier, and merge
+     * into global positions.
      * Queries must be non-empty and no longer than
      * plan().maxQueryLen(). cfg.locate_limit applies globally after
      * the merge (the lowest positions survive), never per shard,
@@ -308,10 +317,11 @@ class ShardRouter
      *  worker_dir_ (and temp_dir_ when the router saves them itself). */
     void prepareWorkerFiles();
 
-    /** Owns the per-shard segment maps; in-process workers hold
-     *  pointers into them, so it outlives sets_. */
     ShardPlan plan_;
     RouterConfig cfg_;
+    /** Per shard; only the first shard of each distinct text
+     *  (plan_.textOf(s) == s) holds it. In-process workers hold
+     *  pointers into them, so they outlive sets_. */
     std::vector<std::unique_ptr<ExmaTable>> tables_;
     std::vector<std::vector<Base>> scan_refs_;
     TransportKind transport_kind_ = TransportKind::InProcess;

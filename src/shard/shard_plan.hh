@@ -6,9 +6,9 @@
  * channels/DIMMs; FindeR makes the same move for FM-index rank
  * hardware).
  *
- * A ShardPlan cuts the reference into shards, each of which gets its
- * own ExmaTable over the shard's TextSegment map. Three partitioning
- * policies:
+ * A ShardPlan cuts the reference into shards, each of which is served
+ * by an ExmaTable over the shard's one-slice text (sliceOf). Three
+ * partitioning policies:
  *
  *  - fixedWidth: N equal-stride shards, adjacent shards overlapping by
  *    max_query_len - 1 bases. Any match of length <= max_query_len
@@ -26,19 +26,14 @@
  *    artifacts).
  *
  *  - kmerPrefix: shards own *k-mer-prefix ranges* instead of text
- *    slices. Every text position belongs to the shard whose code range
- *    [lo, hi) contains the packed code of its first prefix_len bases
- *    (A-padded near the reference end), so all matches of a query
- *    start at positions owned by the shard of the query's own prefix —
- *    the routing invariant the ShardRouter exploits to send most
- *    queries to a single shard. Each shard's searchable text is the
- *    union of max_query_len windows after its owned positions, merged
- *    into maximal runs and described as a TextSegment map (see
- *    core/text_segments.hh). Nearby positions usually land in
- *    different shards, so windows overlap across shards: prefix
- *    partitioning trades replicated text (factor ≈ min(shards,
- *    max_query_len) on low-repeat references) for single-shard query
- *    execution — the classic term-partitioned-index trade.
+ *    slices, and every shard's text is the whole reference. Every text
+ *    position belongs to the shard whose code range [lo, hi) contains
+ *    the packed code of its first prefix_len bases (A-padded near the
+ *    reference end), and the cuts balance owned positions, so the
+ *    ranges spread queries evenly over the shards. Since every shard
+ *    holds the whole text, the shards are lanes over one shared table
+ *    (textOf): the router sends each query to one shard, and memory
+ *    does not grow with the shard count.
  */
 
 #ifndef EXMA_SHARD_SHARD_PLAN_HH
@@ -118,17 +113,15 @@ class ShardPlan
     /**
      * Prefix-partitioned plan: split the packed prefix_len-mer code
      * space [0, 4^prefix_len) into @p n_shards contiguous ranges of
-     * roughly equal owned-position weight (measured on @p ref), and
-     * record per shard the TextSegment map covering every owned
-     * position's [pos, pos + max_query_len) context window. Ranges
-     * with no occurrences produce shards with an empty segment map —
-     * legal, and served as trivially hitless by the router.
+     * roughly equal owned-position weight (measured on @p ref). Every
+     * shard's text is the whole reference. Ranges with no occurrences
+     * are legal; ownerOf() skips them.
      *
+     * @param max_query_len longest query the router accepts.
      * @param prefix_len routing prefix p in bases; 0 picks an
      *        automatic value (smallest p with 4^p >= 64 * n_shards,
-     *        clamped to [2, 8]). Queries shorter than p can only be
-     *        routed when their padded code range stays inside one
-     *        shard; otherwise the router broadcasts them.
+     *        clamped to [2, 8]). A query shorter than p routes to the
+     *        owner of the lowest code its padded range holds.
      */
     static ShardPlan kmerPrefix(const std::vector<Base> &ref,
                                 unsigned n_shards, u64 max_query_len,
@@ -138,14 +131,11 @@ class ShardPlan
      * Reassemble a plan from its serialized members (src/persist/
      * index_io.cc) without re-deriving anything from the reference.
      * Validates the cross-member invariants the factories guarantee.
-     * Text plans pass no @p segments: their one-slice maps follow
-     * from @p shards, so they are never serialized.
      */
     static ShardPlan restore(std::vector<Shard> shards, ShardPlanKind kind,
                              u64 ref_len, u64 overlap, u64 max_query_len,
                              int prefix_len,
-                             std::vector<PrefixRange> prefix_ranges,
-                             std::vector<std::vector<TextSegment>> segments);
+                             std::vector<PrefixRange> prefix_ranges);
 
     const std::vector<Shard> &shards() const { return shards_; }
     size_t size() const { return shards_.size(); }
@@ -165,24 +155,26 @@ class ShardPlan
         return prefix_ranges_;
     }
 
-    /**
-     * Segment map of shard @p i: the merged context windows of a
-     * kmerPrefix shard, or the single slice {begin, 0, length} of a
-     * text shard.
-     */
-    const std::vector<TextSegment> &segmentsOf(size_t i) const
+    /** Shard @p i's text: the one slice {begin, 0, length}. */
+    TextSegment sliceOf(size_t i) const
     {
-        return segments_[i];
+        return {shards_[i].begin, 0, shards_[i].length};
     }
+
+    /**
+     * The first shard whose slice equals shard @p i's. Shards with
+     * equal slices share one table: every shard of a kmerPrefix plan
+     * maps to shard 0, every shard of a text plan to itself.
+     */
+    size_t textOf(size_t i) const;
 
     /** Shard owning padded prefix code @p code (kmerPrefix plans). */
     size_t ownerOf(Kmer code) const;
 
     /**
      * Inclusive [first, last] shard indices whose prefix ranges
-     * intersect the non-empty code range [lo, hi) — the owner set of a
-     * query whose prefix pads to that range. first == last means the
-     * query routes to a single shard.
+     * intersect the non-empty code range [lo, hi). The router needs
+     * only the first, ownerOf(lo): every shard holds the whole text.
      */
     std::pair<size_t, size_t> ownersOfRange(Kmer lo, Kmer hi) const;
 
@@ -200,8 +192,9 @@ class ShardPlan
     u64 overlap() const { return overlap_; }
 
     /**
-     * Longest query the boundary-overlap guarantee covers;
-     * kUnboundedQueryLen for per-record plans.
+     * Longest query the plan accepts (for fixedWidth plans, the one
+     * the boundary overlap covers); kUnboundedQueryLen for per-record
+     * plans.
      */
     u64 maxQueryLen() const { return max_query_len_; }
     bool boundsQueries() const
@@ -210,17 +203,13 @@ class ShardPlan
     }
 
   private:
-    /** Give every text shard its one-slice segment map. */
-    void deriveTextSegments();
-
     std::vector<Shard> shards_;
     ShardPlanKind kind_ = ShardPlanKind::Text;
     u64 ref_len_ = 0;
     u64 overlap_ = 0;
     u64 max_query_len_ = kUnboundedQueryLen;
     int prefix_len_ = 0;
-    std::vector<PrefixRange> prefix_ranges_;      ///< kmerPrefix only
-    std::vector<std::vector<TextSegment>> segments_; ///< one per shard
+    std::vector<PrefixRange> prefix_ranges_; ///< kmerPrefix only
 };
 
 } // namespace exma

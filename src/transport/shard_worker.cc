@@ -4,12 +4,10 @@
 
 namespace exma {
 
-ShardWorker::ShardWorker(std::string name, const ExmaTable *table,
-                         const std::vector<Base> *scan_ref,
-                         const std::vector<TextSegment> *segments)
-    : Transport(std::move(name), table != nullptr,
-                table == nullptr && scan_ref == nullptr),
-      state_{table, scan_ref, segments}
+ShardWorker::ShardWorker(std::string name, ShardState state)
+    : Transport(std::move(name), state.table != nullptr,
+                state.table == nullptr && state.scan_ref == nullptr),
+      state_(state)
 {
     validateShardState(this->name(), state_);
     startLane();

@@ -9,8 +9,9 @@
  * liveness, the completion contract) is Transport's; see
  * transport.hh.
  *
- * Every compute chunk (BatchConfig::progress) ticks the heartbeat, so
- * a supervisor sees chunk-granular progress. Nothing interrupts
+ * Every compute chunk and every 4096 located rows
+ * (BatchConfig::progress) tick the heartbeat, so a supervisor sees
+ * progress inside a long batch. Nothing interrupts
  * in-process compute: a kill mid-batch lets the batch finish and then
  * answers WorkerDown. The ShardState pointers are immutable after
  * construction; route new mutable state through a mutex or an atomic
@@ -21,7 +22,6 @@
 #define EXMA_TRANSPORT_SHARD_WORKER_HH
 
 #include <string>
-#include <vector>
 
 #include "transport/transport.hh"
 #include "transport/worker_core.hh"
@@ -32,20 +32,12 @@ class ShardWorker final : public Transport
 {
   public:
     /**
-     * @param name      stable worker name; also the fault-injection
-     *                  site ("<shard>/r<i>" in a ReplicaSet).
-     * @param table     the shard's segment-mapped ExmaTable, or null
-     *                  when the shard is too small to index.
-     * @param scan_ref  extracted local reference for table-less shards
-     *                  (served by direct scanning), or null.
-     * @param segments  the shard's segment map; may be empty/null only
-     *                  with both @p table and @p scan_ref null — an
-     *                  empty shard, which answers every query with no
-     *                  hits.
+     * @param name   stable worker name; also the fault-injection site
+     *               ("<shard>/r<i>" in a ReplicaSet).
+     * @param state  the shard's slice table or scan text (borrowed;
+     *               must outlive the worker).
      */
-    ShardWorker(std::string name, const ExmaTable *table,
-                const std::vector<Base> *scan_ref,
-                const std::vector<TextSegment> *segments);
+    ShardWorker(std::string name, ShardState state);
 
     /** Stops the lane; an in-flight batch finishes, then answers
      *  WorkerDown. */

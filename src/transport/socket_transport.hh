@@ -40,7 +40,7 @@ namespace exma {
 struct SocketTransportConfig
 {
     std::string binary; ///< resolved exma-worker executable path
-    std::string stem;   ///< shard file stem ("" for an empty shard)
+    std::string stem;   ///< shard file stem ("" for an empty state)
     std::string state;  ///< "table" | "scan" | "empty"
 };
 

@@ -112,8 +112,8 @@ struct WorkerResponse
     std::string error; ///< diagnostic for Failed / WorkerDown
     std::vector<u32> ids;
     /** Global match positions per id, sorted ascending. Within one
-     *  shard a global position occurs at most once (segment maps
-     *  never overlap themselves), so no per-shard dedup is run. */
+     *  shard a global position occurs at most once (a shard is one
+     *  slice), so no per-shard dedup is run. */
     std::vector<std::vector<u64>> hits;
     /** Integrity stamp over ids+hits (responseCanary); the router
      *  recomputes it and discards mismatching responses the way it

@@ -13,21 +13,14 @@ void
 scanQuery(const ShardState &st, const std::vector<Base> &query,
           std::vector<u64> &hits)
 {
-    // Tiny shards are not worth an ExmaTable: scan each segment
-    // directly. A match must fit inside one segment, which the
-    // per-segment search range enforces by construction; segments
-    // ascend in both coordinate spaces, so hits come out sorted.
-    for (const TextSegment &seg : *st.segments) {
-        if (seg.length < query.size())
-            continue;
-        const auto begin = st.scan_ref->begin() +
-                           static_cast<std::ptrdiff_t>(seg.local_begin);
-        const auto end = begin + static_cast<std::ptrdiff_t>(seg.length);
-        for (auto it = std::search(begin, end, query.begin(), query.end());
-             it != end;
-             it = std::search(it + 1, end, query.begin(), query.end()))
-            hits.push_back(seg.global_begin + static_cast<u64>(it - begin));
-    }
+    // Tiny shards are not worth an ExmaTable: scan the slice directly.
+    // Matches come out in ascending order.
+    const std::vector<Base> &text = *st.scan_ref;
+    for (auto it = std::search(text.begin(), text.end(), query.begin(),
+                               query.end());
+         it != text.end();
+         it = std::search(it + 1, text.end(), query.begin(), query.end()))
+        hits.push_back(st.scan_begin + static_cast<u64>(it - text.begin()));
 }
 
 /** Search (or scan) every query; hits index-aligned with the ids. */
@@ -46,8 +39,9 @@ searchShard(const ShardState &st, const WorkerRequest &req,
         // Caps are the router's job, applied after the cross-shard
         // merge; a per-shard cap would keep a shard-dependent subset.
         cfg.locate_limit = 0;
-        // Chunk-granular liveness: the supervisor reads this to tell
-        // "slow batch" from "hung worker".
+        // Liveness per chunk and per 4096 located rows: the
+        // supervisor reads this to tell "slow batch" from "hung
+        // worker".
         cfg.progress = progress;
         BatchResult br = BatchSearcher(*st.table, cfg)
                              .search(req.batch.storage(),
@@ -63,8 +57,7 @@ searchShard(const ShardState &st, const WorkerRequest &req,
                     progress();
             }
         }
-        // Empty shard: its prefix range has no occurrences, so no
-        // query routed here can match — every response is hitless.
+        // Empty state: no text, so every response is hitless.
     }
     return out;
 }
@@ -79,20 +72,9 @@ validateShardState(const std::string &name, const ShardState &st)
                 name.c_str());
     if (st.table)
         exma_assert(st.table->segmented(),
-                    "worker '%s' needs a segment-mapped table to "
-                    "translate hits into global coordinates",
+                    "worker '%s' needs a slice table to translate hits "
+                    "into global coordinates",
                     name.c_str());
-    if (st.scan_ref) {
-        exma_assert(st.segments && !st.segments->empty(),
-                    "worker '%s' scans but has no segment map",
-                    name.c_str());
-        exma_assert(st.scan_ref->size() ==
-                        segmentsLocalLength(*st.segments),
-                    "worker '%s': scan reference holds %zu bases but "
-                    "the segment map covers %llu",
-                    name.c_str(), st.scan_ref->size(),
-                    (unsigned long long)segmentsLocalLength(*st.segments));
-    }
 }
 
 WorkerResponse

@@ -5,10 +5,11 @@
  * binary run the *same* code on a request — which is what makes the
  * socket path differentially testable against the inbox path.
  *
- * A ShardState is one shard's immutable serving state: a
- * segment-mapped ExmaTable, or an extracted scan reference plus its
- * segment map (shards too small to index), or neither (an empty
- * shard, which answers every query with no hits).
+ * A ShardState is one shard's immutable serving state: an ExmaTable
+ * over the shard's slice, or the slice's text plus its global offset
+ * (shards too small to index, served by scanning), or neither (an
+ * empty state, which answers every query with no hits; only
+ * `exma-worker --state empty` still builds one, and no router does).
  */
 
 #ifndef EXMA_TRANSPORT_WORKER_CORE_HH
@@ -26,15 +27,15 @@ namespace exma {
 /** One shard's immutable serving state (pointers are borrowed). */
 struct ShardState
 {
-    /** Segment-mapped table, or null when the shard is too small. */
+    /** Slice table, or null when the shard is too small. */
     const ExmaTable *table = nullptr;
-    /** Extracted local reference for table-less shards, or null. */
+    /** The slice's text for table-less shards, or null. */
     const std::vector<Base> *scan_ref = nullptr;
-    /** Segment map; may be null only for an empty shard. */
-    const std::vector<TextSegment> *segments = nullptr;
+    /** Global position of scan_ref's first base. */
+    u64 scan_begin = 0;
 };
 
-/** Asserts the table/scan_ref/segments combination is coherent. */
+/** Asserts the table/scan_ref combination is coherent. */
 void validateShardState(const std::string &name, const ShardState &st);
 
 /**

@@ -264,38 +264,34 @@ TEST(BatchSearcher, SubsetSearchEmptyIds)
 
 TEST(BatchSearcher, SegmentedTableLocatesGlobalPositions)
 {
-    // A two-segment sub-reference: BatchSearcher's locate path must
-    // report translated global coordinates with junction artifacts
-    // dropped (ExmaTable::locateAllGlobal), not local positions.
+    // A table over one slice of the reference: BatchSearcher's locate
+    // path must report global coordinates (ExmaTable::locateAllGlobal),
+    // not local positions — exactly the whole-reference hits that lie
+    // inside the slice.
     const auto &ref = testRef();
-    const std::vector<TextSegment> segs = {
-        {100, 0, 400}, {5000, 400, 400}};
-    const ExmaTable seg_table(ref, segs, cfgFor(OccIndexMode::Exact));
+    const TextSegment slice{5000, 0, 800};
+    const ExmaTable seg_table(ref, slice, cfgFor(OccIndexMode::Exact));
     ASSERT_TRUE(seg_table.segmented());
+    ASSERT_EQ(seg_table.slice(), slice);
     const ExmaTable &whole = mtlTable();
 
-    // Queries sampled inside each segment: every hit the segmented
-    // table reports must be a genuine whole-reference hit, and the
-    // planted position must be among them.
     Rng rng(4);
     for (int rep = 0; rep < 30; ++rep) {
         const u64 len = 8 + rng.below(12);
-        const TextSegment &seg = segs[rep % 2];
-        const u64 pos = seg.global_begin + rng.below(seg.length - len);
+        const u64 pos = slice.global_begin + rng.below(slice.length - len);
         const std::vector<Base> q(
             ref.begin() + static_cast<std::ptrdiff_t>(pos),
             ref.begin() + static_cast<std::ptrdiff_t>(pos + len));
         BatchConfig cfg;
         cfg.locate = true;
         const BatchResult r = BatchSearcher(seg_table, cfg).search({q});
-        auto expect = whole.locateAll(whole.search(q));
+        std::vector<u64> expect;
+        for (const u64 hit : whole.locateAll(whole.search(q)))
+            if (hit >= slice.global_begin &&
+                hit + len <= slice.global_end())
+                expect.push_back(hit);
         std::sort(expect.begin(), expect.end());
-        // Subset of the whole-reference hit set...
-        EXPECT_TRUE(std::includes(expect.begin(), expect.end(),
-                                  r.positions[0].begin(),
-                                  r.positions[0].end()))
-            << "rep " << rep;
-        // ...containing the planted occurrence.
+        EXPECT_EQ(r.positions[0], expect) << "rep " << rep;
         EXPECT_TRUE(std::binary_search(r.positions[0].begin(),
                                        r.positions[0].end(), pos))
             << "rep " << rep;
@@ -569,21 +565,14 @@ TEST(StagedSearch, LocateLimitKeepsFirstRowsOnContiguousTables)
 
 TEST(StagedSearch, LocateLimitKeepsLowestGlobalHitsOnSegmentedTables)
 {
-    // Segmented tables locate every row, drop junction artifacts, then
-    // keep the lowest `locate_limit` global positions: the oracle is a
-    // naive scan of each segment's own slice of the reference.
+    // Slice tables locate every row, then keep the lowest
+    // `locate_limit` global positions: the oracle is a naive scan of
+    // the slice, shifted to global coordinates.
     const auto &ref = testRef();
-    const std::vector<TextSegment> segs = {
-        {100, 0, 3000}, {9000, 3000, 2000}, {30000, 5000, 3000}};
-    const ExmaTable table(ref, segs, cfgFor(OccIndexMode::Exact));
-    std::vector<Base> local;
-    for (const TextSegment &seg : segs)
-        local.insert(local.end(),
-                     ref.begin() +
-                         static_cast<std::ptrdiff_t>(seg.global_begin),
-                     ref.begin() +
-                         static_cast<std::ptrdiff_t>(seg.global_end()));
-    const auto qs = edgeQueries(local, table.k(), 3 * kW + 1, 23);
+    const TextSegment seg{9000, 0, 8000};
+    const ExmaTable table(ref, seg, cfgFor(OccIndexMode::Exact));
+    const std::vector<Base> slice = extractSegment(ref, seg);
+    const auto qs = edgeQueries(slice, table.k(), 3 * kW + 1, 23);
     for (const u64 limit : {u64{0}, u64{1}, kW + 1}) {
         BatchConfig cfg;
         cfg.threads = 1;
@@ -593,16 +582,8 @@ TEST(StagedSearch, LocateLimitKeepsLowestGlobalHitsOnSegmentedTables)
         const BatchResult r = BatchSearcher(table, cfg).search(qs);
         for (size_t i = 0; i < qs.size(); ++i) {
             std::vector<u64> expect;
-            for (const TextSegment &seg : segs) {
-                const std::vector<Base> slice(
-                    ref.begin() +
-                        static_cast<std::ptrdiff_t>(seg.global_begin),
-                    ref.begin() +
-                        static_cast<std::ptrdiff_t>(seg.global_end()));
-                for (u64 pos : naiveHits(slice, qs[i]))
-                    expect.push_back(seg.global_begin + pos);
-            }
-            std::sort(expect.begin(), expect.end());
+            for (u64 pos : naiveHits(slice, qs[i]))
+                expect.push_back(seg.global_begin + pos);
             if (limit != 0 && expect.size() > limit)
                 expect.resize(limit);
             EXPECT_EQ(r.positions[i], expect)

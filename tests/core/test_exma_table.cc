@@ -172,35 +172,30 @@ TEST(ExmaTable, DifferentStepsAgree)
     }
 }
 
-TEST(ExmaTable, SegmentedBuildDropsJunctionArtifacts)
+TEST(ExmaTable, SliceBuildReportsGlobalPositions)
 {
-    // ref = AAAA CCCC TTTT GGGG; segments extract AAAA + GGGG, whose
-    // concatenation "AAAAGGGG" contains "AG" — a string that never
-    // occurs in the reference. The local search interval sees it; the
-    // global locate must not.
+    // ref = AAAA CCCC TTTT GGGG; the slice [8, 16) is "TTTTGGGG". Its
+    // table searches the slice alone and reports global positions.
     const std::vector<Base> ref = {0, 0, 0, 0, 1, 1, 1, 1,
                                    3, 3, 3, 3, 2, 2, 2, 2};
-    const std::vector<TextSegment> segs = {{0, 0, 4}, {12, 4, 4}};
-    const ExmaTable tab(ref, segs, cfgFor(OccIndexMode::Exact));
+    const TextSegment slice{8, 0, 8};
+    const ExmaTable tab(ref, slice, cfgFor(OccIndexMode::Exact));
     ASSERT_TRUE(tab.segmented());
-    ASSERT_EQ(tab.segments(), segs);
+    ASSERT_EQ(tab.slice(), slice);
+    EXPECT_EQ(tab.rows(), slice.length + 1);
 
-    const std::vector<Base> junction = {0, 2}; // "AG"
-    const Interval iv = tab.search(junction);
-    EXPECT_EQ(iv.count(), 1u) << "local junction match should exist";
-    EXPECT_TRUE(tab.locateAllGlobal(iv, junction.size()).empty());
-
-    // Genuine matches translate to global coordinates.
-    const std::vector<Base> aaa = {0, 0, 0}; // "AAA" at 0, 1
-    EXPECT_EQ(tab.locateAllGlobal(tab.search(aaa), aaa.size()),
-              (std::vector<u64>{0, 1}));
+    const std::vector<Base> tg = {3, 2}; // "TG" at 11
+    EXPECT_EQ(tab.locateAllGlobal(tab.search(tg), tg.size()),
+              (std::vector<u64>{11}));
     const std::vector<Base> gg = {2, 2}; // "GG" at 12, 13, 14
     EXPECT_EQ(tab.locateAllGlobal(tab.search(gg), gg.size()),
               (std::vector<u64>{12, 13, 14}));
-    // The cap keeps the lowest global positions, applied after the
-    // junction filter.
+    // The cap keeps the lowest global positions.
     EXPECT_EQ(tab.locateAllGlobal(tab.search(gg), gg.size(), 2),
               (std::vector<u64>{12, 13}));
+    // Text outside the slice is not found.
+    const std::vector<Base> aa = {0, 0};
+    EXPECT_TRUE(tab.locateAllGlobal(tab.search(aa), aa.size()).empty());
 }
 
 TEST(ExmaTable, ContiguousTableLocateAllGlobalIsSortedLocate)

@@ -79,7 +79,7 @@ queryMix(const std::vector<Base> &ref, int prefix_len, u64 seed)
  * a Debug TSan build 250-350 ms per search on a 4-vCPU host — as long
  * as the deadlines under test; without them a search costs 2-5 ms, so
  * the timed window holds the router's waiting, not locate work.
- * RangeFullyDownDegradesExactlyItsQueries covers the straddlers.
+ * RangeFullyDownDegradesExactlyItsQueries covers the short queries.
  */
 std::vector<std::vector<Base>>
 routedMix(const std::vector<Base> &ref, int prefix_len, u64 seed)
@@ -141,19 +141,17 @@ expectIdenticalToMonolith(const RoutedResult &r,
     }
 }
 
-/** Shard indices serving @p q under the fixture plan (routed mode). */
-std::pair<size_t, size_t>
-ownersOf(const std::vector<Base> &q)
+/** The one shard serving @p q under the fixture plan. */
+size_t
+ownerOf(const std::vector<Base> &q)
 {
     const ShardPlan &plan = fixture().plan;
-    const PrefixRange r = plan.queryPrefixRange(q.data(), q.size());
-    return plan.ownersOfRange(r.lo, r.hi);
+    return plan.ownerOf(plan.queryPrefixRange(q.data(), q.size()).lo);
 }
 
 /**
- * Exactly the queries shard @p target serves come back degraded
- * (partial for broadcast straddlers, empty for solely-owned ones);
- * every other query is identical to the monolith.
+ * Exactly the queries shard @p target serves come back degraded, with
+ * no hits; every other query is identical to the monolith.
  */
 void
 expectExactlyRangeDegraded(const RoutedResult &r,
@@ -167,20 +165,15 @@ expectExactlyRangeDegraded(const RoutedResult &r,
         << "only the dead range's queries may degrade";
     u64 flagged = 0;
     for (size_t i = 0; i < qs.size(); ++i) {
-        const auto [first, last] = ownersOf(qs[i]);
-        const bool expect_degraded = first <= target && target <= last;
+        const bool expect_degraded = ownerOf(qs[i]) == target;
         EXPECT_EQ(r.degraded[i] != 0, expect_degraded) << "query " << i;
         flagged += r.degraded[i];
-        const auto expect = singleTableHits(fx.single, qs[i]);
-        if (expect_degraded) {
-            // Partial: whatever the live owners produced, never more.
-            EXPECT_TRUE(std::includes(expect.begin(), expect.end(),
-                                      r.hits[i].begin(),
-                                      r.hits[i].end()))
+        if (expect_degraded)
+            EXPECT_TRUE(r.hits[i].empty())
                 << "degraded query " << i << " invented hits";
-        } else {
-            EXPECT_EQ(r.hits[i], expect) << "query " << i;
-        }
+        else
+            EXPECT_EQ(r.hits[i], singleTableHits(fx.single, qs[i]))
+                << "query " << i;
     }
     EXPECT_EQ(r.degraded_queries, flagged);
 }
@@ -305,9 +298,8 @@ TEST(ReplicatedRouter, CorruptResponseIsRejectedByCanaryAndRetried)
 TEST(ReplicatedRouter, RangeFullyDownDegradesExactlyItsQueries)
 {
     // Both replicas of one shard die on every request, forever; its
-    // queries must come back flagged degraded (partial for broadcast
-    // straddlers, empty for solely-owned ones) while every other
-    // query stays identical to the monolith.
+    // queries must come back flagged degraded and empty while every
+    // other query stays identical to the monolith.
     const Fixture &fx = fixture();
     RouterConfig rcfg = replicatedCfg();
     rcfg.failover.max_retries = 2;
@@ -315,7 +307,7 @@ TEST(ReplicatedRouter, RangeFullyDownDegradesExactlyItsQueries)
     const ShardRouter router(fx.ds.ref, fx.plan, rcfg);
     const auto qs = queryMix(fx.ds.ref, fx.plan.prefixLen(), 36);
 
-    const size_t target = ownersOf(qs[0]).first;
+    const size_t target = ownerOf(qs[0]);
     ScopedFaultInjector scope(
         wholeRangeFault(router, target, FaultKind::KillWorker));
 
@@ -345,7 +337,7 @@ TEST(ReplicatedRouter, DeadlineBoundsAnUnresponsiveRange)
     const auto qs = routedMix(fx.ds.ref, fx.plan.prefixLen(), 37);
     router.search(qs); // socket children start up outside the timing
 
-    const size_t target = ownersOf(qs[0]).first;
+    const size_t target = ownerOf(qs[0]);
     ScopedFaultInjector scope(
         wholeRangeFault(router, target, FaultKind::HangRequest));
     RoutedResult r;
@@ -371,7 +363,7 @@ TEST(ReplicatedRouter, RetryBackoffDoesNotOutlastTheDeadline)
     const auto qs = routedMix(fx.ds.ref, fx.plan.prefixLen(), 40);
     router.search(qs); // socket children start up outside the timing
 
-    const size_t target = ownersOf(qs[0]).first;
+    const size_t target = ownerOf(qs[0]);
     ScopedFaultInjector scope(
         wholeRangeFault(router, target, FaultKind::ThrowInProcess));
     RoutedResult r;
@@ -424,7 +416,7 @@ TEST(ReplicatedRouter, HedgeReturnsOnItsWinner)
     rcfg.failover.hang_timeout_ms = 10'000;
     const ShardRouter router(fx.ds.ref, fx.plan, rcfg);
     const auto qs = routedMix(fx.ds.ref, fx.plan.prefixLen(), 42);
-    const size_t target = ownersOf(qs[0]).first;
+    const size_t target = ownerOf(qs[0]);
     const std::string site = router.plan().shards()[target].name + "/r0";
     const auto injector = std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("delay@" + site + ":ms=2000"));

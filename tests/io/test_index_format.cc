@@ -286,7 +286,11 @@ class TableRoundTripTest
 TEST_P(TableRoundTripTest, LoadedTableSearchesIdentically)
 {
     const ExmaTable built(testRef(), cfgFor(GetParam()));
-    const std::string stem = tempDir("table_rt") + "/table";
+    // One directory per mode: ctest runs the three modes as parallel
+    // processes, which must not remove each other's files.
+    const std::string stem =
+        tempDir("table_rt_" + std::to_string(static_cast<int>(GetParam()))) +
+        "/table";
     saveTableFiles(built, stem, testRef());
     const LoadedExmaTable loaded = loadTableFiles(stem);
     expectIdenticalSearch(built, *loaded.table);
@@ -365,8 +369,7 @@ TEST(IndexRoundTripTest, MonoDirectory)
 
 /**
  * Save a router over `plan`, load it back and expect the same shards,
- * segment maps, hits and stats. Prefix maps are read back from the
- * manifest; text maps are re-derived from the plan.
+ * slices, hits and stats.
  */
 void
 expectRoutedRoundTrip(const ShardPlan &plan, const std::string &dir_name)
@@ -381,7 +384,7 @@ expectRoutedRoundTrip(const ShardPlan &plan, const std::string &dir_name)
     ASSERT_NE(loaded.router, nullptr);
     ASSERT_EQ(loaded.router->shardCount(), built.shardCount());
     for (size_t s = 0; s < plan.size(); ++s)
-        EXPECT_EQ(loaded.router->plan().segmentsOf(s), plan.segmentsOf(s));
+        EXPECT_EQ(loaded.router->plan().sliceOf(s), plan.sliceOf(s));
 
     const auto queries = refQueries(40, 32);
     const RoutedResult rb = built.search(queries);
@@ -404,6 +407,64 @@ TEST(IndexRoundTripTest, RoutedDirectory)
 {
     expectRoutedRoundTrip(ShardPlan::kmerPrefix(testRef(), 4, 64),
                           "idx_routed");
+}
+
+TEST(IndexRoundTripTest, RoutedDirectorySharesOneTableFile)
+{
+    // Every shard of a prefix plan shares one table: saveIndex writes
+    // it once and hard-links it at every other shard's stem (a second
+    // save over the same directory replaces the links), and loadIndex
+    // maps it once for all shards.
+    const ShardPlan plan = ShardPlan::kmerPrefix(testRef(), 4, 64);
+    RouterConfig cfg;
+    cfg.table = cfgFor(OccIndexMode::Exact);
+    const ShardRouter built(testRef(), plan, cfg);
+    EXPECT_EQ(built.totalRows(), testRef().size() + 1);
+    const std::string dir = tempDir("idx_shared");
+    for (int save = 0; save < 2; ++save) {
+        saveIndex(built, dir);
+        for (size_t s = 1; s < plan.size(); ++s)
+            for (const char *ext : {kExtPac, kExtOcc, kExtSa})
+                EXPECT_TRUE(fs::equivalent(io_detail::shardStem(dir, 0) + ext,
+                                           io_detail::shardStem(dir, s) + ext))
+                    << "save " << save << " shard " << s << ext;
+    }
+
+    const LoadedIndex loaded = loadIndex(dir);
+    ASSERT_NE(loaded.router, nullptr);
+    EXPECT_EQ(loaded.files.size(), 3u) << "one table, mapped once";
+    EXPECT_EQ(loaded.router->totalRows(), testRef().size() + 1);
+    for (size_t s = 0; s < plan.size(); ++s)
+        EXPECT_EQ(loaded.router->shardTable(s), loaded.router->shardTable(0));
+    const auto queries = refQueries(20, 32);
+    EXPECT_EQ(built.search(queries).hits,
+              loaded.router->search(queries).hits);
+}
+
+TEST(IndexRoundTripTest, PreviousFormatDirectoryFailsClosed)
+{
+    // A directory written by the previous format version (whose
+    // manifest carried per-shard segment maps and two retired config
+    // fields) must fail closed with a LoadError naming the version.
+    RouterConfig cfg;
+    cfg.table = cfgFor(OccIndexMode::Exact);
+    const ShardRouter built(testRef(), ShardPlan::kmerPrefix(testRef(), 2, 64),
+                            cfg);
+    const std::string dir = tempDir("idx_old_format");
+    saveIndex(built, dir);
+    const std::string manifest = dir + "/" + kManifestName;
+    patchByte(manifest, 8, static_cast<u8>(kFormatVersion - 1));
+    try {
+        loadIndex(dir);
+        FAIL() << "previous-format directory loaded";
+    } catch (const LoadError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("format version " +
+                            std::to_string(kFormatVersion - 1)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(manifest), std::string::npos) << what;
+    }
 }
 
 TEST(IndexRoundTripTest, RoutedWithScanShards)

@@ -31,12 +31,25 @@ singleTableHits(const ExmaTable &table, const std::vector<Base> &query)
     return hits;
 }
 
+/** Oracle sharing no code with the FM index: every occurrence. */
+std::vector<u64>
+naiveHits(const std::vector<Base> &ref, const std::vector<Base> &query)
+{
+    std::vector<u64> out;
+    for (auto it = std::search(ref.begin(), ref.end(), query.begin(),
+                               query.end());
+         it != ref.end();
+         it = std::search(it + 1, ref.end(), query.begin(), query.end()))
+        out.push_back(static_cast<u64>(it - ref.begin()));
+    return out;
+}
+
 /**
  * Query mix for the differential tests: reference substrings (hits),
  * random probes (mostly misses), and — the routing-specific edges —
  * queries shorter than the routing prefix (whose padded code ranges
- * can straddle partition boundaries) plus substrings taken within the
- * last prefix_len bases of the reference (A-padded ownership).
+ * can straddle partition boundaries) plus queries ending at the last
+ * base of the reference (A-padded ownership).
  */
 std::vector<std::vector<Base>>
 queryMix(const std::vector<Base> &ref, int prefix_len, u64 seed)
@@ -91,8 +104,8 @@ TEST(ShardRouter, RoutedHitSetMatchesMonolithOnAllDatasets)
             bc.grain = 3;
             const RoutedResult r = router.search(qs, bc);
             ASSERT_EQ(r.hits.size(), qs.size());
-            EXPECT_EQ(r.routed_queries + r.broadcast_queries, qs.size());
-            EXPECT_GT(r.routed_queries, 0u);
+            EXPECT_EQ(r.routed_queries, qs.size());
+            EXPECT_EQ(r.broadcast_queries, 0u);
 
             for (size_t i = 0; i < qs.size(); ++i) {
                 const auto expect = singleTableHits(single, qs[i]);
@@ -106,7 +119,48 @@ TEST(ShardRouter, RoutedHitSetMatchesMonolithOnAllDatasets)
     }
 }
 
-TEST(ShardRouter, ShortQueryStraddlingPartitionBoundaryBroadcasts)
+TEST(ShardRouter, PrefixRoutersHoldOneTableAtEveryShardCount)
+{
+    // Every shard of a prefix plan is a lane over one whole-reference
+    // table: the router holds exactly n + 1 rows at any shard count,
+    // routes every query to one shard, and its hits equal both the
+    // monolith and a naive scan — short straddlers, queries ending at
+    // the last base and absent patterns included.
+    const Dataset ds = makeDataset("human", 0.001);
+    const auto cfg = tableCfg(ds.exma_k);
+    const ExmaTable single(ds.ref, cfg);
+    for (unsigned n_shards : {1u, 2u, 4u, 8u}) {
+        const auto plan =
+            ShardPlan::kmerPrefix(ds.ref, n_shards, kMaxQueryLen, 4);
+        RouterConfig rcfg;
+        rcfg.table = cfg;
+        const ShardRouter router(ds.ref, plan, rcfg);
+        EXPECT_EQ(router.totalRows(), ds.ref.size() + 1)
+            << "shards=" << n_shards;
+        EXPECT_EQ(router.totalLocalBases(), ds.ref.size());
+        for (size_t s = 0; s < plan.size(); ++s) {
+            EXPECT_EQ(router.shardTable(s), router.shardTable(0));
+            EXPECT_TRUE(router.replicaSet(s).hasTable());
+        }
+
+        auto qs = queryMix(ds.ref, plan.prefixLen(), 40 + n_shards);
+        qs.push_back(std::vector<Base>(kMaxQueryLen, 2)); // absent
+        qs.emplace_back(ds.ref.end() - 9, ds.ref.end());
+        const RoutedResult r = router.search(qs);
+        EXPECT_EQ(r.routed_queries, qs.size());
+        EXPECT_EQ(r.broadcast_queries, 0u);
+        for (size_t i = 0; i < qs.size(); ++i) {
+            EXPECT_EQ(r.hits[i], singleTableHits(single, qs[i]))
+                << "shards=" << n_shards << " query " << i;
+            EXPECT_EQ(r.hits[i], naiveHits(ds.ref, qs[i]))
+                << "shards=" << n_shards << " query " << i;
+        }
+        EXPECT_TRUE(r.hits[qs.size() - 2].empty());
+        EXPECT_FALSE(r.hits.back().empty());
+    }
+}
+
+TEST(ShardRouter, ShortQueryStraddlingPartitionBoundaryRoutesToOneOwner)
 {
     const Dataset ds = makeDataset("human", 0.001);
     const auto cfg = tableCfg(ds.exma_k);
@@ -140,10 +194,16 @@ TEST(ShardRouter, ShortQueryStraddlingPartitionBoundaryBroadcasts)
     const auto owners = plan.ownersOfRange(r.lo, r.hi);
     ASSERT_LT(owners.first, owners.second) << "range does not straddle";
 
+    // Every owner holds the whole text, so the first one serves it
+    // alone: only its shard call searched anything.
     const RoutedResult res = router.search({straddler});
-    EXPECT_EQ(res.broadcast_queries, 1u);
-    EXPECT_EQ(res.routed_queries, 0u);
+    EXPECT_EQ(res.broadcast_queries, 0u);
+    EXPECT_EQ(res.routed_queries, 1u);
+    for (size_t s = 0; s < plan.size(); ++s)
+        EXPECT_EQ(res.per_shard[s] != SearchStats{}, s == owners.first)
+            << "shard " << s;
     EXPECT_EQ(res.hits[0], singleTableHits(single, straddler));
+    EXPECT_EQ(res.hits[0], naiveHits(ds.ref, straddler));
 }
 
 TEST(ShardRouter, BoundaryPrefixQueryRoutesToOwner)
@@ -177,9 +237,11 @@ TEST(ShardRouter, BoundaryPrefixQueryRoutesToOwner)
 
 TEST(ShardRouter, EmptyPrefixRangesServeHitless)
 {
-    // An all-A reference puts every position in code 0's shard; the
-    // remaining ranges own nothing and must answer with no hits —
-    // matching the monolith, which cannot find those prefixes either.
+    // An all-A reference puts every position in code 0's range; the
+    // remaining ranges own nothing, and queries whose prefixes fall
+    // there must answer with no hits — matching the monolith, which
+    // cannot find those prefixes either. Every shard still serves the
+    // one shared table.
     const std::vector<Base> ref(256, 0);
     const auto plan = ShardPlan::kmerPrefix(ref, 4, 8, 2);
     RouterConfig rcfg;
@@ -187,13 +249,14 @@ TEST(ShardRouter, EmptyPrefixRangesServeHitless)
     const ShardRouter router(ref, plan, rcfg);
     const ExmaTable single(ref, tableCfg(3));
 
-    size_t empty_workers = 0;
-    for (size_t s = 0; s < router.shardCount(); ++s)
-        empty_workers += router.replicaSet(s).isEmpty();
-    EXPECT_GE(empty_workers, 2u);
+    size_t empty_ranges = 0;
+    for (const PrefixRange &r : plan.prefixRanges())
+        empty_ranges += r.empty();
+    EXPECT_GE(empty_ranges, 2u);
+    EXPECT_EQ(router.totalRows(), ref.size() + 1);
 
     const std::vector<std::vector<Base>> qs = {
-        {0, 0, 0, 0},    // AAAA -> the one populated shard
+        {0, 0, 0, 0},    // AAAA -> the one populated range
         {1, 2},          // CG   -> an unpopulated range
         {3},             // T    -> short query, unpopulated range
         {0, 0, 1},       // AAC  -> miss inside the populated range
@@ -214,10 +277,9 @@ TEST(ShardRouter, SingleShardDegeneratePlanEqualsMonolith)
     const ExmaTable single(ds.ref, cfg);
     const auto plan = ShardPlan::kmerPrefix(ds.ref, 1, kMaxQueryLen);
     ASSERT_EQ(plan.size(), 1u);
-    // One shard owns every code; its segment map is the whole
-    // reference in one slice, so the table is the monolith.
-    ASSERT_EQ(plan.segmentsOf(0).size(), 1u);
-    EXPECT_EQ(plan.segmentsOf(0)[0].length, ds.ref.size());
+    // One shard owns every code; its slice is the whole reference, so
+    // the table is the monolith.
+    EXPECT_EQ(plan.sliceOf(0), (TextSegment{0, 0, ds.ref.size()}));
 
     RouterConfig rcfg;
     rcfg.table = cfg;
@@ -241,26 +303,19 @@ TEST(ShardRouter, SingleShardDegeneratePlanEqualsMonolith)
 
 TEST(ShardRouter, TinyShardsFallBackToScanWorkers)
 {
-    // Many shards over a small reference with short context windows
-    // leave some shards under min_table_bases; those are served by
-    // segment scanning and must stay hit-identical to the monolith.
+    // A reference shorter than min_table_bases is served by scanning
+    // instead of an ExmaTable: every prefix shard shares the one scan
+    // text, and the hits must stay identical to the monolith. A tiny
+    // fixed-width plan gets one scan text per slice.
     Rng rng(99);
     std::vector<Base> ref(400);
     for (auto &b : ref)
         b = static_cast<Base>(rng.below(4));
     const u64 max_q = 4;
-    const auto plan = ShardPlan::kmerPrefix(ref, 32, max_q, 4);
     RouterConfig rcfg;
     rcfg.table = tableCfg(2);
-    const ShardRouter router(ref, plan, rcfg);
+    rcfg.min_table_bases = 512;
     const ExmaTable single(ref, tableCfg(2));
-
-    size_t scan_workers = 0;
-    for (size_t s = 0; s < router.shardCount(); ++s)
-        scan_workers += !router.replicaSet(s).hasTable() &&
-                        !router.replicaSet(s).isEmpty();
-    EXPECT_GT(scan_workers, 0u)
-        << "fixture no longer produces sub-threshold shards";
 
     std::vector<std::vector<Base>> qs;
     for (u64 i = 0; i + max_q <= ref.size(); i += 3)
@@ -269,30 +324,22 @@ TEST(ShardRouter, TinyShardsFallBackToScanWorkers)
     for (u64 len = 1; len <= 3; ++len)
         qs.emplace_back(ref.begin(),
                         ref.begin() + static_cast<std::ptrdiff_t>(len));
-    const RoutedResult r = router.search(qs);
-    for (size_t i = 0; i < qs.size(); ++i)
-        EXPECT_EQ(r.hits[i], singleTableHits(single, qs[i]))
-            << "query " << i;
-}
 
-TEST(ShardRouter, ForceBroadcastMatchesRoutedHitSet)
-{
-    const Dataset ds = makeDataset("human", 0.001);
-    const auto cfg = tableCfg(ds.exma_k);
-    const auto plan = ShardPlan::kmerPrefix(ds.ref, 4, kMaxQueryLen);
-    RouterConfig routed_cfg, bcast_cfg;
-    routed_cfg.table = cfg;
-    bcast_cfg.table = cfg;
-    bcast_cfg.force_broadcast = true;
-    const ShardRouter routed(ds.ref, plan, routed_cfg);
-    const ShardRouter bcast(ds.ref, plan, bcast_cfg);
-
-    const auto qs = queryMix(ds.ref, plan.prefixLen(), 42);
-    const RoutedResult a = routed.search(qs);
-    const RoutedResult b = bcast.search(qs);
-    EXPECT_EQ(b.broadcast_queries, qs.size());
-    for (size_t i = 0; i < qs.size(); ++i)
-        EXPECT_EQ(a.hits[i], b.hits[i]) << "query " << i;
+    for (const ShardPlan &plan :
+         {ShardPlan::kmerPrefix(ref, 32, max_q, 4),
+          ShardPlan::fixedWidth(ref.size(), 4, max_q)}) {
+        const ShardRouter router(ref, plan, rcfg);
+        EXPECT_EQ(router.totalRows(), 0u);
+        for (size_t s = 0; s < router.shardCount(); ++s) {
+            EXPECT_FALSE(router.replicaSet(s).hasTable()) << "shard " << s;
+            EXPECT_EQ(&router.shardScanRef(s),
+                      &router.shardScanRef(plan.textOf(s)));
+        }
+        const RoutedResult r = router.search(qs);
+        for (size_t i = 0; i < qs.size(); ++i)
+            EXPECT_EQ(r.hits[i], singleTableHits(single, qs[i]))
+                << "query " << i;
+    }
 }
 
 TEST(ShardRouter, TextPlanServesBroadcastThroughWorkers)

@@ -168,8 +168,7 @@ expectEveryCompletionRunsExactlyOnce(const MakeTransport &make)
 TEST(WorkerRobustness, EveryCompletionRunsExactlyOnce)
 {
     expectEveryCompletionRunsExactlyOnce([](const std::string &name) {
-        return std::make_unique<ShardWorker>(name, nullptr, nullptr,
-                                             nullptr);
+        return std::make_unique<ShardWorker>(name, ShardState{});
     });
 }
 
@@ -210,7 +209,7 @@ expectCompletionMaySubmitToItsOwnTransport(Transport &worker)
 
 TEST(WorkerRobustness, CompletionMaySubmitToItsOwnTransport)
 {
-    ShardWorker worker("w", nullptr, nullptr, nullptr);
+    ShardWorker worker("w", ShardState{});
     expectCompletionMaySubmitToItsOwnTransport(worker);
 }
 
@@ -231,7 +230,7 @@ TEST(WorkerRobustness, DestructionWithPendingInboxYieldsWorkerDown)
         FaultInjector::parseSpec("delay@w:ms=60000")));
     std::vector<std::future<WorkerResponse>> futs;
     {
-        ShardWorker worker("w", nullptr, nullptr, nullptr);
+        ShardWorker worker("w", ShardState{});
         for (int i = 0; i < 3; ++i)
             futs.push_back(worker.submit(requestFor(batch())));
         // Destructor runs with one request mid-sleep and two queued.
@@ -249,7 +248,7 @@ TEST(WorkerRobustness, ProcessThrowSurfacesAsFailedWithMessage)
 {
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("throw@w:nth=1")));
-    ShardWorker worker("w", nullptr, nullptr, nullptr);
+    ShardWorker worker("w", ShardState{});
 
     auto failing = worker.submit(requestFor(batch()));
     const WorkerResponse failed = resolved(failing);
@@ -292,7 +291,7 @@ expectKillFailsQueuedAndRefusesNewSubmissions(Transport &worker)
 
 TEST(WorkerRobustness, KillFailsQueuedAndRefusesNewSubmissions)
 {
-    ShardWorker worker("w", nullptr, nullptr, nullptr);
+    ShardWorker worker("w", ShardState{});
     expectKillFailsQueuedAndRefusesNewSubmissions(worker);
 }
 
@@ -319,7 +318,7 @@ expectServedRequestsAdvanceHeartbeatAndDrainDepth(Transport &worker)
 
 TEST(WorkerRobustness, ServedRequestsAdvanceHeartbeatAndDrainDepth)
 {
-    ShardWorker worker("w", nullptr, nullptr, nullptr);
+    ShardWorker worker("w", ShardState{});
     expectServedRequestsAdvanceHeartbeatAndDrainDepth(worker);
 }
 
@@ -333,7 +332,7 @@ TEST(WorkerRobustness, CanaryDetectsCorruptedResponse)
 {
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("corrupt@w:nth=1")));
-    ShardWorker worker("w", nullptr, nullptr, nullptr);
+    ShardWorker worker("w", ShardState{});
     auto fut = worker.submit(requestFor(batch()));
     const WorkerResponse r = resolved(fut);
     EXPECT_EQ(r.status, WorkerStatus::Ok)

@@ -29,15 +29,16 @@ paddedCode(const std::vector<Base> &ref, u64 g, int p)
     return c;
 }
 
-/** A text plan's segment map is each shard's own slice, unmoved. */
+/** A text plan's shards each have their own slice, unmoved, and so
+ *  their own text. */
 void
 expectOneSliceSegments(const ShardPlan &plan)
 {
     for (size_t i = 0; i < plan.size(); ++i) {
         const Shard &sh = plan.shards()[i];
-        EXPECT_EQ(plan.segmentsOf(i),
-                  (std::vector<TextSegment>{{sh.begin, 0, sh.length}}))
+        EXPECT_EQ(plan.sliceOf(i), (TextSegment{sh.begin, 0, sh.length}))
             << sh.name;
+        EXPECT_EQ(plan.textOf(i), i) << sh.name;
     }
 }
 
@@ -215,24 +216,21 @@ TEST(ShardPlan, KmerPrefixSegmentsCoverEveryOwnedWindow)
     const u64 max_q = 9;
     const auto plan = ShardPlan::kmerPrefix(ref, 4, max_q, 3);
 
+    // Every shard's text is the whole reference, shared with shard 0.
     for (size_t s = 0; s < plan.size(); ++s) {
-        if (!plan.segmentsOf(s).empty())
-            validateSegments(plan.segmentsOf(s), ref.size());
-        EXPECT_EQ(plan.shards()[s].length,
-                  segmentsLocalLength(plan.segmentsOf(s)));
+        EXPECT_EQ(plan.sliceOf(s), (TextSegment{0, 0, ref.size()}));
+        EXPECT_EQ(plan.textOf(s), 0u);
     }
 
     // Routing invariant: every position's full context window lies
-    // inside one segment of its owner's map, so any match starting
-    // there (length <= max_q) is findable in the owner shard.
+    // inside its owner's slice, so any match starting there (length
+    // <= max_q) is findable in the owner shard.
     for (u64 g = 0; g < ref.size(); ++g) {
-        const size_t s = plan.ownerOf(paddedCode(ref, g, 3));
+        const TextSegment seg =
+            plan.sliceOf(plan.ownerOf(paddedCode(ref, g, 3)));
         const u64 wend = std::min<u64>(ref.size(), g + max_q);
-        bool covered = false;
-        for (const TextSegment &seg : plan.segmentsOf(s))
-            covered |= seg.global_begin <= g && wend <= seg.global_end();
-        ASSERT_TRUE(covered)
-            << "window [" << g << ", " << wend << ") escapes shard " << s;
+        ASSERT_TRUE(seg.global_begin <= g && wend <= seg.global_end())
+            << "window [" << g << ", " << wend << ") escapes its owner";
     }
 }
 
@@ -276,16 +274,23 @@ TEST(ShardPlan, KmerPrefixAutoPrefixScalesWithShardCount)
 
 TEST(ShardPlan, KmerPrefixSkewedReferenceLeavesEmptyRanges)
 {
-    // All-A reference: one shard owns everything, the rest own code
-    // ranges with no occurrences — legal, with empty segment maps.
+    // All-A reference: one range owns every position, the rest own
+    // code ranges with no occurrences — legal. Every shard still holds
+    // the whole reference.
     const std::vector<Base> ref(300, 0);
     const auto plan = ShardPlan::kmerPrefix(ref, 4, 8, 2);
     ASSERT_EQ(plan.size(), 4u);
-    EXPECT_EQ(plan.segmentsOf(0).size(), 1u);
-    EXPECT_EQ(plan.segmentsOf(0)[0].length, 300u);
-    for (size_t s = 1; s < plan.size(); ++s) {
-        EXPECT_TRUE(plan.segmentsOf(s).empty()) << "shard " << s;
-        EXPECT_EQ(plan.shards()[s].length, 0u);
+    // Every position's code is 0 (AA), owned by shard 0; the balanced
+    // cut jumps past every other target at that code.
+    EXPECT_EQ(plan.ownerOf(0), 0u);
+    for (size_t s = 1; s < plan.size(); ++s)
+        EXPECT_FALSE(plan.prefixRanges()[s].contains(0)) << "shard " << s;
+    EXPECT_TRUE(plan.prefixRanges()[1].empty());
+    EXPECT_TRUE(plan.prefixRanges()[2].empty());
+    for (size_t s = 0; s < plan.size(); ++s) {
+        EXPECT_EQ(plan.sliceOf(s), (TextSegment{0, 0, 300})) << "shard "
+                                                             << s;
+        EXPECT_EQ(plan.textOf(s), 0u);
     }
     // ownerOf still resolves every code despite the empty ranges.
     for (Kmer c = 0; c < kmerSpace(2); ++c)

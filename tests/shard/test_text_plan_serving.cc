@@ -162,10 +162,9 @@ TEST(ShardedExmaTable, OneShardEqualsSingleTableStats)
     const ExmaTable single(ds.ref, cfg);
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 1, kMaxQueryLen);
     ASSERT_EQ(plan.size(), 1u);
-    // The one shard's segment map is the whole reference in one slice,
-    // so its table is the monolith.
-    ASSERT_EQ(plan.segmentsOf(0).size(), 1u);
-    EXPECT_EQ(plan.segmentsOf(0)[0].length, ds.ref.size());
+    // The one shard's slice is the whole reference, so its table is
+    // the monolith.
+    EXPECT_EQ(plan.sliceOf(0), (TextSegment{0, 0, ds.ref.size()}));
     const ShardRouter router(ds.ref, plan, routerCfg(cfg));
     EXPECT_EQ(router.totalLocalBases(), ds.ref.size());
 

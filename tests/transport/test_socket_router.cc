@@ -1,9 +1,8 @@
 // The routed serving tier over real worker processes: a ShardRouter
 // with the socket transport must answer bit-identically — hits AND
 // stats — to the in-process router and the monolithic table, across
-// shard counts, shard states (table / scan / empty), and the
-// loadIndex path where workers mmap the same persisted files the
-// parent serves from.
+// shard counts, shard states (table / scan), and the loadIndex path
+// where workers mmap the same persisted files the parent serves from.
 
 #include <gtest/gtest.h>
 
@@ -47,7 +46,7 @@ singleTableHits(const ExmaTable &table, const std::vector<Base> &query)
 }
 
 /** Reference substrings (hits), random probes (mostly misses), and
- *  sub-prefix queries that exercise the broadcast path. */
+ *  sub-prefix queries whose padded ranges may straddle a cut. */
 std::vector<std::vector<Base>>
 queryMix(const std::vector<Base> &ref, int prefix_len, u64 seed)
 {
@@ -124,11 +123,13 @@ TEST(SocketRouter, RoutedHitsAndStatsMatchInProcessAndMonolith)
 
 TEST(SocketRouter, ScanAndEmptyShardsServeOverTheWire)
 {
-    // Many shards over a tiny two-letter reference: every shard falls
-    // under min_table_bases (scan workers), and the skewed alphabet
-    // leaves 4-mer codes containing C/G unowned, so the balanced cut
-    // jumps past several targets at once and strands empty ranges
-    // (empty workers). Both states must serve through exma-worker.
+    // Many shards over a tiny two-letter reference below
+    // min_table_bases: every shard is a scan worker over the one
+    // shared scan text, which each exma-worker loads from the first
+    // shard's stem. The skewed alphabet leaves 4-mer codes containing
+    // G/T unowned, so the balanced cut strands empty prefix ranges;
+    // queries with those prefixes route to a neighbouring shard and
+    // come back hitless.
     Rng rng(99);
     std::vector<Base> ref(400);
     for (auto &b : ref)
@@ -137,19 +138,17 @@ TEST(SocketRouter, ScanAndEmptyShardsServeOverTheWire)
     const auto plan = ShardPlan::kmerPrefix(ref, 32, max_q, 4);
     RouterConfig rcfg;
     rcfg.table = tableCfg(2);
+    rcfg.min_table_bases = 512;
     rcfg.transport.kind = TransportKind::Socket;
     const ShardRouter router(ref, plan, rcfg);
     const ExmaTable single(ref, tableCfg(2));
 
-    size_t scan_workers = 0, empty_workers = 0;
-    for (size_t s = 0; s < router.shardCount(); ++s) {
-        scan_workers += !router.replicaSet(s).hasTable() &&
-                        !router.replicaSet(s).isEmpty();
-        empty_workers += router.replicaSet(s).isEmpty();
-    }
-    EXPECT_GT(scan_workers, 0u)
-        << "fixture no longer produces sub-threshold shards";
-    EXPECT_GT(empty_workers, 0u);
+    for (size_t s = 0; s < router.shardCount(); ++s)
+        EXPECT_FALSE(router.replicaSet(s).hasTable()) << "shard " << s;
+    size_t empty_ranges = 0;
+    for (const PrefixRange &r : plan.prefixRanges())
+        empty_ranges += r.empty();
+    EXPECT_GT(empty_ranges, 0u);
 
     std::vector<std::vector<Base>> qs;
     for (u64 i = 0; i + max_q <= ref.size(); i += 3)
@@ -159,11 +158,13 @@ TEST(SocketRouter, ScanAndEmptyShardsServeOverTheWire)
     for (u64 len = 1; len <= 3; ++len)
         qs.emplace_back(ref.begin(),
                         ref.begin() + static_cast<std::ptrdiff_t>(len));
+    qs.push_back({3, 2, 3, 2}); // TGTG: an unowned prefix
     const RoutedResult r = router.search(qs);
     EXPECT_EQ(r.degraded_queries, 0u);
     for (size_t i = 0; i < qs.size(); ++i)
         EXPECT_EQ(r.hits[i], singleTableHits(single, qs[i]))
             << "query " << i;
+    EXPECT_TRUE(r.hits.back().empty());
 }
 
 /** Scoped EXMA_TRANSPORT override (the env knob Auto resolves from). */
@@ -189,6 +190,13 @@ TEST(SocketRouter, LoadedIndexServesWorkersFromItsOwnDirectory)
         fs::temp_directory_path() /
         ("exma-socket-router-" + std::to_string(::getpid()));
     saveIndex(built, dir.string());
+    // One table on disk: every shard's stem links shard 0's files.
+    for (size_t s = 1; s < plan.size(); ++s)
+        for (const char *ext : {kExtPac, kExtOcc, kExtSa})
+            EXPECT_TRUE(
+                fs::equivalent(io_detail::shardStem(dir.string(), 0) + ext,
+                               io_detail::shardStem(dir.string(), s) + ext))
+                << "shard " << s << ext;
 
     const auto qs = queryMix(ds.ref, plan.prefixLen(), 21);
     const RoutedResult expect = built.search(qs);
@@ -202,6 +210,8 @@ TEST(SocketRouter, LoadedIndexServesWorkersFromItsOwnDirectory)
         ASSERT_EQ(loaded.kind, IndexKind::Routed);
         ASSERT_NE(loaded.router, nullptr);
         EXPECT_EQ(loaded.router->transportKind(), TransportKind::Socket);
+        EXPECT_EQ(loaded.files.size(), 3u) << "one table, mapped once";
+        EXPECT_EQ(loaded.router->totalRows(), ds.ref.size() + 1);
 
         const RoutedResult got = loaded.router->search(qs);
         EXPECT_EQ(got.degraded_queries, 0u);

@@ -26,11 +26,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** A persisted scan shard (text + segment map) in an owned temp dir. */
+/** A persisted scan shard (text + slice) in an owned temp dir. */
 struct ScanFixture
 {
     std::vector<Base> text;
-    std::vector<TextSegment> segments;
+    TextSegment slice;
     fs::path dir;
     std::string stem;
 
@@ -43,7 +43,7 @@ struct ScanFixture
                    1442695040888963407ULL;
             b = static_cast<Base>(seed >> 62);
         }
-        segments = {{100, 0, 300}, {500, 300, 212}};
+        slice = {100, 0, 512};
 
         static int instance = 0;
         dir = fs::temp_directory_path() /
@@ -51,7 +51,7 @@ struct ScanFixture
                std::to_string(instance++));
         fs::create_directories(dir);
         stem = (dir / "shard0000").string();
-        saveScanFiles(text, segments, stem);
+        saveScanFiles(text, slice, stem);
     }
 
     ~ScanFixture()
@@ -109,7 +109,7 @@ TEST(SocketTransport, ScanShardMatchesInProcessWorkerBitForBit)
     const ScanFixture fx;
     const auto queries = fx.queries();
 
-    ShardWorker oracle("oracle", nullptr, &fx.text, &fx.segments);
+    ShardWorker oracle("oracle", {nullptr, &fx.text, fx.slice.global_begin});
     auto oracle_fut = oracle.submit(requestFor(queries));
     const WorkerResponse expect = resolved(oracle_fut);
     ASSERT_EQ(expect.status, WorkerStatus::Ok);

@@ -12,12 +12,14 @@
  *
  * `build` constructs the index in memory (synthetic dataset at the
  * given scale, or a real FASTA) and saves it; `info` loads an index
- * and prints its shape and load time; `verify` rebuilds the same index
- * fresh, loads the saved one, and differentially checks that both
- * return identical hit sets on reference-sampled queries — the CLI
- * face of the tests/io round-trip suite, used by the CI index-format
- * job. Timings print as `key=value` lines and, with --json, land in a
- * flat JSON object (table_build_s / index_save_s / index_load_s).
+ * and prints its shape (`tables=` counts distinct tables: 1 for a
+ * mono or kmerPrefix-routed index) and load time; `verify` rebuilds
+ * the same index fresh, loads the saved one, and differentially
+ * checks that both return identical hit sets on reference-sampled
+ * queries — the CLI face of the tests/io round-trip suite, used by the
+ * CI index-format job. Timings print as `key=value` lines and, with
+ * --json, land in a flat JSON object (table_build_s / index_save_s /
+ * index_load_s).
  * Malformed or out-of-range arguments exit 2 with a usage message
  * naming the flag; a load error exits 1.
  */
@@ -31,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -332,12 +335,17 @@ cmdInfo(const Options &opt)
     std::cout << "kind=" << kindName(idx.loaded.kind) << "\n";
     if (idx.loaded.table != nullptr) {
         std::cout << "k=" << idx.loaded.table->k()
-                  << " rows=" << idx.loaded.table->rows() << "\n";
+                  << " rows=" << idx.loaded.table->rows() << " tables=1\n";
     } else {
-        std::cout << "shards=" << idx.loaded.router->shardCount()
-                  << " rows=" << idx.loaded.router->totalRows()
-                  << " prefix_len=" << idx.loaded.router->plan().prefixLen()
-                  << "\n";
+        const ShardRouter &router = *idx.loaded.router;
+        std::set<const ExmaTable *> tables;
+        for (size_t s = 0; s < router.shardCount(); ++s)
+            if (router.shardTable(s) != nullptr)
+                tables.insert(router.shardTable(s));
+        std::cout << "shards=" << router.shardCount()
+                  << " rows=" << router.totalRows()
+                  << " prefix_len=" << router.plan().prefixLen()
+                  << " tables=" << tables.size() << "\n";
     }
     metrics.save(opt.json);
     return 0;

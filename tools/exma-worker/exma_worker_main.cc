@@ -22,6 +22,7 @@
  */
 
 #include <charconv>
+#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -56,11 +57,16 @@ parseFd(const std::string &v)
     return ec == std::errc{} && stop == end && fd >= 0 ? fd : -1;
 }
 
+/** Least time between two heartbeat frames of one request. */
+constexpr auto kHeartbeatEvery = std::chrono::milliseconds(20);
+
 /**
  * Serve requests off @p fd until the peer closes the stream.
- * Heartbeat frames ride between request and response (throttled — the
- * router only needs to see *movement*, not every chunk) so the
- * supervisor can tell a slow batch from a hung process.
+ * Heartbeat frames ride between request and response so the
+ * supervisor can tell a slow batch from a hung process. They are
+ * throttled by time, not by tick count — the router only needs to see
+ * *movement* — so a slow request sends one every kHeartbeatEvery
+ * however few progress ticks it makes.
  */
 int
 serveLoop(int fd, const ShardState &st)
@@ -76,10 +82,13 @@ serveLoop(int fd, const ShardState &st)
         WorkerResponse resp;
         try {
             const WorkerRequest req = decodeRequest(frame.body, fd);
-            u64 ticks = 0;
+            auto last = std::chrono::steady_clock::now();
             resp = serveShardRequest(st, req, [&] {
-                if (++ticks % 64 == 0)
-                    writeFrame(fd, kFrameHeartbeat, frame.header.seq, {});
+                const auto now = std::chrono::steady_clock::now();
+                if (now - last < kHeartbeatEvery)
+                    return;
+                last = now;
+                writeFrame(fd, kFrameHeartbeat, frame.header.seq, {});
             });
         } catch (const TransportError &e) {
             // The frame decoded as no valid request. Answer Failed so
@@ -144,7 +153,7 @@ main(int argc, char **argv)
         } else if (state == "scan") {
             scan = loadScanFiles(stem);
             st.scan_ref = &scan.text;
-            st.segments = &scan.segments;
+            st.scan_begin = scan.slice.global_begin;
         }
         validateShardState(name, st);
         return serveLoop(fd, st);
