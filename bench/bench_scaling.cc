@@ -340,12 +340,12 @@ main(int argc, char **argv)
                  "batch. The soak variant lives in bench_failover.)\n";
 
     // ------------------------------------------------------------------
-    // Index persistence: save the monolithic table's .exma.* companion
-    // files once, mmap-load them back, and record load-vs-build cost.
-    // With EXMA_INDEX_DIR naming an already-populated directory (CI
-    // restores one from cache), the save is skipped and the bench
-    // measures the load path alone — starting a worker from files
-    // instead of rebuilding.
+    // Index persistence: save a 1-shard kmerPrefix router (the index
+    // `exma-index build` writes by default) once, mmap-load it back,
+    // and record load-vs-build cost. With EXMA_INDEX_DIR naming an
+    // already-populated directory (CI restores one from cache), the
+    // build and save are skipped and the bench measures the load path
+    // alone — starting a worker from files instead of rebuilding.
     // ------------------------------------------------------------------
     bench::banner("Index persistence",
                   "persistent .exma.* save + mmap load (human dataset)");
@@ -359,8 +359,12 @@ main(int argc, char **argv)
     double index_save_s = 0.0;
     if (!std::filesystem::exists(std::filesystem::path(index_dir) /
                                  kManifestName)) {
+        RouterConfig icfg;
+        icfg.table = bench::exmaConfig(ds, OccIndexMode::Mtl);
+        const ShardRouter router(
+            ds.ref, ShardPlan::kmerPrefix(ds.ref, 1, query_len), icfg);
         const auto t0 = std::chrono::steady_clock::now();
-        saveIndex(table, ds.ref, index_dir);
+        saveIndex(router, index_dir);
         index_save_s = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
@@ -370,18 +374,10 @@ main(int argc, char **argv)
     const double load_ratio =
         table_build_s > 0.0 ? index_load_s / table_build_s : 0.0;
 
-    // Differential: the loaded index (whatever its layout) must serve
-    // the ground-truth hit set of the freshly built table.
-    std::vector<std::vector<u64>> loaded_hits;
-    if (loaded.kind == IndexKind::Mono) {
-        loaded_hits.reserve(queries.size());
-        for (const auto &q : queries)
-            loaded_hits.push_back(loaded.table->locateAllGlobal(
-                loaded.table->search(q), q.size()));
-    } else {
-        loaded_hits = loaded.router->search(queries).hits;
-    }
-    const bool load_match = loaded_hits == expect_hits;
+    // Differential: the loaded index must serve the ground-truth hit
+    // set of the freshly built table.
+    const bool load_match =
+        loaded.router->search(queries).hits == expect_hits;
 
     bench::note("table_build_s", table_build_s);
     bench::note("index_save_s", index_save_s);

@@ -37,27 +37,22 @@ namespace {
 constexpr size_t kLocateSlice = 4096;
 
 /**
- * Resolve one searched chunk's intervals to hit lists. The rows the
- * chunk needs go on rings of LF walks (ExmaTable::locateRows) of up to
- * kLocateSlice rows, with a @p progress tick after each, so a chunk
- * whose short queries locate thousands of hits still shows movement;
- * then each query's share is finished by ExmaTable::globalHits.
- * Whole-reference tables locate only the first @p limit rows of an
- * interval (BatchConfig::locate_limit); slice tables locate every row
- * and keep the lowest @p limit global positions.
+ * Resolve one searched chunk's intervals to hit lists. Every row the
+ * chunk's intervals hold goes on rings of LF walks
+ * (ExmaTable::locateRows) of up to kLocateSlice rows, with a
+ * @p progress tick after each, so a chunk whose short queries locate
+ * thousands of hits still shows movement; then each query's share is
+ * finished by ExmaTable::globalHits, which keeps the lowest @p limit
+ * global positions.
  */
 void
 locateChunk(const ExmaTable &table, std::span<const Interval> ivs,
             u64 limit, std::span<std::vector<u64>> hits,
             const std::function<void()> &progress)
 {
-    auto rowsOf = [&](const Interval &iv) {
-        return table.segmented() ? iv.count()
-                                 : std::min(iv.count(), limit);
-    };
     std::vector<u64> rows;
     for (const Interval &iv : ivs)
-        for (u64 r = iv.low, e = iv.low + rowsOf(iv); r < e; ++r)
+        for (u64 r = iv.low; r < iv.high; ++r)
             rows.push_back(r);
     for (size_t at = 0; at < rows.size(); at += kLocateSlice) {
         table.locateRows(std::span(rows).subspan(
@@ -67,7 +62,7 @@ locateChunk(const ExmaTable &table, std::span<const Interval> ivs,
     }
     auto first = rows.begin();
     for (size_t j = 0; j < ivs.size(); ++j) {
-        const auto last = first + static_cast<std::ptrdiff_t>(rowsOf(ivs[j]));
+        const auto last = first + static_cast<std::ptrdiff_t>(ivs[j].count());
         hits[j].assign(first, last);
         first = last;
         table.globalHits(hits[j], limit);

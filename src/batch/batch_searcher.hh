@@ -62,26 +62,18 @@ struct BatchConfig
     /** Record per-query SearchStats too (costs one vector of stats). */
     bool per_query_stats = false;
     /**
-     * Also resolve each query's interval to text positions
-     * (BatchResult::positions, sorted ascending). This is what sharded
-     * serving needs: row intervals of different shard tables are not
-     * comparable, text positions are. Slice tables
-     * (ExmaTable::segmented()) report global coordinates, as
-     * locateAllGlobal does.
+     * Also resolve each query's interval to global text positions
+     * (BatchResult::positions, sorted ascending), as locateAllGlobal
+     * does. This is what sharded serving needs: row intervals of
+     * different shard tables are not comparable, text positions are.
      */
     bool locate = false;
     /**
-     * Cap on located positions per query; 0 = unlimited. Which hits
-     * survive depends on the table:
-     *  - contiguous tables keep the first `locate_limit` occurrences in
-     *    suffix-array row order — the usual FM-index "report up to N"
-     *    idiom — then sort them, so the kept subset is index-dependent;
-     *  - slice tables (ExmaTable::segmented()) locate every row and
-     *    keep the lowest `locate_limit` global positions
-     *    (ExmaTable::locateAllGlobal).
-     * Callers needing the lowest N text positions of a whole reference
-     * should use ShardRouter::search, whose cap applies globally after
-     * the cross-shard merge.
+     * Cap on located positions per query; 0 = unlimited. Every row of
+     * an interval is located and the lowest `locate_limit` global
+     * positions are kept (ExmaTable::locateAllGlobal), so the kept
+     * subset does not depend on the index. ShardRouter::search applies
+     * its cap after the cross-shard merge instead.
      */
     u64 locate_limit = 0;
 };

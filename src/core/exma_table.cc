@@ -10,18 +10,25 @@
 
 namespace exma {
 
-ExmaTable::ExmaTable(const std::vector<Base> &ref, const Config &cfg)
-    : cfg_(cfg)
-{
-    build(ref);
-}
-
 ExmaTable::ExmaTable(const std::vector<Base> &ref, TextSegment slice,
                      const Config &cfg)
     : cfg_(cfg), slice_(slice)
 {
-    validateSegment(slice, ref.size());
-    build(extractSegment(ref, slice));
+    exma_assert(sliceFits(slice, ref.size()),
+                "text slice of %llu bases at %llu does not fit the "
+                "%llu-base reference",
+                (unsigned long long)slice.length,
+                (unsigned long long)slice.global_begin,
+                (unsigned long long)ref.size());
+    if (slice.length == ref.size())
+        build(ref);
+    else
+        build(extractSegment(ref, slice));
+}
+
+ExmaTable::ExmaTable(const std::vector<Base> &ref, const Config &cfg)
+    : ExmaTable(ref, TextSegment{0, ref.size()}, cfg)
+{
 }
 
 ExmaTable::ExmaTable(Parts parts) : cfg_(parts.cfg), slice_(parts.slice)
@@ -78,9 +85,8 @@ ExmaTable::locateAllGlobal(const Interval &iv, u64 /*query_len*/,
 void
 ExmaTable::globalHits(std::vector<u64> &located, u64 limit) const
 {
-    if (slice_)
-        for (u64 &pos : located)
-            pos += slice_->global_begin;
+    for (u64 &pos : located)
+        pos += slice_.global_begin;
     std::sort(located.begin(), located.end());
     if (located.size() > limit)
         located.resize(limit);

@@ -29,10 +29,11 @@
  * which no caller knows better. Locating works the same way, as one
  * ring of LF walks over a list of rows (locateRows).
  *
- * A table covers either the whole reference or one slice of it (a
- * text shard's stride or record); a slice table reports global
- * positions by adding the slice's first position. Every shard of a
- * kmerPrefix plan shares one whole-reference table.
+ * Every table covers one slice of the reference (core/text_segments.hh):
+ * a text shard's stride or record, or the whole reference [0, n), which
+ * every shard of a kmerPrefix plan shares. Search intervals are local
+ * to the slice, and hits are reported as global positions by adding the
+ * slice's first position.
  */
 
 #ifndef EXMA_CORE_EXMA_TABLE_HH
@@ -74,18 +75,17 @@ class ExmaTable
         FmIndex::Config fm;
     };
 
-    /** Build everything (suffix array computed once and shared). */
-    ExmaTable(const std::vector<Base> &ref, const Config &cfg);
-
     /**
-     * Slice build: construct the table over the global slice @p slice
-     * of @p ref (see core/text_segments.hh). Search intervals are
-     * local to the slice; globalHits() and locateAllGlobal() add the
-     * slice's first position to report global coordinates. This is
-     * how a shard gets an ExmaTable of its own.
+     * Build everything over the global slice @p slice of @p ref (suffix
+     * array computed once and shared). The slice must fit the
+     * reference; one that covers all of it is built in place, any
+     * other from a copy of its bases.
      */
     ExmaTable(const std::vector<Base> &ref, TextSegment slice,
               const Config &cfg);
+
+    /** Whole-reference build: the slice [0, n), with no copy of @p ref. */
+    ExmaTable(const std::vector<Base> &ref, const Config &cfg);
 
     /**
      * Serialized parts of a whole table (src/io/index_io.cc): the
@@ -96,7 +96,7 @@ class ExmaTable
     struct Parts
     {
         Config cfg;
-        std::optional<TextSegment> slice;
+        TextSegment slice;
         FmIndex::Restored fm;
         KmerOccTable::Restored occ;
         std::optional<MtlIndex::Restored> mtl;
@@ -162,9 +162,10 @@ class ExmaTable
                 std::span<SearchStats> stats) const;
 
     /**
-     * Text positions of up to @p limit occurrences in a search
-     * interval (via the FM-Index SA samples), in row order. Sharded
-     * serving translates these into global reference coordinates.
+     * Local text positions of up to @p limit occurrences in a search
+     * interval (via the FM-Index SA samples): the interval's first
+     * @p limit rows, in row order. Serving paths use locateAllGlobal()
+     * or locateRows() + globalHits() instead.
      */
     std::vector<u64>
     locateAll(const Interval &iv, u64 limit = ~u64{0}) const
@@ -182,25 +183,21 @@ class ExmaTable
 
     /**
      * Finish one interval's located rows (local positions, any order)
-     * as its hit list: moved to global coordinates (slice tables
-     * only), sorted ascending, and cut to the lowest @p limit
-     * positions.
+     * as its hit list: moved to global coordinates, sorted ascending,
+     * and cut to the lowest @p limit positions.
      */
     void globalHits(std::vector<u64> &located, u64 limit) const;
 
-    /** Whether this table was built over a slice of a larger text. */
-    bool segmented() const { return slice_.has_value(); }
-
-    /** The slice (empty for whole-reference builds). */
-    const std::optional<TextSegment> &slice() const { return slice_; }
+    /** The slice of the reference this table covers. */
+    const TextSegment &slice() const { return slice_; }
 
     /**
      * Global text positions of a search interval's occurrences, sorted
      * ascending: every occurrence is located, moved to global
      * coordinates, and @p limit then keeps the lowest @p limit
      * positions. Equals locateAll(iv) finished by globalHits().
-     * @p query_len is unused: a slice table holds no seam a match
-     * could cross, so no hit is filtered.
+     * @p query_len is unused: a table holds no seam a match could
+     * cross, so no hit is filtered.
      */
     std::vector<u64> locateAllGlobal(const Interval &iv, u64 query_len,
                                      u64 limit = ~u64{0}) const;
@@ -253,7 +250,7 @@ class ExmaTable
     void build(const std::vector<Base> &ref);
 
     Config cfg_;
-    std::optional<TextSegment> slice_; ///< empty for whole-reference builds
+    TextSegment slice_;
     std::unique_ptr<FmIndex> fm_;
     std::unique_ptr<KmerOccTable> occ_;
     std::unique_ptr<MtlIndex> mtl_;

@@ -1,8 +1,9 @@
 /**
  * @file
- * The one-slice geometry of a shard's text: an ExmaTable (or a scan
- * shard) built over a contiguous slice of the global reference reports
- * hits in global coordinates by adding the slice's first position.
+ * The one-slice geometry of a table's text: an ExmaTable (or a scan
+ * shard) covers one contiguous slice of the global reference and
+ * reports hits in global coordinates by adding the slice's first
+ * position. A whole-reference table is the slice [0, n).
  *
  * Every shard of every ShardPlan is one slice. A text plan's shard is
  * its stride or record; a k-mer-prefix shard is the whole reference,
@@ -10,10 +11,6 @@
  * which queries the router sends them. A table built over a slice
  * cannot report a match that runs past the slice's end, so no hit
  * needs filtering.
- *
- * TextSegment keeps the three-field on-disk layout of the `.pac`
- * file's segment section (io/format_abi.lock), which now holds exactly
- * one slice, with local_begin always 0.
  */
 
 #ifndef EXMA_CORE_TEXT_SEGMENTS_HH
@@ -26,11 +23,10 @@
 
 namespace exma {
 
-/** One contiguous global slice: the text a shard's table covers. */
+/** One contiguous global slice: the text a table covers. */
 struct TextSegment
 {
     u64 global_begin = 0; ///< first base in the global reference
-    u64 local_begin = 0;  ///< always 0: the slice is the whole local text
     u64 length = 0;       ///< slice length in bases
 
     u64 global_end() const { return global_begin + length; }
@@ -38,11 +34,11 @@ struct TextSegment
 };
 
 /**
- * Check that @p slice is a well-formed slice of a @p ref_len-base
- * reference: non-empty, local_begin 0, and within [0, ref_len).
- * Panics on violation.
+ * Whether @p slice is a well-formed slice of a @p ref_len-base
+ * reference: non-empty and within [0, ref_len). Overflow-safe, so a
+ * slice read from a file can be checked before anything sums it.
  */
-void validateSegment(const TextSegment &slice, u64 ref_len);
+bool sliceFits(const TextSegment &slice, u64 ref_len);
 
 /** Copy the bases of @p slice out of @p ref. */
 std::vector<Base> extractSegment(const std::vector<Base> &ref,

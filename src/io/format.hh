@@ -44,7 +44,7 @@
 namespace exma {
 
 /** Bumped on any on-disk layout change (see the policy above). */
-constexpr u32 kFormatVersion = 2;
+constexpr u32 kFormatVersion = 3;
 
 /** Value of FileHeader::endian on a little-endian writer. */
 constexpr u32 kEndianTag = 0x01020304;
@@ -307,11 +307,28 @@ class BlobReader
         getRaw(&v, sizeof(v));
         return v;
     }
+    /**
+     * An element count, for a sequence whose elements each take at
+     * least @p min_elem_bytes of the blob. A count the remaining bytes
+     * cannot hold throws before any container is sized, and the check
+     * divides rather than multiplies, so no count can wrap it.
+     */
+    u64
+    getCount(u64 min_elem_bytes)
+    {
+        const u64 n = getU64();
+        if (n > (bytes_.size() - pos_) / min_elem_bytes)
+            throw LoadError(context() + ": count " + std::to_string(n) +
+                            " of " + std::to_string(min_elem_bytes) +
+                            "-byte elements overruns the " +
+                            std::to_string(bytes_.size() - pos_) +
+                            " bytes left");
+        return n;
+    }
     std::string
     getString()
     {
-        const u64 n = getU64();
-        checkRemaining(n);
+        const u64 n = getCount(1);
         std::string s(reinterpret_cast<const char *>(bytes_.data()) + // NOLINT(cppcoreguidelines-pro-type-reinterpret-cast)
                           pos_,
                       n);
@@ -321,8 +338,7 @@ class BlobReader
     std::vector<double>
     getF64Array()
     {
-        const u64 n = getU64();
-        checkRemaining(n * sizeof(double));
+        const u64 n = getCount(sizeof(double));
         std::vector<double> v(n);
         if (n > 0)
             std::memcpy(v.data(), bytes_.data() + pos_,

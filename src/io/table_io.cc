@@ -123,7 +123,7 @@ static_assert(sizeof(u32) == 4);
 static_assert(std::is_trivially_copyable_v<u32>);
 static_assert(sizeof(u64) == 8);
 static_assert(std::is_trivially_copyable_v<u64>);
-static_assert(sizeof(TextSegment) == 24);
+static_assert(sizeof(TextSegment) == 16);
 static_assert(std::is_trivially_copyable_v<TextSegment>);
 static_assert(sizeof(PackedRank::Block) == 32);
 static_assert(std::is_trivially_copyable_v<PackedRank::Block>);
@@ -132,9 +132,9 @@ static_assert(std::is_trivially_copyable_v<ClampedLeaf>);
 
 // Section tags. Per-file namespaces; a tag's meaning never changes
 // within a format version.
-constexpr u32 kPacMeta = 1;     ///< config echo + text geometry blob
-constexpr u32 kPacSegments = 2; ///< TextSegment[]
-constexpr u32 kPacText = 3;     ///< 2-bit packed local text, u64[]
+constexpr u32 kPacMeta = 1;     ///< config echo blob
+constexpr u32 kPacSegments = 2; ///< TextSegment[1]: the covered slice
+constexpr u32 kPacText = 3;     ///< scan shards: 2-bit slice text, u64[]
 
 constexpr u32 kOccMeta = 1;      ///< k/rows/sentinels blob
 constexpr u32 kOccBases = 2;     ///< base pointers, u32[4^k + 1]
@@ -147,6 +147,14 @@ constexpr u32 kSaRankBlocks = 2; ///< PackedRank::Block[]
 constexpr u32 kSaValues = 3;     ///< sampled SA values, u32[]
 constexpr u32 kSaBvWords = 4;    ///< sampled-row bit vector words, u64[]
 constexpr u32 kSaBvSuper = 5;    ///< bit vector rank checkpoints, u64[]
+
+// Fewest blob bytes one element of each counted metadata sequence
+// takes (BlobReader::getCount): the sum of its fixed-width fields.
+constexpr u64 kMlpMinBytes = 2 * 4 + 4 * 8;        ///< putMlp
+constexpr u64 kKmerLeavesBytes = 8 + 3 * 4;        ///< an MTL k-mer entry
+constexpr u64 kLeafBytes = 4 * 8;                  ///< putLeaves
+constexpr u64 kNaiveModelMinBytes = 4 * 4 + 10 * 8; ///< putNaiveModel
+constexpr u64 kSentinelWindowBytes = 8 + 4;        ///< code, row
 
 // --- learned models -----------------------------------------------------
 
@@ -185,7 +193,7 @@ putMtlModel(FileBuilder &fb, const MtlIndex &mtl)
     BlobWriter w;
     for (const int m : mtl.classModel())
         w.putI32(m);
-    w.putU32(static_cast<u32>(mtl.sharedMlps().size()));
+    w.putU64(mtl.sharedMlps().size());
     for (const Mlp &m : mtl.sharedMlps())
         putMlp(w, m);
     // The k-mer -> leaf-range map lives in an unordered_map; serialize
@@ -215,11 +223,11 @@ getMtlModel(const FileView &view, const MtlIndex::Config &cfg,
     BlobReader r(blob, what + " (MTL model)");
     for (int &m : parts.class_model)
         m = r.getI32();
-    const u32 n_mlps = r.getU32();
+    const u64 n_mlps = r.getCount(kMlpMinBytes);
     parts.mlps.reserve(n_mlps);
-    for (u32 i = 0; i < n_mlps; ++i)
+    for (u64 i = 0; i < n_mlps; ++i)
         parts.mlps.push_back(getMlp(r));
-    const u64 n_kmers = r.getU64();
+    const u64 n_kmers = r.getCount(kKmerLeavesBytes);
     parts.kmers.reserve(n_kmers);
     for (u64 i = 0; i < n_kmers; ++i) {
         const Kmer code = r.getU64();
@@ -250,7 +258,7 @@ putLeaves(BlobWriter &w, std::span<const ClampedLeaf> leaves)
 std::vector<ClampedLeaf>
 getLeaves(BlobReader &r)
 {
-    const u64 n = r.getU64();
+    const u64 n = r.getCount(kLeafBytes);
     std::vector<ClampedLeaf> leaves(n);
     for (u64 i = 0; i < n; ++i) {
         leaves[i].model.w = r.getF64();
@@ -300,7 +308,7 @@ getNaiveModel(const FileView &view, const std::string &what)
 {
     const std::vector<u8> blob = view.readBlob(kOccModelMeta);
     BlobReader r(blob, what + " (naive model)");
-    const u64 n = r.getU64();
+    const u64 n = r.getCount(kNaiveModelMinBytes);
     std::vector<std::pair<Kmer, Rmi<u32>::Parts>> models;
     models.reserve(n);
     for (u64 i = 0; i < n; ++i) {
@@ -340,7 +348,7 @@ packText(std::span<const Base> text)
 std::vector<Base>
 unpackText(std::span<const u64> words, u64 n, const std::string &what)
 {
-    if (words.size() != (n + 31) / 32)
+    if (words.size() != n / 32 + (n % 32 != 0 ? 1 : 0))
         throw LoadError(what + ": packed text holds " +
                         std::to_string(words.size()) + " words for " +
                         std::to_string(n) + " bases");
@@ -350,33 +358,32 @@ unpackText(std::span<const u64> words, u64 n, const std::string &what)
     return text;
 }
 
+/** The one slice a `.pac` file covers; any other count is a defect. */
+TextSegment
+oneSlice(const FileView &pac, const std::string &what)
+{
+    const auto segs = pac.viewArray<TextSegment>(kPacSegments);
+    if (segs.size() != 1)
+        throw LoadError(what + ": " + std::to_string(segs.size()) +
+                        " text slices, a table or scan shard covers "
+                        "exactly one");
+    return segs[0];
+}
+
 } // namespace
 
 // --- single-table companion files ---------------------------------------
 
 void
-saveTableFiles(const ExmaTable &table, const std::string &stem,
-               std::span<const Base> local_text)
+saveTableFiles(const ExmaTable &table, const std::string &stem)
 {
-    const u64 local_len = table.rows() - 1;
-    exma_assert(local_text.empty() || local_text.size() == local_len,
-                "text echo holds %zu bases, the table covers %llu",
-                local_text.size(), (unsigned long long)local_len);
-
     { // .exma.pac
         FileBuilder fb(kMagicPac);
         BlobWriter w;
         io_detail::putTableConfig(w, table.config());
-        w.putU64(local_len);
-        w.putU32(local_text.empty() ? 0 : 1);
         writeBlob(fb, kPacMeta, w);
-        fb.writeArray<TextSegment>(
-            kPacSegments, table.slice() ? std::span(&*table.slice(), 1)
-                                        : std::span<const TextSegment>{});
-        if (!local_text.empty()) {
-            const std::vector<u64> words = packText(local_text);
-            fb.writeArray<u64>(kPacText, words);
-        }
+        fb.writeArray<TextSegment>(kPacSegments,
+                                   std::span(&table.slice(), 1));
         fb.save(stem + kExtPac);
     }
 
@@ -439,8 +446,6 @@ saveScanFiles(std::span<const Base> local_text, const TextSegment &slice,
     FileBuilder fb(kMagicPac);
     BlobWriter w;
     io_detail::putTableConfig(w, ExmaTable::Config{}); // no table here
-    w.putU64(local_text.size());
-    w.putU32(1);
     writeBlob(fb, kPacMeta, w);
     fb.writeArray<TextSegment>(kPacSegments, std::span(&slice, 1));
     const std::vector<u64> words = packText(local_text);
@@ -467,16 +472,8 @@ loadTableFiles(const std::string &stem)
         const std::vector<u8> blob = pac.readBlob(kPacMeta);
         BlobReader r(blob, stem + kExtPac);
         parts.cfg = io_detail::getTableConfig(r);
-        r.getU64(); // local text length (tooling)
-        r.getU32(); // has-text flag
         r.finish();
-        const auto segs = pac.viewArray<TextSegment>(kPacSegments);
-        if (segs.size() > 1)
-            throw LoadError(stem + kExtPac + ": " +
-                            std::to_string(segs.size()) +
-                            " text slices, a table covers at most one");
-        if (!segs.empty())
-            parts.slice = segs[0];
+        parts.slice = oneSlice(pac, stem + kExtPac);
     }
 
     { // .exma.occ: the EXMA table
@@ -486,12 +483,12 @@ loadTableFiles(const std::string &stem)
         ro.k = r.getI32();
         ro.n_rows = r.getU64();
         ro.distinct = r.getU64();
-        ro.sentinel_windows.resize(r.getU64());
+        ro.sentinel_windows.resize(r.getCount(kSentinelWindowBytes));
         for (auto &[code, row] : ro.sentinel_windows) {
             code = r.getU64();
             row = r.getU32();
         }
-        ro.sentinel_thresholds.resize(r.getU64());
+        ro.sentinel_thresholds.resize(r.getCount(sizeof(u64)));
         for (u64 &t : ro.sentinel_thresholds)
             t = r.getU64();
         const u32 mode = r.getU32();
@@ -544,8 +541,7 @@ loadTableFiles(const std::string &stem)
         break;
     }
 
-    if (parts.slice && (parts.slice->local_begin != 0 ||
-                        parts.slice->length + 1 != parts.fm.n_rows))
+    if (parts.fm.n_rows == 0 || parts.slice.length != parts.fm.n_rows - 1)
         throw LoadError(stem + kExtPac +
                         ": text slice disagrees with the table's " +
                         std::to_string(parts.fm.n_rows) + " rows");
@@ -561,24 +557,13 @@ loadScanFiles(const std::string &stem)
     const std::vector<u8> blob = pac.readBlob(kPacMeta);
     BlobReader r(blob, stem + kExtPac);
     io_detail::getTableConfig(r); // config echo, unused for scan shards
-    const u64 local_len = r.getU64();
-    const u32 has_text = r.getU32();
     r.finish();
-    if (has_text == 0)
-        throw LoadError(stem + kExtPac +
-                        ": scan shard carries no text echo");
 
     LoadedScanShard out;
-    const auto segs = pac.viewArray<TextSegment>(kPacSegments);
-    if (segs.size() != 1 || segs[0].local_begin != 0 ||
-        segs[0].length != local_len)
-        throw LoadError(stem + kExtPac +
-                        ": scan shard needs one text slice of " +
-                        std::to_string(local_len) + " bases");
-    out.slice = segs[0];
+    out.slice = oneSlice(pac, stem + kExtPac);
     // Scan text is copied out (unpacking is a format change anyway),
     // so the mapping can be dropped right here.
-    out.text = unpackText(pac.viewArray<u64>(kPacText), local_len,
+    out.text = unpackText(pac.viewArray<u64>(kPacText), out.slice.length,
                           stem + kExtPac);
     return out;
 }

@@ -5,7 +5,7 @@
  *
  * One table is three files at a stem:
  *
- *   stem.exma.pac   table config echo, text slice, optional 2-bit text
+ *   stem.exma.pac   table config echo and the one text slice covered
  *   stem.exma.occ   EXMA table: base pointers, increments, sentinels,
  *                   and the trained learned-index model (MTL or naive)
  *   stem.exma.sa    FM-index: packed-rank blocks, SA samples, sampled-
@@ -40,18 +40,13 @@
 
 namespace exma {
 
-/**
- * Write @p table as stem.exma.{pac,occ,sa}. @p local_text is the text
- * the table was built over (its slice for slice tables, the whole
- * reference otherwise); pass empty to omit the text echo — every table
- * load works without it, it exists for tooling.
- */
-void saveTableFiles(const ExmaTable &table, const std::string &stem,
-                    std::span<const Base> local_text = {});
+/** Write @p table as stem.exma.{pac,occ,sa}. */
+void saveTableFiles(const ExmaTable &table, const std::string &stem);
 
 /**
  * Write a table-less scan shard as stem.exma.pac only: its slice plus
- * the slice's text the worker scans.
+ * the slice's 2-bit text the worker scans. Only scan shards store
+ * text.
  */
 void saveScanFiles(std::span<const Base> local_text,
                    const TextSegment &slice, const std::string &stem);

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <filesystem>
 #include <span>
+#include <stdexcept>
 #include <utility>
 
 #include "common/logging.hh"
@@ -44,10 +45,14 @@ putPlan(BlobWriter &w, const ShardPlan &plan)
     }
 }
 
+/** Fewest blob bytes one serialized shard takes: name length, begin,
+ *  length. */
+constexpr u64 kShardMinBytes = 3 * 8;
+
 ShardPlan
 getPlan(BlobReader &r)
 {
-    const u64 n_shards = r.getU64();
+    const u64 n_shards = r.getCount(kShardMinBytes);
     std::vector<Shard> shards(n_shards);
     for (Shard &s : shards) {
         s.name = r.getString();
@@ -63,14 +68,19 @@ getPlan(BlobReader &r)
     const u64 overlap = r.getU64();
     const u64 max_query_len = r.getU64();
     const int prefix_len = r.getI32();
-    const u64 n_ranges = r.getU64();
+    const u64 n_ranges = r.getCount(2 * sizeof(u64));
     std::vector<PrefixRange> ranges(n_ranges);
     for (PrefixRange &pr : ranges) {
         pr.lo = r.getU64();
         pr.hi = r.getU64();
     }
-    return ShardPlan::restore(std::move(shards), kind, ref_len, overlap,
-                              max_query_len, prefix_len, std::move(ranges));
+    try {
+        return ShardPlan::restore(std::move(shards), kind, ref_len,
+                                  overlap, max_query_len, prefix_len,
+                                  std::move(ranges));
+    } catch (const std::invalid_argument &e) {
+        throw LoadError(r.context() + ": " + e.what());
+    }
 }
 
 // --- helpers ------------------------------------------------------------
@@ -83,10 +93,6 @@ saveManifest(const std::string &dir, const BlobWriter &w)
     writeBlob(fb, kManifestMeta, w);
     fb.save(dir + "/" + kManifestName);
 }
-
-/** Per-shard worker state bytes in a routed manifest. */
-constexpr u32 kShardScan = 1;
-constexpr u32 kShardTable = 2;
 
 /** Companion files of a table shard; a scan shard has only the .pac. */
 constexpr const char *kTableExts[] = {kExtPac, kExtOcc, kExtSa};
@@ -110,35 +116,18 @@ linkShardFiles(const std::string &src, const std::string &dst,
     }
 }
 
-/** Manifest kind of the retired text-sharded layout (see IndexKind). */
-constexpr u32 kRetiredTextShardedKind = 1;
-
 } // namespace
 
 // --- whole-index directories --------------------------------------------
-
-void
-saveIndex(const ExmaTable &table, std::span<const Base> local_text,
-          const std::string &dir)
-{
-    BlobWriter w;
-    w.putU32(static_cast<u32>(IndexKind::Mono));
-    saveManifest(dir, w);
-    saveTableFiles(table, dir + "/table", local_text);
-}
 
 void
 saveIndex(const ShardRouter &router, const std::string &dir)
 {
     const ShardPlan &plan = router.plan();
     BlobWriter w;
-    w.putU32(static_cast<u32>(IndexKind::Routed));
     putTableConfig(w, router.config().table);
     w.putU64(router.config().min_table_bases);
     putPlan(w, plan);
-    w.putU64(plan.size());
-    for (size_t s = 0; s < plan.size(); ++s)
-        w.putU32(router.shardTable(s) != nullptr ? kShardTable : kShardScan);
     saveManifest(dir, w);
     // Each distinct text is written once, at its first shard's stem;
     // every other shard sharing it gets hard links at its own stem.
@@ -170,91 +159,49 @@ loadIndex(const std::string &dir)
     const std::vector<u8> blob = view.readBlob(kManifestMeta);
     BlobReader r(blob, manifest_path);
 
-    const u32 kind_raw = r.getU32();
-    if (kind_raw == kRetiredTextShardedKind)
-        throw LoadError(manifest_path +
-                        ": index kind 1 (text-sharded) is no longer "
-                        "served; rebuild it with `exma-index build "
-                        "--layout routed`");
-    if (kind_raw != static_cast<u32>(IndexKind::Mono) &&
-        kind_raw != static_cast<u32>(IndexKind::Routed))
-        throw LoadError(manifest_path + ": unknown index kind " +
-                        std::to_string(kind_raw));
-    out.kind = static_cast<IndexKind>(kind_raw);
+    RouterConfig cfg;
+    cfg.table = getTableConfig(r);
+    cfg.min_table_bases = r.getU64();
+    ShardPlan plan = getPlan(r);
+    r.finish();
 
-    switch (out.kind) {
-    case IndexKind::Mono: {
-        r.finish();
-        LoadedExmaTable t = loadTableFiles(dir + "/table");
-        out.files = std::move(t.files);
-        out.table = std::move(t.table);
-        break;
-    }
-    case IndexKind::Routed: {
-        RouterConfig cfg;
-        cfg.table = getTableConfig(r);
-        cfg.min_table_bases = r.getU64();
-        ShardPlan plan = getPlan(r);
-        const u64 n_states = r.getU64();
-        if (n_states != plan.size())
-            throw LoadError(manifest_path + ": " +
-                            std::to_string(n_states) +
-                            " shard states for a " +
-                            std::to_string(plan.size()) + "-shard plan");
-        std::vector<u32> states(n_states);
-        for (u32 &s : states)
-            s = r.getU32();
-        r.finish();
+    // The shard files are right here: if this router is flipped to the
+    // socket transport, its workers mmap-load from this directory
+    // instead of re-saving into a temp dir.
+    cfg.transport.worker_dir = dir;
 
-        // The shard files are right here: if this router is flipped
-        // to the socket transport, its workers mmap-load from this
-        // directory instead of re-saving into a temp dir.
-        cfg.transport.worker_dir = dir;
-
-        // Each distinct text is mapped once, at its first shard's stem,
-        // and the router hands it to every shard sharing it.
-        std::vector<std::unique_ptr<ExmaTable>> tables(plan.size());
-        std::vector<std::vector<Base>> scan_refs(plan.size());
-        for (size_t s = 0; s < plan.size(); ++s) {
-            const size_t text = plan.textOf(s);
-            if (states[s] != kShardTable && states[s] != kShardScan)
-                throw LoadError(manifest_path + ": unknown shard state " +
-                                std::to_string(states[s]));
-            if (states[s] != states[text])
-                throw LoadError(manifest_path + ": shard " +
-                                std::to_string(s) +
-                                " shares its text with shard " +
-                                std::to_string(text) +
-                                " but not its state");
-            if (text != s)
-                continue;
-            if (states[s] == kShardScan) {
-                LoadedScanShard scan = loadScanFiles(shardStem(dir, s));
-                if (scan.slice != plan.sliceOf(s))
-                    throw LoadError(shardStem(dir, s) + kExtPac +
-                                    ": text slice disagrees with the "
-                                    "manifest's plan");
-                scan_refs[s] = std::move(scan.text);
-            } else {
-                LoadedExmaTable t = loadTableFiles(shardStem(dir, s));
-                if (t.table->slice() != plan.sliceOf(s))
-                    throw LoadError(shardStem(dir, s) + kExtPac +
-                                    ": text slice disagrees with the "
-                                    "manifest's plan");
-                for (MappedFile &f : t.files)
-                    out.files.push_back(std::move(f));
-                tables[s] = std::move(t.table);
-            }
+    // Each distinct text is mapped once, at its first shard's stem, and
+    // the router hands it to every shard sharing it. Table or scan
+    // follows from the manifest, by the rule the router build applies.
+    std::vector<std::unique_ptr<ExmaTable>> tables(plan.size());
+    std::vector<std::vector<Base>> scan_refs(plan.size());
+    for (size_t s = 0; s < plan.size(); ++s) {
+        if (plan.textOf(s) != s)
+            continue;
+        const std::string stem = shardStem(dir, s);
+        TextSegment slice;
+        if (cfg.indexesSlice(plan.sliceOf(s))) {
+            LoadedExmaTable t = loadTableFiles(stem);
+            for (MappedFile &f : t.files)
+                out.files.push_back(std::move(f));
+            slice = t.table->slice();
+            tables[s] = std::move(t.table);
+        } else {
+            LoadedScanShard scan = loadScanFiles(stem);
+            slice = scan.slice;
+            scan_refs[s] = std::move(scan.text);
         }
-        // load_seconds is stamped below; buildSeconds() reports the
-        // pre-adoption wall clock, which is what the benches record.
-        const auto t1 = std::chrono::steady_clock::now();
-        out.router = std::make_unique<ShardRouter>(
-            std::move(plan), cfg, std::move(tables), std::move(scan_refs),
-            std::chrono::duration<double>(t1 - t0).count());
-        break;
+        if (slice != plan.sliceOf(s))
+            throw LoadError(stem + kExtPac +
+                            ": text slice disagrees with the manifest's "
+                            "plan");
     }
-    }
+    // load_seconds is stamped below; buildSeconds() reports the
+    // pre-adoption wall clock, which is what the benches record.
+    const auto t1 = std::chrono::steady_clock::now();
+    out.router = std::make_unique<ShardRouter>(
+        std::move(plan), cfg, std::move(tables), std::move(scan_refs),
+        std::chrono::duration<double>(t1 - t0).count());
 
     const auto t_end = std::chrono::steady_clock::now();
     out.load_seconds =

@@ -160,11 +160,11 @@ ShardRouter::ShardRouter(const std::vector<Base> &ref, const ShardPlan &plan,
             if (plan_.textOf(s) != s)
                 continue;
             const TextSegment slice = plan_.sliceOf(s);
-            if (slice.length < cfg_.min_table_bases)
-                scan_refs_[s] = extractSegment(ref, slice);
-            else
+            if (cfg_.indexesSlice(slice))
                 tables_[s] = std::make_unique<ExmaTable>(ref, slice,
                                                          cfg_.table);
+            else
+                scan_refs_[s] = extractSegment(ref, slice);
         }
     });
     const auto t1 = Clock::now();

@@ -161,6 +161,16 @@ struct RouterConfig
     FailoverConfig failover;
     /** Replica execution: in-process threads or worker processes. */
     TransportConfig transport;
+
+    /**
+     * Whether a shard over @p slice is served by an ExmaTable (else by
+     * scanning its text): the one rule the router build and
+     * loadIndex share, so an index directory needs no per-shard state.
+     */
+    bool indexesSlice(const TextSegment &slice) const
+    {
+        return slice.length >= min_table_bases;
+    }
 };
 
 /** Outcome of one routed batch: index-aligned with the input queries. */
@@ -210,10 +220,10 @@ class ShardRouter
   public:
     /**
      * Build one replica set per shard of @p plan over @p ref, serving
-     * one slice ExmaTable per distinct shard text (built pool-parallel
-     * across texts), or a scan text for a slice shorter than
-     * min_table_bases. Shards with equal texts and all replicas share
-     * that state; only workers are duplicated.
+     * one ExmaTable per distinct shard text (built pool-parallel
+     * across texts), or a scan text for a slice the config does not
+     * index (RouterConfig::indexesSlice). Shards with equal texts and
+     * all replicas share that state; only workers are duplicated.
      */
     ShardRouter(const std::vector<Base> &ref, const ShardPlan &plan,
                 const RouterConfig &cfg);

@@ -1,6 +1,7 @@
 #include "shard/shard_plan.hh"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "common/logging.hh"
@@ -222,38 +223,44 @@ ShardPlan::restore(std::vector<Shard> shards, ShardPlanKind kind,
     plan.prefix_len_ = prefix_len;
     plan.prefix_ranges_ = std::move(prefix_ranges);
 
-    exma_assert(!plan.shards_.empty(), "plan restore: no shards");
-    exma_assert(plan.ref_len_ > 0, "plan restore: empty reference");
-    for (size_t s = 0; s < plan.size(); ++s)
-        validateSegment(plan.sliceOf(s), plan.ref_len_);
-    if (plan.kind_ == ShardPlanKind::KmerPrefix) {
-        exma_assert(plan.prefix_len_ >= 1 &&
-                        plan.prefix_len_ <= kMaxPrefixLen,
-                    "plan restore: prefix_len %d out of range",
-                    plan.prefix_len_);
-        exma_assert(plan.prefix_ranges_.size() == plan.shards_.size(),
-                    "plan restore: %zu prefix ranges for %zu shards",
-                    plan.prefix_ranges_.size(), plan.shards_.size());
-        // Ranges must be contiguous and cover the whole code space —
-        // the invariant ownerOf()'s binary search relies on.
-        Kmer expect = 0;
-        for (const PrefixRange &r : plan.prefix_ranges_) {
-            exma_assert(r.lo == expect && r.hi >= r.lo,
-                        "plan restore: prefix ranges not contiguous");
-            expect = r.hi;
-        }
-        exma_assert(expect == kmerSpace(plan.prefix_len_),
-                    "plan restore: prefix ranges do not cover the code "
-                    "space");
-        for (const Shard &sh : plan.shards_)
-            exma_assert(sh.begin == 0 && sh.length == plan.ref_len_,
-                        "plan restore: prefix shard '%s' is not the "
-                        "whole reference",
-                        sh.name.c_str());
-    } else {
-        exma_assert(plan.prefix_ranges_.empty() && plan.prefix_len_ == 0,
-                    "plan restore: text plan carries prefix state");
+    const auto defect = [](const std::string &what) {
+        return std::invalid_argument("shard plan: " + what);
+    };
+    if (plan.shards_.empty())
+        throw defect("no shards");
+    for (const Shard &sh : plan.shards_)
+        if (!sliceFits({sh.begin, sh.length}, plan.ref_len_))
+            throw defect("shard '" + sh.name + "' of " +
+                         std::to_string(sh.length) + " bases at " +
+                         std::to_string(sh.begin) + " does not fit the " +
+                         std::to_string(plan.ref_len_) +
+                         "-base reference");
+    if (plan.kind_ == ShardPlanKind::Text) {
+        if (!plan.prefix_ranges_.empty() || plan.prefix_len_ != 0)
+            throw defect("text plan carries prefix state");
+        return plan;
     }
+    if (plan.prefix_len_ < 1 || plan.prefix_len_ > kMaxPrefixLen)
+        throw defect("prefix_len " + std::to_string(plan.prefix_len_) +
+                     " out of range");
+    if (plan.prefix_ranges_.size() != plan.shards_.size())
+        throw defect(std::to_string(plan.prefix_ranges_.size()) +
+                     " prefix ranges for " +
+                     std::to_string(plan.shards_.size()) + " shards");
+    // Ranges must be contiguous and cover the whole code space — the
+    // invariant ownerOf()'s binary search relies on.
+    Kmer expect = 0;
+    for (const PrefixRange &r : plan.prefix_ranges_) {
+        if (r.lo != expect || r.hi < r.lo)
+            throw defect("prefix ranges not contiguous");
+        expect = r.hi;
+    }
+    if (expect != kmerSpace(plan.prefix_len_))
+        throw defect("prefix ranges do not cover the code space");
+    for (const Shard &sh : plan.shards_)
+        if (sh.begin != 0 || sh.length != plan.ref_len_)
+            throw defect("prefix shard '" + sh.name +
+                         "' is not the whole reference");
     return plan;
 }
 

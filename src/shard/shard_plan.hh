@@ -130,7 +130,9 @@ class ShardPlan
     /**
      * Reassemble a plan from its serialized members (src/persist/
      * index_io.cc) without re-deriving anything from the reference.
-     * Validates the cross-member invariants the factories guarantee.
+     * Checks the cross-member invariants the factories guarantee and
+     * throws std::invalid_argument naming the first one broken, which
+     * the loader reports as a LoadError.
      */
     static ShardPlan restore(std::vector<Shard> shards, ShardPlanKind kind,
                              u64 ref_len, u64 overlap, u64 max_query_len,
@@ -155,10 +157,10 @@ class ShardPlan
         return prefix_ranges_;
     }
 
-    /** Shard @p i's text: the one slice {begin, 0, length}. */
+    /** Shard @p i's text: the one slice {begin, length}. */
     TextSegment sliceOf(size_t i) const
     {
-        return {shards_[i].begin, 0, shards_[i].length};
+        return {shards_[i].begin, shards_[i].length};
     }
 
     /**

@@ -34,7 +34,7 @@ class ShardWorker final : public Transport
     /**
      * @param name   stable worker name; also the fault-injection site
      *               ("<shard>/r<i>" in a ReplicaSet).
-     * @param state  the shard's slice table or scan text (borrowed;
+     * @param state  the shard's table or scan text (borrowed;
      *               must outlive the worker).
      */
     ShardWorker(std::string name, ShardState state);

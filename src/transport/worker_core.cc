@@ -70,11 +70,6 @@ validateShardState(const std::string &name, const ShardState &st)
     exma_assert(!(st.table && st.scan_ref),
                 "worker '%s' got both a table and a scan reference",
                 name.c_str());
-    if (st.table)
-        exma_assert(st.table->segmented(),
-                    "worker '%s' needs a slice table to translate hits "
-                    "into global coordinates",
-                    name.c_str());
 }
 
 WorkerResponse

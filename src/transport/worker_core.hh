@@ -27,7 +27,7 @@ namespace exma {
 /** One shard's immutable serving state (pointers are borrowed). */
 struct ShardState
 {
-    /** Slice table, or null when the shard is too small. */
+    /** The table over the shard's slice, or null when it is too small. */
     const ExmaTable *table = nullptr;
     /** The slice's text for table-less shards, or null. */
     const std::vector<Base> *scan_ref = nullptr;

@@ -196,16 +196,13 @@ TEST(BatchSearcher, LocateLimitCapsPositions)
     cfg.locate_limit = 2;
     const BatchResult r = BatchSearcher(table, cfg).search(qs);
     for (size_t i = 0; i < qs.size(); ++i) {
-        EXPECT_LE(r.positions[i].size(), 2u);
-        // The capped set is a genuine subset of the full hit set
-        // (SA-row-order truncation, sorted afterwards — see
-        // BatchConfig::locate_limit).
-        auto full = table.locateAll(r.intervals[i]);
-        std::sort(full.begin(), full.end());
-        EXPECT_TRUE(std::includes(full.begin(), full.end(),
-                                  r.positions[i].begin(),
-                                  r.positions[i].end()))
-            << "i=" << i;
+        // The cap keeps the lowest two positions of the full hit set
+        // (BatchConfig::locate_limit).
+        auto lowest = table.locateAll(r.intervals[i]);
+        std::sort(lowest.begin(), lowest.end());
+        if (lowest.size() > 2)
+            lowest.resize(2);
+        EXPECT_EQ(r.positions[i], lowest) << "i=" << i;
     }
 }
 
@@ -269,9 +266,8 @@ TEST(BatchSearcher, SegmentedTableLocatesGlobalPositions)
     // not local positions — exactly the whole-reference hits that lie
     // inside the slice.
     const auto &ref = testRef();
-    const TextSegment slice{5000, 0, 800};
+    const TextSegment slice{5000, 800};
     const ExmaTable seg_table(ref, slice, cfgFor(OccIndexMode::Exact));
-    ASSERT_TRUE(seg_table.segmented());
     ASSERT_EQ(seg_table.slice(), slice);
     const ExmaTable &whole = mtlTable();
 
@@ -318,27 +314,6 @@ naiveHits(const std::vector<Base> &ref, const std::vector<Base> &q)
             return out;
         out.push_back(static_cast<u64>(it - ref.begin()));
     }
-}
-
-/**
- * The first @p limit suffix-array rows of @p q's interval, as sorted
- * text positions, by brute force: a row order is the order of its
- * suffixes (the shorter one first on a tie, since $ is smallest).
- */
-std::vector<u64>
-naiveFirstRows(const std::vector<Base> &ref, const std::vector<Base> &q,
-               u64 limit)
-{
-    std::vector<u64> hits = naiveHits(ref, q);
-    std::sort(hits.begin(), hits.end(), [&](u64 a, u64 b) {
-        return std::lexicographical_compare(
-            ref.begin() + static_cast<std::ptrdiff_t>(a), ref.end(),
-            ref.begin() + static_cast<std::ptrdiff_t>(b), ref.end());
-    });
-    if (hits.size() > limit)
-        hits.resize(limit);
-    std::sort(hits.begin(), hits.end());
-    return hits;
 }
 
 /**
@@ -538,56 +513,36 @@ TEST(StagedSearch, RepeatRichIntervalsRefillTheLocateRing)
                          "repeat-rich");
 }
 
-TEST(StagedSearch, LocateLimitKeepsFirstRowsOnContiguousTables)
-{
-    // Contiguous tables keep the first `locate_limit` SA rows of each
-    // interval, sorted (BatchConfig::locate_limit) — the oracle orders
-    // the naive hits by their suffixes. A small reference keeps that
-    // brute-force suffix sort cheap.
-    ReferenceSpec spec;
-    spec.length = 1 << 13;
-    spec.repeat_fraction = 0.5;
-    spec.seed = 78;
-    const std::vector<Base> ref = generateReference(spec);
-    const ExmaTable table(ref, cfgFor(OccIndexMode::Exact));
-    const auto qs = edgeQueries(ref, table.k(), 3 * kW + 1, 19);
-    for (const u64 limit : {u64{1}, kW - 1, kW + 1}) {
-        BatchConfig cfg;
-        cfg.threads = 1;
-        cfg.locate = true;
-        cfg.locate_limit = limit;
-        const BatchResult r = BatchSearcher(table, cfg).search(qs);
-        for (size_t i = 0; i < qs.size(); ++i)
-            EXPECT_EQ(r.positions[i], naiveFirstRows(ref, qs[i], limit))
-                << "limit=" << limit << " i=" << i;
-    }
-}
-
 TEST(StagedSearch, LocateLimitKeepsLowestGlobalHitsOnSegmentedTables)
 {
-    // Slice tables locate every row, then keep the lowest
+    // Every table locates every row, then keeps the lowest
     // `locate_limit` global positions: the oracle is a naive scan of
-    // the slice, shifted to global coordinates.
+    // the table's slice, shifted to global coordinates. A slice table
+    // and a whole-reference table (the slice [0, n)) follow one rule.
     const auto &ref = testRef();
-    const TextSegment seg{9000, 0, 8000};
-    const ExmaTable table(ref, seg, cfgFor(OccIndexMode::Exact));
-    const std::vector<Base> slice = extractSegment(ref, seg);
-    const auto qs = edgeQueries(slice, table.k(), 3 * kW + 1, 23);
-    for (const u64 limit : {u64{0}, u64{1}, kW + 1}) {
-        BatchConfig cfg;
-        cfg.threads = 1;
-        cfg.grain = kW - 1;
-        cfg.locate = true;
-        cfg.locate_limit = limit;
-        const BatchResult r = BatchSearcher(table, cfg).search(qs);
-        for (size_t i = 0; i < qs.size(); ++i) {
-            std::vector<u64> expect;
-            for (u64 pos : naiveHits(slice, qs[i]))
-                expect.push_back(seg.global_begin + pos);
-            if (limit != 0 && expect.size() > limit)
-                expect.resize(limit);
-            EXPECT_EQ(r.positions[i], expect)
-                << "limit=" << limit << " i=" << i;
+    const ExmaTable slice_table(ref, TextSegment{9000, 8000},
+                                cfgFor(OccIndexMode::Exact));
+    for (const ExmaTable *table : {&slice_table, &mtlTable()}) {
+        const TextSegment seg = table->slice();
+        const std::vector<Base> slice = extractSegment(ref, seg);
+        const auto qs = edgeQueries(slice, table->k(), 3 * kW + 1, 23);
+        for (const u64 limit : {u64{0}, u64{1}, kW + 1}) {
+            BatchConfig cfg;
+            cfg.threads = 1;
+            cfg.grain = kW - 1;
+            cfg.locate = true;
+            cfg.locate_limit = limit;
+            const BatchResult r = BatchSearcher(*table, cfg).search(qs);
+            for (size_t i = 0; i < qs.size(); ++i) {
+                std::vector<u64> expect;
+                for (u64 pos : naiveHits(slice, qs[i]))
+                    expect.push_back(seg.global_begin + pos);
+                if (limit != 0 && expect.size() > limit)
+                    expect.resize(limit);
+                EXPECT_EQ(r.positions[i], expect)
+                    << "slice at " << seg.global_begin
+                    << " limit=" << limit << " i=" << i;
+            }
         }
     }
 }

@@ -178,9 +178,8 @@ TEST(ExmaTable, SliceBuildReportsGlobalPositions)
     // table searches the slice alone and reports global positions.
     const std::vector<Base> ref = {0, 0, 0, 0, 1, 1, 1, 1,
                                    3, 3, 3, 3, 2, 2, 2, 2};
-    const TextSegment slice{8, 0, 8};
+    const TextSegment slice{8, 8};
     const ExmaTable tab(ref, slice, cfgFor(OccIndexMode::Exact));
-    ASSERT_TRUE(tab.segmented());
     ASSERT_EQ(tab.slice(), slice);
     EXPECT_EQ(tab.rows(), slice.length + 1);
 
@@ -201,8 +200,9 @@ TEST(ExmaTable, SliceBuildReportsGlobalPositions)
 TEST(ExmaTable, ContiguousTableLocateAllGlobalIsSortedLocate)
 {
     ExmaTable tab(testRef(), cfgFor(OccIndexMode::Exact));
-    EXPECT_FALSE(tab.segmented());
     const auto &ref = testRef();
+    // A whole-reference build is the slice [0, n).
+    EXPECT_EQ(tab.slice(), (TextSegment{0, ref.size()}));
     const std::vector<Base> q(ref.begin() + 500, ref.begin() + 512);
     const Interval iv = tab.search(q);
     auto expect = tab.locateAll(iv);

@@ -186,11 +186,11 @@ TEST(LoadFaultTest, ThrowAtIoLoadFailsClosedWithPathContext)
     spec.length = 1 << 12;
     spec.seed = 21;
     const std::vector<Base> ref = generateReference(spec);
-    ExmaTable::Config cfg;
-    cfg.k = 3;
-    const ExmaTable table(ref, cfg);
+    RouterConfig cfg;
+    cfg.table.k = 3;
+    const ShardRouter router(ref, ShardPlan::kmerPrefix(ref, 1, 64), cfg);
     const std::string dir = tempDir("fault_io_load");
-    saveIndex(table, ref, dir);
+    saveIndex(router, dir);
 
     // First load fires the injected fault; the second (rule is
     // nth=1, once) succeeds — a flaky mount, not a corrupt index.
@@ -204,7 +204,7 @@ TEST(LoadFaultTest, ThrowAtIoLoadFailsClosedWithPathContext)
             << "LoadError must name the failing path: " << e.what();
     }
     const LoadedIndex idx = loadIndex(dir);
-    EXPECT_NE(idx.table, nullptr);
+    EXPECT_NE(idx.router, nullptr);
 }
 
 TEST(LoadFaultTest, DelayAtIoLoadOnlySlowsTheLoad)
@@ -213,16 +213,16 @@ TEST(LoadFaultTest, DelayAtIoLoadOnlySlowsTheLoad)
     spec.length = 1 << 12;
     spec.seed = 22;
     const std::vector<Base> ref = generateReference(spec);
-    ExmaTable::Config cfg;
-    cfg.k = 3;
-    const ExmaTable table(ref, cfg);
+    RouterConfig cfg;
+    cfg.table.k = 3;
+    const ShardRouter router(ref, ShardPlan::kmerPrefix(ref, 1, 64), cfg);
     const std::string dir = tempDir("fault_io_delay");
-    saveIndex(table, ref, dir);
+    saveIndex(router, dir);
 
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("delay@io.load:ms=10")));
     const LoadedIndex idx = loadIndex(dir);
-    EXPECT_NE(idx.table, nullptr);
+    EXPECT_NE(idx.router, nullptr);
     EXPECT_GE(idx.load_seconds, 0.01);
 }
 

@@ -1,8 +1,9 @@
 // The persistent `.exma.*` format (src/io/): container round trips,
-// every corruption class failing closed with LoadError, and full-index
+// every corruption class failing closed with LoadError (crafted
+// manifests with valid checksums included), and full-index
 // differential proofs — a saved + mmap-loaded index must return
 // bit-identical intervals, positions and SearchStats to the freshly
-// built table it came from, in every occ-index mode and layout.
+// built one it came from, in every occ-index mode and shard plan.
 
 #include <gtest/gtest.h>
 
@@ -258,6 +259,30 @@ TEST(FileFormatTest, BlobReaderOverrunThrows)
     }
 }
 
+TEST(FileFormatTest, BlobReaderCountOverflowThrows)
+{
+    // A count the blob cannot hold fails before any container is
+    // sized, including counts whose byte size wraps u64 (2^61 doubles
+    // is 2^64 bytes, which a multiplying check sees as 0).
+    for (const u64 count : {u64{1} << 61, u64{1} << 40, ~u64{0}}) {
+        BlobWriter w;
+        w.putU64(count);
+        w.putF64(1.0);
+        BlobReader doubles(w.bytes(), "blob");
+        EXPECT_THROW(doubles.getF64Array(), LoadError) << count;
+        BlobReader chars(w.bytes(), "blob");
+        EXPECT_THROW(chars.getString(), LoadError) << count;
+        BlobReader shards(w.bytes(), "blob");
+        EXPECT_THROW(shards.getCount(24), LoadError) << count;
+    }
+    BlobWriter w;
+    w.putU64(1);
+    w.putF64(2.5);
+    BlobReader r(w.bytes(), "blob");
+    EXPECT_EQ(r.getF64Array(), (std::vector<double>{2.5}));
+    r.finish();
+}
+
 // --- single-table round trips -------------------------------------------
 
 void
@@ -291,7 +316,7 @@ TEST_P(TableRoundTripTest, LoadedTableSearchesIdentically)
     const std::string stem =
         tempDir("table_rt_" + std::to_string(static_cast<int>(GetParam()))) +
         "/table";
-    saveTableFiles(built, stem, testRef());
+    saveTableFiles(built, stem);
     const LoadedExmaTable loaded = loadTableFiles(stem);
     expectIdenticalSearch(built, *loaded.table);
     // The hot arrays must be borrowed from the mappings, not copied.
@@ -357,13 +382,28 @@ TEST(TableCorruptionTest, SwappedCompanionFilesFailClosed)
 
 TEST(IndexRoundTripTest, MonoDirectory)
 {
-    const ExmaTable built(testRef(), cfgFor(OccIndexMode::Mtl));
+    // A single table is a 1-shard kmerPrefix router (what `exma-index
+    // build` writes by default): one shard stem, three files, no text.
+    RouterConfig cfg;
+    cfg.table = cfgFor(OccIndexMode::Mtl);
+    const ShardRouter built(testRef(), ShardPlan::kmerPrefix(testRef(), 1, 64),
+                            cfg);
     const std::string dir = tempDir("idx_mono");
-    saveIndex(built, testRef(), dir);
+    saveIndex(built, dir);
     const LoadedIndex loaded = loadIndex(dir);
-    ASSERT_EQ(loaded.kind, IndexKind::Mono);
-    ASSERT_NE(loaded.table, nullptr);
-    expectIdenticalSearch(built, *loaded.table);
+    ASSERT_NE(loaded.router, nullptr);
+    ASSERT_EQ(loaded.router->shardCount(), 1u);
+    ASSERT_NE(loaded.router->shardTable(0), nullptr);
+    EXPECT_EQ(loaded.router->shardTable(0)->slice(),
+              (TextSegment{0, testRef().size()}));
+    EXPECT_EQ(loaded.files.size(), 3u);
+    // A 2-bit text echo alone would take a quarter byte per base.
+    EXPECT_LT(fs::file_size(io_detail::shardStem(dir, 0) + kExtPac),
+              testRef().size() / 4);
+    expectIdenticalSearch(*built.shardTable(0), *loaded.router->shardTable(0));
+    const auto queries = refQueries(40, 32);
+    EXPECT_EQ(built.search(queries).hits,
+              loaded.router->search(queries).hits);
     EXPECT_GE(loaded.load_seconds, 0.0);
 }
 
@@ -380,7 +420,6 @@ expectRoutedRoundTrip(const ShardPlan &plan, const std::string &dir_name)
     const std::string dir = tempDir(dir_name);
     saveIndex(built, dir);
     const LoadedIndex loaded = loadIndex(dir);
-    ASSERT_EQ(loaded.kind, IndexKind::Routed);
     ASSERT_NE(loaded.router, nullptr);
     ASSERT_EQ(loaded.router->shardCount(), built.shardCount());
     for (size_t s = 0; s < plan.size(); ++s)
@@ -486,44 +525,118 @@ TEST(IndexRoundTripTest, RoutedWithScanShards)
               loaded.router->search(queries).hits);
 }
 
+TEST(IndexRoundTripTest, TableShardWithoutOccFailsClosed)
+{
+    // Table or scan follows from the manifest: a shard long enough for
+    // a table must have one, and its missing .occ fails the load.
+    RouterConfig cfg;
+    cfg.table = cfgFor(OccIndexMode::Exact);
+    const ShardRouter built(testRef(), ShardPlan::kmerPrefix(testRef(), 2, 64),
+                            cfg);
+    const std::string dir = tempDir("idx_missing_occ");
+    saveIndex(built, dir);
+    const std::string occ = io_detail::shardStem(dir, 0) + kExtOcc;
+    fs::remove(occ);
+    try {
+        loadIndex(dir);
+        FAIL() << "table shard without its .occ loaded";
+    } catch (const LoadError &e) {
+        EXPECT_NE(std::string(e.what()).find(occ), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(IndexRoundTripTest, CorruptManifestFailsClosed)
 {
-    const ExmaTable built(testRef(), cfgFor(OccIndexMode::Exact));
+    RouterConfig cfg;
+    cfg.table = cfgFor(OccIndexMode::Exact);
+    const ShardRouter built(testRef(), ShardPlan::kmerPrefix(testRef(), 1, 64),
+                            cfg);
     const std::string dir = tempDir("idx_corrupt_manifest");
-    saveIndex(built, testRef(), dir);
+    saveIndex(built, dir);
     const std::string manifest = dir + "/" + kManifestName;
     flipByte(manifest, fs::file_size(manifest) - 1);
     EXPECT_THROW(loadIndex(dir), LoadError);
 }
 
-TEST(IndexRoundTripTest, RetiredOrUnknownKindFailsClosed)
-{
-    // Kind 1 named the retired text-sharded layout: its manifests must
-    // fail with a rebuild hint instead of loading as an index with no
-    // structure set. Every other unknown kind fails too.
-    const std::string dir = tempDir("idx_retired_kind");
-    const std::string manifest = dir + "/" + kManifestName;
-    const auto writeKind = [&](u32 kind) {
-        BlobWriter w;
-        w.putU32(kind);
-        FileBuilder fb(kMagicManifest);
-        io_detail::writeBlob(fb, 1, w); // the manifest's meta blob tag
-        fb.save(manifest);
-    };
+// --- crafted manifests --------------------------------------------------
+//
+// Metadata with a valid checksum can still be wrong. Each manifest
+// below is written through FileBuilder, so only the loader's own
+// checks stand between it and a crash.
 
-    writeKind(1);
+/**
+ * Write a manifest whose plan is a text plan over a @p ref_len-base
+ * reference declaring @p n_shards shards, of which @p shards follow.
+ */
+std::string
+writeTextPlanManifest(const std::string &name, u64 n_shards,
+                      const std::vector<Shard> &shards, u64 ref_len)
+{
+    const std::string dir = tempDir(name);
+    BlobWriter w;
+    io_detail::putTableConfig(w, cfgFor(OccIndexMode::Exact));
+    w.putU64(ShardPlan::kMinShardBases);
+    w.putU64(n_shards);
+    for (const Shard &sh : shards) {
+        w.putString(sh.name);
+        w.putU64(sh.begin);
+        w.putU64(sh.length);
+    }
+    w.putU32(static_cast<u32>(ShardPlanKind::Text));
+    w.putU64(ref_len);
+    w.putU64(0); // overlap
+    w.putU64(ShardPlan::kUnboundedQueryLen);
+    w.putI32(0); // prefix_len
+    w.putU64(0); // prefix ranges
+    FileBuilder fb(kMagicManifest);
+    io_detail::writeBlob(fb, 1, w); // the manifest's meta blob tag
+    fb.save(dir + "/" + kManifestName);
+    return dir;
+}
+
+/** loadIndex(@p dir) throws a LoadError naming the manifest. */
+void
+expectManifestLoadError(const std::string &dir, const std::string &needle)
+{
+    const std::string manifest = dir + "/" + kManifestName;
     try {
         loadIndex(dir);
-        FAIL() << "kind-1 manifest loaded";
+        FAIL() << "crafted manifest loaded";
     } catch (const LoadError &e) {
         const std::string what = e.what();
         EXPECT_NE(what.find(manifest), std::string::npos) << what;
-        EXPECT_NE(what.find("exma-index build --layout routed"),
-                  std::string::npos)
-            << what;
+        EXPECT_NE(what.find(needle), std::string::npos) << what;
     }
-    writeKind(3);
-    EXPECT_THROW(loadIndex(dir), LoadError);
+}
+
+TEST(CraftedManifestTest, ZeroShardPlan)
+{
+    expectManifestLoadError(
+        writeTextPlanManifest("crafted_zero_shards", 0, {}, 1000),
+        "no shards");
+}
+
+TEST(CraftedManifestTest, SlicePastReferenceEnd)
+{
+    expectManifestLoadError(
+        writeTextPlanManifest("crafted_slice_past_end", 1,
+                              {{"s0", 900, 200}}, 1000),
+        "does not fit the 1000-base reference");
+    // A begin + length that wraps u64 must not pass for one that fits.
+    expectManifestLoadError(
+        writeTextPlanManifest("crafted_slice_wraps", 1,
+                              {{"s0", 900, ~u64{0} - 800}}, 1000),
+        "does not fit");
+}
+
+TEST(CraftedManifestTest, HugeShardCount)
+{
+    // 2^40 shards would be sized before a single one is read.
+    expectManifestLoadError(
+        writeTextPlanManifest("crafted_huge_count", u64{1} << 40,
+                              {{"s0", 0, 1000}}, 1000),
+        "overruns");
 }
 
 } // namespace

@@ -77,17 +77,20 @@ TEST(MmapConcurrencyTest, OneLoadedIndexSharedByTwoThreads)
     spec.seed = 92;
     const std::vector<Base> ref = generateReference(spec);
 
-    ExmaTable::Config table_cfg;
-    table_cfg.k = 4;
-    table_cfg.mode = OccIndexMode::Exact;
-    const ExmaTable built(ref, table_cfg);
+    RouterConfig cfg;
+    cfg.table.k = 4;
+    cfg.table.mode = OccIndexMode::Exact;
+    const ShardRouter router(ref, ShardPlan::kmerPrefix(ref, 1, 64), cfg);
+    const ExmaTable &built = *router.shardTable(0);
 
     const std::filesystem::path dir =
         std::filesystem::path(::testing::TempDir()) / "mmap_shared";
     std::filesystem::remove_all(dir);
-    saveIndex(built, ref, dir.string());
+    saveIndex(router, dir.string());
     const LoadedIndex loaded = loadIndex(dir.string());
-    ASSERT_NE(loaded.table, nullptr);
+    ASSERT_NE(loaded.router, nullptr);
+    const ExmaTable *table = loaded.router->shardTable(0);
+    ASSERT_NE(table, nullptr);
 
     Rng rng(23);
     std::vector<std::vector<Base>> queries(48);
@@ -101,8 +104,8 @@ TEST(MmapConcurrencyTest, OneLoadedIndexSharedByTwoThreads)
     auto run = [&](std::vector<std::vector<u64>> &out) {
         out.resize(queries.size());
         for (size_t i = 0; i < queries.size(); ++i) {
-            const Interval iv = loaded.table->search(queries[i]);
-            out[i] = loaded.table->locateAllGlobal(iv, queries[i].size());
+            const Interval iv = table->search(queries[i]);
+            out[i] = table->locateAllGlobal(iv, queries[i].size());
         }
     };
     std::vector<std::vector<u64>> ha, hb;

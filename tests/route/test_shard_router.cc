@@ -279,7 +279,7 @@ TEST(ShardRouter, SingleShardDegeneratePlanEqualsMonolith)
     ASSERT_EQ(plan.size(), 1u);
     // One shard owns every code; its slice is the whole reference, so
     // the table is the monolith.
-    EXPECT_EQ(plan.sliceOf(0), (TextSegment{0, 0, ds.ref.size()}));
+    EXPECT_EQ(plan.sliceOf(0), (TextSegment{0, ds.ref.size()}));
 
     RouterConfig rcfg;
     rcfg.table = cfg;

@@ -36,7 +36,7 @@ expectOneSliceSegments(const ShardPlan &plan)
 {
     for (size_t i = 0; i < plan.size(); ++i) {
         const Shard &sh = plan.shards()[i];
-        EXPECT_EQ(plan.sliceOf(i), (TextSegment{sh.begin, 0, sh.length}))
+        EXPECT_EQ(plan.sliceOf(i), (TextSegment{sh.begin, sh.length}))
             << sh.name;
         EXPECT_EQ(plan.textOf(i), i) << sh.name;
     }
@@ -218,7 +218,7 @@ TEST(ShardPlan, KmerPrefixSegmentsCoverEveryOwnedWindow)
 
     // Every shard's text is the whole reference, shared with shard 0.
     for (size_t s = 0; s < plan.size(); ++s) {
-        EXPECT_EQ(plan.sliceOf(s), (TextSegment{0, 0, ref.size()}));
+        EXPECT_EQ(plan.sliceOf(s), (TextSegment{0, ref.size()}));
         EXPECT_EQ(plan.textOf(s), 0u);
     }
 
@@ -288,7 +288,7 @@ TEST(ShardPlan, KmerPrefixSkewedReferenceLeavesEmptyRanges)
     EXPECT_TRUE(plan.prefixRanges()[1].empty());
     EXPECT_TRUE(plan.prefixRanges()[2].empty());
     for (size_t s = 0; s < plan.size(); ++s) {
-        EXPECT_EQ(plan.sliceOf(s), (TextSegment{0, 0, 300})) << "shard "
+        EXPECT_EQ(plan.sliceOf(s), (TextSegment{0, 300})) << "shard "
                                                              << s;
         EXPECT_EQ(plan.textOf(s), 0u);
     }

@@ -164,7 +164,7 @@ TEST(ShardedExmaTable, OneShardEqualsSingleTableStats)
     ASSERT_EQ(plan.size(), 1u);
     // The one shard's slice is the whole reference, so its table is
     // the monolith.
-    EXPECT_EQ(plan.sliceOf(0), (TextSegment{0, 0, ds.ref.size()}));
+    EXPECT_EQ(plan.sliceOf(0), (TextSegment{0, ds.ref.size()}));
     const ShardRouter router(ds.ref, plan, routerCfg(cfg));
     EXPECT_EQ(router.totalLocalBases(), ds.ref.size());
 

@@ -13,8 +13,9 @@ function(expect_usage_error flag)
     endif()
 endfunction()
 
-expect_usage_error(--shards --layout routed --shards 0)
+expect_usage_error(--shards --shards 0)
 expect_usage_error(--max-query-len --max-query-len 0)
 expect_usage_error(--shards --shards abc)
-expect_usage_error(--prefix-len --layout routed --shards 2 --prefix-len 11)
-expect_usage_error(--layout --layout sharded --shards 2)
+expect_usage_error(--prefix-len --shards 2 --prefix-len 11)
+# Every index is one kind, so --layout is no flag at all.
+expect_usage_error("unknown flag '--layout'" --layout sharded --shards 2)

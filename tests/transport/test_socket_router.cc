@@ -207,7 +207,6 @@ TEST(SocketRouter, LoadedIndexServesWorkersFromItsOwnDirectory)
         // mmap-load the *same* persisted files, with no re-save.
         TransportEnvGuard env("socket");
         const LoadedIndex loaded = loadIndex(dir.string());
-        ASSERT_EQ(loaded.kind, IndexKind::Routed);
         ASSERT_NE(loaded.router, nullptr);
         EXPECT_EQ(loaded.router->transportKind(), TransportKind::Socket);
         EXPECT_EQ(loaded.files.size(), 3u) << "one table, mapped once";

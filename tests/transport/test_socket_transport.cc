@@ -43,7 +43,7 @@ struct ScanFixture
                    1442695040888963407ULL;
             b = static_cast<Base>(seed >> 62);
         }
-        slice = {100, 0, 512};
+        slice = {100, 512};
 
         static int instance = 0;
         dir = fs::temp_directory_path() /

@@ -5,15 +5,16 @@
  *
  *   exma-index build  --out DIR [--dataset NAME] [--scale F]
  *                     [--fasta FILE] [--mode exact|naive|mtl] [--k K]
- *                     [--layout mono|routed] [--shards N]
- *                     [--max-query-len L] [--prefix-len P] [--json FILE]
+ *                     [--shards N] [--max-query-len L] [--prefix-len P]
+ *                     [--json FILE]
  *   exma-index info   --out DIR
  *   exma-index verify --out DIR <same build flags> [--queries N]
  *
  * `build` constructs the index in memory (synthetic dataset at the
- * given scale, or a real FASTA) and saves it; `info` loads an index
+ * given scale, or a real FASTA) as a kmerPrefix ShardRouter of
+ * --shards lanes (1 by default) and saves it; `info` loads an index
  * and prints its shape (`tables=` counts distinct tables: 1 for a
- * mono or kmerPrefix-routed index) and load time; `verify` rebuilds
+ * kmerPrefix index at any shard count) and load time; `verify` rebuilds
  * the same index fresh, loads the saved one, and differentially
  * checks that both return identical hit sets on reference-sampled
  * queries — the CLI face of the tests/io round-trip suite, used by the
@@ -65,7 +66,6 @@ struct Options
     std::string fasta;
     std::string mode = "mtl";
     int k = 0; ///< 0 = dataset-scaled default
-    std::string layout; ///< empty = mono if shards == 1, routed otherwise
     unsigned shards = 1;
     u64 max_query_len = 128;
     int prefix_len = 0;
@@ -82,8 +82,7 @@ usage(const std::string &err = "")
         "usage:\n"
         "  exma-index build  --out DIR [--dataset NAME] [--scale F]\n"
         "                    [--fasta FILE] [--mode exact|naive|mtl]\n"
-        "                    [--k K] [--layout mono|routed]\n"
-        "                    [--shards N] [--max-query-len L]\n"
+        "                    [--k K] [--shards N] [--max-query-len L]\n"
         "                    [--prefix-len P] [--json FILE]\n"
         "  exma-index info   --out DIR [--json FILE]\n"
         "  exma-index verify --out DIR <same build flags> [--queries N]\n";
@@ -141,8 +140,6 @@ parse(int argc, char **argv)
             opt.mode = need(i);
         else if (flag == "--k")
             number(i, opt.k, 0);
-        else if (flag == "--layout")
-            opt.layout = need(i);
         else if (flag == "--shards")
             number(i, opt.shards, 1u);
         else if (flag == "--max-query-len")
@@ -158,14 +155,8 @@ parse(int argc, char **argv)
     }
     if (opt.out.empty())
         usage("--out is required");
-    if (opt.layout.empty())
-        opt.layout = opt.shards > 1 ? "routed" : "mono";
-    if (opt.layout != "mono" && opt.layout != "routed")
-        usage("--layout must be mono or routed");
     if (opt.mode != "exact" && opt.mode != "naive" && opt.mode != "mtl")
         usage("--mode must be exact, naive or mtl");
-    if (opt.layout == "mono" && opt.shards > 1)
-        usage("--layout mono cannot take --shards > 1");
     return opt;
 }
 
@@ -222,78 +213,29 @@ tableConfig(const Options &opt, const Dataset &ds)
     return cfg;
 }
 
-/** An index of any layout, built fresh or loaded from files. */
-struct Index
+/** The index the build flags describe, built fresh in memory. */
+std::unique_ptr<ShardRouter>
+buildRouter(const Options &opt, const Dataset &ds, Metrics &metrics)
 {
-    std::unique_ptr<ExmaTable> table;
-    std::unique_ptr<ShardRouter> router;
-    LoadedIndex loaded; ///< keeps the mmaps alive for loaded indexes
-
-    std::vector<std::vector<u64>>
-    search(const std::vector<std::vector<Base>> &queries) const
-    {
-        if (table) {
-            std::vector<std::vector<u64>> hits(queries.size());
-            for (size_t i = 0; i < queries.size(); ++i)
-                hits[i] = table->locateAllGlobal(
-                    table->search(queries[i]), queries[i].size());
-            return hits;
-        }
-        return router->search(queries).hits;
-    }
-};
-
-Index
-buildIndex(const Options &opt, const Dataset &ds, Metrics &metrics)
-{
-    Index idx;
-    const ExmaTable::Config cfg = tableConfig(opt, ds);
-    const double t0 = now();
-    if (opt.layout == "mono") {
-        idx.table = std::make_unique<ExmaTable>(ds.ref, cfg);
-        metrics.put("table_build_s", now() - t0);
-    } else {
-        const ShardPlan plan = ShardPlan::kmerPrefix(
-            ds.ref, opt.shards, opt.max_query_len, opt.prefix_len);
-        RouterConfig rcfg;
-        rcfg.table = cfg;
-        idx.router = std::make_unique<ShardRouter>(ds.ref, plan, rcfg);
-        metrics.put("table_build_s", idx.router->buildSeconds());
-    }
-    return idx;
+    if (opt.max_query_len > ds.ref.size())
+        usage("--max-query-len " + std::to_string(opt.max_query_len) +
+              " exceeds the " + std::to_string(ds.ref.size()) +
+              "-base reference");
+    const ShardPlan plan = ShardPlan::kmerPrefix(
+        ds.ref, opt.shards, opt.max_query_len, opt.prefix_len);
+    RouterConfig rcfg;
+    rcfg.table = tableConfig(opt, ds);
+    auto router = std::make_unique<ShardRouter>(ds.ref, plan, rcfg);
+    metrics.put("table_build_s", router->buildSeconds());
+    return router;
 }
 
-void
-saveBuilt(const Index &idx, const Dataset &ds, const std::string &dir,
-          Metrics &metrics)
-{
-    const double t0 = now();
-    if (idx.table)
-        saveIndex(*idx.table, ds.ref, dir);
-    else
-        saveIndex(*idx.router, dir);
-    metrics.put("index_save_s", now() - t0);
-}
-
-Index
+LoadedIndex
 loadSaved(const std::string &dir, Metrics &metrics)
 {
-    Index idx;
-    idx.loaded = loadIndex(dir);
-    metrics.put("index_load_s", idx.loaded.load_seconds);
+    LoadedIndex idx = loadIndex(dir);
+    metrics.put("index_load_s", idx.load_seconds);
     return idx;
-}
-
-const char *
-kindName(IndexKind kind)
-{
-    switch (kind) {
-    case IndexKind::Mono:
-        return "mono";
-    case IndexKind::Routed:
-        return "routed";
-    }
-    return "?";
 }
 
 /** Queries sampled off the reference: every one has >= 1 true hit. */
@@ -317,10 +259,12 @@ cmdBuild(const Options &opt)
     Metrics metrics;
     const Dataset ds = loadDataset(opt);
     std::cout << "dataset " << ds.name << ": " << ds.ref.size()
-              << " bases, layout " << opt.layout << ", " << opt.shards
-              << " shard(s), mode " << opt.mode << "\n";
-    const Index idx = buildIndex(opt, ds, metrics);
-    saveBuilt(idx, ds, opt.out, metrics);
+              << " bases, " << opt.shards << " shard(s), mode "
+              << opt.mode << "\n";
+    const auto router = buildRouter(opt, ds, metrics);
+    const double t0 = now();
+    saveIndex(*router, opt.out);
+    metrics.put("index_save_s", now() - t0);
     metrics.put("ref_bases", static_cast<double>(ds.ref.size()));
     metrics.save(opt.json);
     std::cout << "saved " << opt.out << "\n";
@@ -331,22 +275,18 @@ int
 cmdInfo(const Options &opt)
 {
     Metrics metrics;
-    const Index idx = loadSaved(opt.out, metrics);
-    std::cout << "kind=" << kindName(idx.loaded.kind) << "\n";
-    if (idx.loaded.table != nullptr) {
-        std::cout << "k=" << idx.loaded.table->k()
-                  << " rows=" << idx.loaded.table->rows() << " tables=1\n";
-    } else {
-        const ShardRouter &router = *idx.loaded.router;
-        std::set<const ExmaTable *> tables;
-        for (size_t s = 0; s < router.shardCount(); ++s)
-            if (router.shardTable(s) != nullptr)
-                tables.insert(router.shardTable(s));
-        std::cout << "shards=" << router.shardCount()
-                  << " rows=" << router.totalRows()
-                  << " prefix_len=" << router.plan().prefixLen()
-                  << " tables=" << tables.size() << "\n";
-    }
+    const LoadedIndex idx = loadSaved(opt.out, metrics);
+    const ShardRouter &router = *idx.router;
+    std::set<const ExmaTable *> tables;
+    for (size_t s = 0; s < router.shardCount(); ++s)
+        if (router.shardTable(s) != nullptr)
+            tables.insert(router.shardTable(s));
+    std::cout << "shards=" << router.shardCount();
+    if (!tables.empty())
+        std::cout << " k=" << (*tables.begin())->k();
+    std::cout << " rows=" << router.totalRows()
+              << " prefix_len=" << router.plan().prefixLen()
+              << " tables=" << tables.size() << "\n";
     metrics.save(opt.json);
     return 0;
 }
@@ -356,19 +296,13 @@ cmdVerify(const Options &opt)
 {
     Metrics metrics;
     const Dataset ds = loadDataset(opt);
-    const Index built = buildIndex(opt, ds, metrics);
-
-    Index loaded = loadSaved(opt.out, metrics);
-    // Route searches through the loaded structures.
-    if (loaded.loaded.table)
-        loaded.table = std::move(loaded.loaded.table);
-    else
-        loaded.router = std::move(loaded.loaded.router);
+    const auto built = buildRouter(opt, ds, metrics);
+    const LoadedIndex loaded = loadSaved(opt.out, metrics);
 
     const u64 qlen = std::min<u64>(101, opt.max_query_len);
     const auto queries = sampleQueries(ds, opt.queries, qlen);
-    const auto expect = built.search(queries);
-    const auto got = loaded.search(queries);
+    const auto expect = built->search(queries).hits;
+    const auto got = loaded.router->search(queries).hits;
 
     u64 mismatches = 0;
     for (size_t i = 0; i < queries.size(); ++i) {
