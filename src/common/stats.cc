@@ -1,95 +1,8 @@
 #include "common/stats.hh"
 
 #include <algorithm>
-#include <iomanip>
 
 namespace exma {
-
-void
-Distribution::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++count_;
-    sum_ += v;
-    sum_sq_ += v * v;
-}
-
-double
-Distribution::variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    double m = mean();
-    return sum_sq_ / count_ - m * m;
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = sum_sq_ = min_ = max_ = 0.0;
-}
-
-Scalar &
-StatGroup::scalar(const std::string &name, const std::string &desc)
-{
-    auto &e = scalars_[name];
-    if (e.desc.empty() && !desc.empty())
-        e.desc = desc;
-    return e.stat;
-}
-
-Distribution &
-StatGroup::distribution(const std::string &name, const std::string &desc)
-{
-    auto &e = dists_[name];
-    if (e.desc.empty() && !desc.empty())
-        e.desc = desc;
-    return e.stat;
-}
-
-double
-StatGroup::value(const std::string &name) const
-{
-    auto it = scalars_.find(name);
-    return it == scalars_.end() ? 0.0 : it->second.stat.value();
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &[name, e] : scalars_) {
-        os << std::left << std::setw(44) << (name_ + "." + name)
-           << std::right << std::setw(16) << e.stat.value();
-        if (!e.desc.empty())
-            os << "  # " << e.desc;
-        os << "\n";
-    }
-    for (const auto &[name, e] : dists_) {
-        os << std::left << std::setw(44) << (name_ + "." + name)
-           << " count=" << e.stat.count()
-           << " mean=" << e.stat.mean()
-           << " min=" << e.stat.min()
-           << " max=" << e.stat.max();
-        if (!e.desc.empty())
-            os << "  # " << e.desc;
-        os << "\n";
-    }
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &[name, e] : scalars_)
-        e.stat.reset();
-    for (auto &[name, e] : dists_)
-        e.stat.reset();
-}
 
 PercentileSummary
 summarize(std::vector<double> samples)

@@ -1,93 +1,17 @@
 /**
  * @file
- * Lightweight statistics collection, in the spirit of gem5's Stats
- * package: named scalar counters and histograms grouped into a
- * StatGroup, with a formatted dump.
+ * Percentile summaries of sample sets, for the benches' error-box
+ * figures.
  */
 
 #ifndef EXMA_COMMON_STATS_HH
 #define EXMA_COMMON_STATS_HH
 
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
 
 namespace exma {
-
-/** A named scalar statistic (double-valued accumulator). */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    Scalar &operator++() { value_ += 1.0; return *this; }
-    Scalar &operator+=(double v) { value_ += v; return *this; }
-    void set(double v) { value_ = v; }
-    double value() const { return value_; }
-    void reset() { value_ = 0.0; }
-
-  private:
-    double value_ = 0.0;
-};
-
-/** A simple moment-tracking distribution statistic. */
-class Distribution
-{
-  public:
-    void sample(double v);
-    u64 count() const { return count_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double variance() const;
-    void reset();
-
-  private:
-    u64 count_ = 0;
-    double sum_ = 0.0;
-    double sum_sq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/**
- * A bag of named statistics. Modules own a StatGroup and register their
- * counters; harnesses read them back by name or dump the whole group.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Register (or fetch) a scalar statistic. */
-    Scalar &scalar(const std::string &name, const std::string &desc = "");
-
-    /** Register (or fetch) a distribution statistic. */
-    Distribution &distribution(const std::string &name,
-                               const std::string &desc = "");
-
-    /** Value of a scalar by name; 0 if absent. */
-    double value(const std::string &name) const;
-
-    /** Dump all statistics, gem5 stats.txt style. */
-    void dump(std::ostream &os) const;
-
-    /** Reset every statistic to zero. */
-    void reset();
-
-    const std::string &name() const { return name_; }
-
-  private:
-    struct ScalarEntry { Scalar stat; std::string desc; };
-    struct DistEntry { Distribution stat; std::string desc; };
-
-    std::string name_;
-    std::map<std::string, ScalarEntry> scalars_;
-    std::map<std::string, DistEntry> dists_;
-};
 
 /**
  * Percentile summary of a sample set (used for the error-box figures).

@@ -37,6 +37,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/dna.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "io/mapped_file.hh"
@@ -218,65 +219,91 @@ class FileView
 };
 
 /**
- * Growable little-endian metadata blob (configs, model weights —
- * everything that is not a hot array). Paired with BlobReader.
+ * Growable little-endian byte blob: index metadata (configs, model
+ * weights — everything that is not a hot array) and worker frame
+ * bodies alike. Paired with BlobReader.
  */
 class BlobWriter
 {
   public:
+    /** A trivially copyable record, byte-copied as it sits in memory. */
+    template <typename T>
+    void
+    putPod(const T &v)
+    {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "only trivially copyable records serialize");
+        putBytes(&v, sizeof(T));
+    }
     void
     putU32(u32 v)
     {
-        putRaw(&v, sizeof(v));
+        putBytes(&v, sizeof(v));
     }
     void
     putU64(u64 v)
     {
-        putRaw(&v, sizeof(v));
+        putBytes(&v, sizeof(v));
     }
     void
     putI32(i32 v)
     {
-        putRaw(&v, sizeof(v));
+        putBytes(&v, sizeof(v));
     }
     void
     putF64(double v)
     {
-        putRaw(&v, sizeof(v));
+        putBytes(&v, sizeof(v));
     }
     void
     putString(const std::string &s)
     {
         putU64(s.size());
-        putRaw(s.data(), s.size());
+        putBytes(s.data(), s.size());
     }
     void
     putF64Array(std::span<const double> v)
     {
         putU64(v.size());
-        putRaw(v.data(), v.size_bytes());
+        putBytes(v.data(), v.size_bytes());
     }
-
-    std::span<const u8> bytes() const { return buf_; }
-
-  private:
     void
-    putRaw(const void *p, size_t n)
+    putBytes(const void *p, size_t n)
     {
         const auto *b = static_cast<const u8 *>(p);
         buf_.insert(buf_.end(), b, b + n);
     }
 
+    std::span<const u8> bytes() const { return buf_; }
+    std::vector<u8> take() { return std::move(buf_); }
+
+  private:
     std::vector<u8> buf_;
 };
 
-/** Bounds-checked reader over a metadata blob; overruns throw. */
+/**
+ * Bounds-checked reader over a blob: every get checks the bytes left
+ * before it touches them, so a corrupt length never over-reads, and
+ * every failure throws LoadError naming the blob and the offset.
+ */
 class BlobReader
 {
   public:
     BlobReader(std::span<const u8> bytes, std::string what)
         : bytes_(bytes), what_(std::move(what))
     {
+    }
+
+    /** A trivially copyable record, as BlobWriter::putPod wrote it. */
+    template <typename T>
+    T
+    getPod()
+    {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "only trivially copyable records serialize");
+        T v{};
+        getRaw(&v, sizeof(T));
+        return v;
     }
 
     u32
@@ -317,23 +344,18 @@ class BlobReader
     getCount(u64 min_elem_bytes)
     {
         const u64 n = getU64();
-        if (n > (bytes_.size() - pos_) / min_elem_bytes)
+        if (n > remaining() / min_elem_bytes)
             throw LoadError(context() + ": count " + std::to_string(n) +
                             " of " + std::to_string(min_elem_bytes) +
                             "-byte elements overruns the " +
-                            std::to_string(bytes_.size() - pos_) +
-                            " bytes left");
+                            std::to_string(remaining()) + " bytes left");
         return n;
     }
     std::string
     getString()
     {
-        const u64 n = getCount(1);
-        std::string s(reinterpret_cast<const char *>(bytes_.data()) + // NOLINT(cppcoreguidelines-pro-type-reinterpret-cast)
-                          pos_,
-                      n);
-        pos_ += n;
-        return s;
+        const std::span<const u8> b = getBytes(getCount(1));
+        return {reinterpret_cast<const char *>(b.data()), b.size()}; // NOLINT(cppcoreguidelines-pro-type-reinterpret-cast)
     }
     std::vector<double>
     getF64Array()
@@ -341,26 +363,41 @@ class BlobReader
         const u64 n = getCount(sizeof(double));
         std::vector<double> v(n);
         if (n > 0)
-            std::memcpy(v.data(), bytes_.data() + pos_,
+            std::memcpy(v.data(), getBytes(n * sizeof(double)).data(),
                         n * sizeof(double));
-        pos_ += n * sizeof(double);
         return v;
     }
+    /** The next @p n bytes, as a view into the blob (no copy). */
+    std::span<const u8>
+    getBytes(u64 n)
+    {
+        if (n > remaining())
+            throw LoadError(context() + ": truncated blob (" +
+                            std::to_string(n) + " bytes wanted, " +
+                            std::to_string(remaining()) + " left)");
+        const std::span<const u8> b = bytes_.subspan(pos_, n);
+        pos_ += n;
+        return b;
+    }
+
+    u64 pos() const { return pos_; }
+    u64 remaining() const { return bytes_.size() - pos_; }
 
     /** Every byte must be consumed — trailing garbage is corruption. */
     void
     finish() const
     {
-        if (pos_ != bytes_.size())
+        if (remaining() != 0)
             throw LoadError(context() + ": " +
-                            std::to_string(bytes_.size() - pos_) +
-                            " unconsumed metadata bytes");
+                            std::to_string(remaining()) +
+                            " unconsumed bytes");
     }
 
     /**
      * Source label plus current byte offset ("file (blob) @+N") —
      * decoding code folds this into its LoadErrors so a corrupt field
-     * names the companion file and where inside the blob it sat.
+     * names the companion file or frame and where inside the blob it
+     * sat.
      */
     std::string
     context() const
@@ -370,26 +407,48 @@ class BlobReader
 
   private:
     void
-    checkRemaining(u64 n) const
-    {
-        if (n > bytes_.size() - pos_)
-            throw LoadError(context() + ": truncated metadata blob (" +
-                            std::to_string(n) + " bytes wanted, " +
-                            std::to_string(bytes_.size() - pos_) +
-                            " left)");
-    }
-    void
     getRaw(void *p, size_t n)
     {
-        checkRemaining(n);
-        std::memcpy(p, bytes_.data() + pos_, n);
-        pos_ += n;
+        std::memcpy(p, getBytes(n).data(), n);
     }
 
     std::span<const u8> bytes_;
     size_t pos_ = 0;
     std::string what_;
 };
+
+/** Bases per 2-bit packed word. */
+constexpr size_t kBasesPerWord = 32;
+
+/**
+ * The one 2-bit packing of base codes, for scan-shard text and request
+ * frames alike: a sequence is a run of u64 words, word w holding bases
+ * [32w, 32w + 32) with base i of a word at bits 2i..2i+1 and unused
+ * high bits zero. Packs up to 32 bases; a code above 3 panics.
+ */
+inline u64
+packWord(std::span<const Base> bases)
+{
+    exma_assert(bases.size() <= kBasesPerWord,
+                "%zu bases do not fit one packed word", bases.size());
+    u64 word = 0;
+    for (size_t i = 0; i < bases.size(); ++i) {
+        exma_assert(bases[i] <= 3, "base code %u is not 2-bit-packable",
+                    static_cast<unsigned>(bases[i]));
+        word |= u64{bases[i]} << (2 * i);
+    }
+    return word;
+}
+
+/** Unpack the first out.size() (at most 32) bases of @p word. */
+inline void
+unpackWord(u64 word, std::span<Base> out)
+{
+    exma_assert(out.size() <= kBasesPerWord,
+                "%zu bases do not fit one packed word", out.size());
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] = static_cast<Base>((word >> (2 * i)) & 3);
+}
 
 } // namespace exma
 

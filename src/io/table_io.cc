@@ -339,22 +339,27 @@ getNaiveModel(const FileView &view, const std::string &what)
 std::vector<u64>
 packText(std::span<const Base> text)
 {
-    std::vector<u64> words((text.size() + 31) / 32, 0);
-    for (size_t i = 0; i < text.size(); ++i)
-        words[i >> 5] |= u64{text[i] & 3u} << ((i & 31) * 2);
+    std::vector<u64> words;
+    words.reserve(text.size() / kBasesPerWord + 1);
+    for (size_t i = 0; i < text.size(); i += kBasesPerWord)
+        words.push_back(packWord(
+            text.subspan(i, std::min(kBasesPerWord, text.size() - i))));
     return words;
 }
 
 std::vector<Base>
 unpackText(std::span<const u64> words, u64 n, const std::string &what)
 {
-    if (words.size() != n / 32 + (n % 32 != 0 ? 1 : 0))
+    if (words.size() !=
+        n / kBasesPerWord + (n % kBasesPerWord != 0 ? 1 : 0))
         throw LoadError(what + ": packed text holds " +
                         std::to_string(words.size()) + " words for " +
                         std::to_string(n) + " bases");
     std::vector<Base> text(n);
-    for (u64 i = 0; i < n; ++i)
-        text[i] = static_cast<Base>((words[i >> 5] >> ((i & 31) * 2)) & 3);
+    for (u64 i = 0; i < n; i += kBasesPerWord)
+        unpackWord(words[i / kBasesPerWord],
+                   std::span(text).subspan(
+                       i, std::min<u64>(kBasesPerWord, n - i)));
     return text;
 }
 

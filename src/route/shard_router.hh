@@ -142,8 +142,8 @@ struct TransportConfig
      */
     std::string worker_dir;
     /**
-     * exma-worker binary; empty = $EXMA_WORKER_BIN, then the build
-     * tree next to the running binary, then $PATH.
+     * exma-worker binary; empty = the build tree next to the running
+     * binary, then $PATH.
      */
     std::string worker_binary;
 };

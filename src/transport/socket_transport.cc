@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -26,8 +25,6 @@ discoverWorkerBinary(const std::string &hint)
     namespace fs = std::filesystem;
     if (!hint.empty())
         return hint;
-    if (const char *env = std::getenv("EXMA_WORKER_BIN"); env && *env)
-        return env;
     // Build-tree layout: any binary under build/ has the worker at
     // build/tools/exma-worker/exma-worker — walk up from our own
     // executable until the relative path resolves.

@@ -45,8 +45,8 @@ struct SocketTransportConfig
 };
 
 /**
- * Resolve the exma-worker binary: @p hint if non-empty, else
- * $EXMA_WORKER_BIN, else a walk up from /proc/self/exe looking for
+ * Resolve the exma-worker binary: @p hint (the configured path) if
+ * non-empty, else a walk up from /proc/self/exe looking for
  * tools/exma-worker/exma-worker (the build-tree layout), else the
  * bare name for a PATH lookup.
  */

@@ -23,111 +23,6 @@ static_assert(std::is_trivially_copyable_v<WireRequestHead>);
 static_assert(sizeof(WireResponseHead) == 64, "wire ABI drift");
 static_assert(std::is_trivially_copyable_v<WireResponseHead>);
 
-/** Append-only body builder; PODs are byte-copied little-endian. */
-class WireWriter
-{
-  public:
-    template <typename T>
-    void putPod(const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        putRaw(&v, sizeof(T));
-    }
-
-    void putU32(u32 v) { putRaw(&v, sizeof v); }
-    void putU64(u64 v) { putRaw(&v, sizeof v); }
-    void putBytes(const void *p, size_t n) { putRaw(p, n); }
-
-    std::vector<u8> take() { return std::move(buf_); }
-
-  private:
-    void putRaw(const void *p, size_t n)
-    {
-        const u8 *b = static_cast<const u8 *>(p);
-        buf_.insert(buf_.end(), b, b + n);
-    }
-
-    std::vector<u8> buf_;
-};
-
-/**
- * Bounds-checked body cursor: every get validates against the bytes
- * actually present before touching them, so a corrupt length can
- * never over-read. All failures throw TransportError with the body
- * offset where decoding stopped.
- */
-class WireReader
-{
-  public:
-    WireReader(std::span<const u8> body, int fd) : body_(body), fd_(fd) {}
-
-    template <typename T>
-    T getPod(const char *what)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        T v;
-        getRaw(&v, sizeof(T), what);
-        return v;
-    }
-
-    u32 getU32(const char *what)
-    {
-        u32 v;
-        getRaw(&v, sizeof v, what);
-        return v;
-    }
-
-    u64 getU64(const char *what)
-    {
-        u64 v;
-        getRaw(&v, sizeof v, what);
-        return v;
-    }
-
-    std::span<const u8> getBytes(u64 n, const char *what)
-    {
-        need(n, what);
-        const auto s = body_.subspan(pos_, n);
-        pos_ += n;
-        return s;
-    }
-
-    u64 remaining() const { return body_.size() - pos_; }
-    u64 pos() const { return pos_; }
-
-    [[noreturn]] void fail(const std::string &msg) const
-    {
-        throw TransportError(msg, fd_, pos_);
-    }
-
-    void finish(const char *what) const
-    {
-        if (pos_ != body_.size())
-            fail(std::string(what) + ": " + std::to_string(remaining()) +
-                 " trailing bytes");
-    }
-
-  private:
-    void need(u64 n, const char *what) const
-    {
-        // pos_ <= size always holds, so the subtraction cannot wrap.
-        if (n > body_.size() - pos_)
-            fail(std::string(what) + ": needs " + std::to_string(n) +
-                 " bytes, " + std::to_string(remaining()) + " left");
-    }
-
-    void getRaw(void *out, size_t n, const char *what)
-    {
-        need(n, what);
-        std::memcpy(out, body_.data() + pos_, n);
-        pos_ += n;
-    }
-
-    std::span<const u8> body_;
-    u64 pos_ = 0;
-    int fd_;
-};
-
 void
 readFully(int fd, void *buf, size_t n, u64 frame_offset, const char *what,
           bool *clean_eof)
@@ -181,7 +76,7 @@ writeFully(int fd, const void *buf, size_t n, u64 frame_offset,
 std::vector<u8>
 encodeRequest(const WorkerRequest &req)
 {
-    WireWriter w;
+    BlobWriter w;
     WireRequestHead head;
     exma_assert(req.batch.size() <= ~u32{0},
                 "request batch of %zu queries is too large to frame",
@@ -191,24 +86,14 @@ encodeRequest(const WorkerRequest &req)
     head.total_bases = req.batch.totalBases();
     w.putPod<WireRequestHead>(head);
     for (size_t j = 0; j < req.batch.size(); ++j) {
-        const std::vector<Base> &q = req.batch.query(j);
+        const std::span<const Base> q = req.batch.query(j);
         exma_assert(q.size() <= ~u32{0},
                     "query of %zu bases is too long to frame", q.size());
         w.putU32(req.batch.ids()[j]);
         w.putU32(static_cast<u32>(q.size()));
-        u64 word = 0;
-        for (size_t i = 0; i < q.size(); ++i) {
-            exma_assert(q[i] <= 3,
-                        "query base %u is not 2-bit-packable",
-                        (unsigned)q[i]);
-            word |= u64{q[i]} << ((i & 31) * 2);
-            if ((i & 31) == 31) {
-                w.putU64(word);
-                word = 0;
-            }
-        }
-        if ((q.size() & 31) != 0)
-            w.putU64(word);
+        for (size_t i = 0; i < q.size(); i += kBasesPerWord)
+            w.putU64(packWord(
+                q.subspan(i, std::min(kBasesPerWord, q.size() - i))));
     }
     return w.take();
 }
@@ -216,49 +101,53 @@ encodeRequest(const WorkerRequest &req)
 WorkerRequest
 decodeRequest(std::span<const u8> body, int fd)
 {
-    WireReader r(body, fd);
-    const auto head = r.getPod<WireRequestHead>("request head");
-    // Every query costs at least 8 body bytes (id + length); refuse a
-    // count the frame cannot possibly hold before any allocation.
-    if (u64{head.n_queries} * 8 > r.remaining())
-        r.fail("request head claims " + std::to_string(head.n_queries) +
-               " queries; the frame cannot hold them");
-    std::vector<std::vector<Base>> queries(head.n_queries);
-    std::vector<u32> ids(head.n_queries);
-    u64 total_bases = 0;
-    for (u32 j = 0; j < head.n_queries; ++j) {
-        ids[j] = r.getU32("query id");
-        const u32 n = r.getU32("query length");
-        const u64 n_words = (u64{n} + 31) / 32;
-        if (n_words * 8 > r.remaining())
-            r.fail("query of " + std::to_string(n) +
-                   " bases overruns the frame");
-        std::vector<Base> &q = queries[j];
-        q.resize(n);
-        for (u64 wi = 0; wi < n_words; ++wi) {
-            const u64 word = r.getU64("packed query word");
-            const u64 base0 = wi * 32;
-            const u64 limit = std::min<u64>(32, u64{n} - base0);
-            for (u64 k = 0; k < limit; ++k)
-                q[base0 + k] = static_cast<Base>((word >> (k * 2)) & 3);
+    BlobReader r(body, "request body");
+    const auto fail = [&](const std::string &msg) {
+        throw TransportError(msg, fd, r.pos());
+    };
+    try {
+        const auto head = r.getPod<WireRequestHead>();
+        // Every query costs at least 8 body bytes (id + length); refuse
+        // a count the frame cannot possibly hold before any allocation.
+        if (u64{head.n_queries} * 8 > r.remaining())
+            fail("request head claims " + std::to_string(head.n_queries) +
+                 " queries; the frame cannot hold them");
+        std::vector<std::vector<Base>> queries(head.n_queries);
+        std::vector<u32> ids(head.n_queries);
+        u64 total_bases = 0;
+        for (u32 j = 0; j < head.n_queries; ++j) {
+            ids[j] = r.getU32();
+            const u32 n = r.getU32();
+            if ((u64{n} + kBasesPerWord - 1) / kBasesPerWord * 8 >
+                r.remaining())
+                fail("query of " + std::to_string(n) +
+                     " bases overruns the frame");
+            std::vector<Base> &q = queries[j];
+            q.resize(n);
+            for (size_t i = 0; i < n; i += kBasesPerWord)
+                unpackWord(r.getU64(),
+                           std::span(q).subspan(
+                               i, std::min<size_t>(kBasesPerWord, n - i)));
+            total_bases += n;
         }
-        total_bases += n;
+        if (total_bases != head.total_bases)
+            fail("request base-count mismatch: head says " +
+                 std::to_string(head.total_bases) + ", queries carry " +
+                 std::to_string(total_bases));
+        r.finish();
+        WorkerRequest req;
+        req.batch = QueryBatchView::own(std::move(queries), std::move(ids));
+        req.cfg.grain = head.grain;
+        return req;
+    } catch (const LoadError &e) {
+        throw TransportError(e.what(), fd, r.pos());
     }
-    if (total_bases != head.total_bases)
-        r.fail("request base-count mismatch: head says " +
-               std::to_string(head.total_bases) + ", queries carry " +
-               std::to_string(total_bases));
-    r.finish("request body");
-    WorkerRequest req;
-    req.batch = QueryBatchView::own(std::move(queries), std::move(ids));
-    req.cfg.grain = head.grain;
-    return req;
 }
 
 std::vector<u8>
 encodeResponse(const WorkerResponse &resp)
 {
-    WireWriter w;
+    BlobWriter w;
     WireResponseHead head;
     head.status = static_cast<u32>(resp.status);
     exma_assert(resp.ids.size() <= ~u32{0},
@@ -283,8 +172,7 @@ encodeResponse(const WorkerResponse &resp)
     w.putU32(static_cast<u32>(resp.hits.size()));
     for (const auto &row : resp.hits) {
         w.putU64(row.size());
-        for (const u64 pos : row)
-            w.putU64(pos);
+        w.putBytes(row.data(), row.size() * sizeof(u64));
     }
     return w.take();
 }
@@ -292,46 +180,55 @@ encodeResponse(const WorkerResponse &resp)
 WorkerResponse
 decodeResponse(std::span<const u8> body, int fd)
 {
-    WireReader r(body, fd);
-    const auto head = r.getPod<WireResponseHead>("response head");
-    if (head.status > static_cast<u32>(WorkerStatus::WorkerDown))
-        r.fail("response status " + std::to_string(head.status) +
-               " is not a WorkerStatus");
-    WorkerResponse resp;
-    resp.status = static_cast<WorkerStatus>(head.status);
-    resp.canary = head.canary;
-    resp.seconds = head.seconds;
-    resp.stats = head.stats;
-    const u32 err_len = r.getU32("error length");
-    if (err_len > kMaxErrorBytes)
-        r.fail("error string of " + std::to_string(err_len) +
-               " bytes exceeds the " + std::to_string(kMaxErrorBytes) +
-               "-byte cap");
-    const std::span<const u8> err = r.getBytes(err_len, "error string");
-    resp.error.assign(reinterpret_cast<const char *>(err.data()),
-                      err.size());
-    if (u64{head.n_ids} * 4 > r.remaining())
-        r.fail("response head claims " + std::to_string(head.n_ids) +
-               " ids; the frame cannot hold them");
-    resp.ids.resize(head.n_ids);
-    for (u32 j = 0; j < head.n_ids; ++j)
-        resp.ids[j] = r.getU32("response id");
-    const u32 n_rows = r.getU32("hit row count");
-    if (u64{n_rows} * 8 > r.remaining())
-        r.fail("response claims " + std::to_string(n_rows) +
-               " hit rows; the frame cannot hold them");
-    resp.hits.resize(n_rows);
-    for (u32 j = 0; j < n_rows; ++j) {
-        const u64 n_hits = r.getU64("hit count");
-        if (n_hits > r.remaining() / 8)
-            r.fail("hit row of " + std::to_string(n_hits) +
-                   " positions overruns the frame");
-        resp.hits[j].resize(n_hits);
-        for (u64 k = 0; k < n_hits; ++k)
-            resp.hits[j][k] = r.getU64("hit position");
+    BlobReader r(body, "response body");
+    const auto fail = [&](const std::string &msg) {
+        throw TransportError(msg, fd, r.pos());
+    };
+    try {
+        const auto head = r.getPod<WireResponseHead>();
+        if (head.status > static_cast<u32>(WorkerStatus::WorkerDown))
+            fail("response status " + std::to_string(head.status) +
+                 " is not a WorkerStatus");
+        WorkerResponse resp;
+        resp.status = static_cast<WorkerStatus>(head.status);
+        resp.canary = head.canary;
+        resp.seconds = head.seconds;
+        resp.stats = head.stats;
+        const u32 err_len = r.getU32();
+        if (err_len > kMaxErrorBytes)
+            fail("error string of " + std::to_string(err_len) +
+                 " bytes exceeds the " + std::to_string(kMaxErrorBytes) +
+                 "-byte cap");
+        const std::span<const u8> err = r.getBytes(err_len);
+        resp.error.assign(reinterpret_cast<const char *>(err.data()),
+                          err.size());
+        if (u64{head.n_ids} * 4 > r.remaining())
+            fail("response head claims " + std::to_string(head.n_ids) +
+                 " ids; the frame cannot hold them");
+        resp.ids.resize(head.n_ids);
+        for (u32 &id : resp.ids)
+            id = r.getU32();
+        const u32 n_rows = r.getU32();
+        if (u64{n_rows} * 8 > r.remaining())
+            fail("response claims " + std::to_string(n_rows) +
+                 " hit rows; the frame cannot hold them");
+        // The router's merge reads one row per id.
+        if (resp.status == WorkerStatus::Ok && n_rows != head.n_ids)
+            fail("Ok response carries " + std::to_string(n_rows) +
+                 " hit rows for " + std::to_string(head.n_ids) + " ids");
+        resp.hits.resize(n_rows);
+        for (std::vector<u64> &row : resp.hits) {
+            row.resize(r.getCount(sizeof(u64)));
+            const std::span<const u8> hits =
+                r.getBytes(row.size() * sizeof(u64));
+            if (!row.empty())
+                std::memcpy(row.data(), hits.data(), hits.size());
+        }
+        r.finish();
+        return resp;
+    } catch (const LoadError &e) {
+        throw TransportError(e.what(), fd, r.pos());
     }
-    r.finish("response body");
-    return resp;
 }
 
 bool

@@ -13,17 +13,21 @@
  * bit anywhere in the payload is a detected transport error, not a
  * silently wrong answer.
  *
- * Request bodies 2-bit-pack each query (the alphabet is ACGT), so a
- * batch frame costs ~n/4 bytes of query payload. Response bodies
- * carry the typed WorkerResponse: status, a length-prefixed error
- * string (capped at kMaxErrorBytes — a corrupt length fails closed,
- * it never over-reads), ids, per-id hit rows, the application-level
- * response canary, timing and search stats.
+ * Bodies are built and read with the index format's blob codec
+ * (io/format.hh's BlobWriter / BlobReader), and request bodies
+ * 2-bit-pack each query with the same word packer as a scan shard's
+ * text, so a batch frame costs ~n/4 bytes of query payload. Response
+ * bodies carry the typed WorkerResponse: status, a length-prefixed
+ * error string (capped at kMaxErrorBytes — a corrupt length fails
+ * closed, it never over-reads), ids, per-id hit rows, the
+ * application-level response canary, timing and search stats. An Ok
+ * response carries exactly one hit row per id.
  *
  * Decoding is fail-closed end to end: every length is bounds-checked
  * against the remaining body before any allocation, trailing bytes
- * are an error, and all failures throw TransportError carrying the
- * fd and the frame/body offset — the transport analogue of
+ * are an error, and all failures — the blob reader's LoadErrors
+ * included — throw TransportError carrying the fd and the body
+ * offset where decoding stopped, the transport analogue of
  * LoadError's path + section offset.
  *
  * The framing structs are serialized PODs and therefore registered

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -30,6 +32,13 @@ searchShard(const ShardState &st, const WorkerRequest &req,
 {
     WorkerResponse out;
     out.ids = req.batch.ids();
+    // An empty pattern matches at every position (one past the last
+    // base included); the router never sends one, so refuse it here
+    // for every state rather than answer it.
+    for (size_t j = 0; j < req.batch.size(); ++j)
+        if (req.batch.query(j).empty())
+            throw std::invalid_argument(
+                "query " + std::to_string(out.ids[j]) + " is empty");
 
     if (st.table) {
         BatchConfig cfg = req.cfg;

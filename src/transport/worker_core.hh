@@ -43,9 +43,10 @@ void validateShardState(const std::string &name, const ShardState &st);
  * batch and return global hit positions index-aligned with the
  * request ids, with the canary stamped. A compute exception becomes a
  * Failed response carrying its message — the same answer in process
- * and across the wire. @p progress ticks per processed chunk — both
- * sides turn it into heartbeats so a supervisor can tell a slow batch
- * from a hung worker.
+ * and across the wire — and so does a batch holding an empty query.
+ * @p progress ticks per processed chunk — both sides turn it into
+ * heartbeats so a supervisor can tell a slow batch from a hung
+ * worker.
  */
 WorkerResponse serveShardRequest(const ShardState &st,
                                  const WorkerRequest &req,

@@ -9,62 +9,6 @@
 namespace exma {
 namespace {
 
-TEST(Stats, ScalarAccumulates)
-{
-    StatGroup g("g");
-    auto &s = g.scalar("x", "a stat");
-    ++s;
-    s += 2.5;
-    EXPECT_DOUBLE_EQ(g.value("x"), 3.5);
-}
-
-TEST(Stats, ScalarIsSharedByName)
-{
-    StatGroup g("g");
-    g.scalar("x") += 1.0;
-    g.scalar("x") += 1.0;
-    EXPECT_DOUBLE_EQ(g.value("x"), 2.0);
-}
-
-TEST(Stats, MissingScalarReadsZero)
-{
-    StatGroup g("g");
-    EXPECT_DOUBLE_EQ(g.value("nope"), 0.0);
-}
-
-TEST(Stats, DistributionMoments)
-{
-    StatGroup g("g");
-    auto &d = g.distribution("lat");
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        d.sample(v);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 4.0);
-    EXPECT_NEAR(d.variance(), 1.25, 1e-9);
-}
-
-TEST(Stats, ResetClearsEverything)
-{
-    StatGroup g("g");
-    g.scalar("x") += 5.0;
-    g.distribution("d").sample(1.0);
-    g.reset();
-    EXPECT_DOUBLE_EQ(g.value("x"), 0.0);
-    EXPECT_EQ(g.distribution("d").count(), 0u);
-}
-
-TEST(Stats, DumpContainsNames)
-{
-    StatGroup g("dram");
-    g.scalar("reads", "read count") += 7;
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("dram.reads"), std::string::npos);
-    EXPECT_NE(os.str().find("read count"), std::string::npos);
-}
-
 TEST(Stats, SummarizePercentiles)
 {
     std::vector<double> v;

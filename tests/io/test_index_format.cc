@@ -16,7 +16,9 @@
 #include "common/rng.hh"
 #include "genome/reference.hh"
 #include "io/format.hh"
+#include "io/table_io.hh"
 #include "persist/index_io.hh"
+#include "transport/wire.hh"
 
 namespace exma {
 namespace {
@@ -281,6 +283,63 @@ TEST(FileFormatTest, BlobReaderCountOverflowThrows)
     BlobReader r(w.bytes(), "blob");
     EXPECT_EQ(r.getF64Array(), (std::vector<double>{2.5}));
     r.finish();
+}
+
+/** @p n LCG bases, the same on every host. */
+std::vector<Base>
+fixedBases(size_t n, u64 seed)
+{
+    std::vector<Base> out(n);
+    for (Base &b : out) {
+        seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+        b = static_cast<Base>(seed >> 62);
+    }
+    return out;
+}
+
+// The layout lock freezes struct layouts, not the bodies built from
+// them: a change to the bit order inside a packed word, a field order
+// or a length width passes every round trip. These hashes were taken
+// from the format-3 writers; a body change must bump kFormatVersion
+// and recapture them.
+TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
+{
+    EXPECT_EQ(kFormatVersion, 3u);
+
+    // Query lengths on both sides of the 32-base word edges.
+    std::vector<std::vector<Base>> queries;
+    u64 seed = 11;
+    for (const size_t len : {1, 31, 32, 33, 64})
+        queries.push_back(fixedBases(len, seed++));
+    WorkerRequest req;
+    req.batch = QueryBatchView::own(std::move(queries), {9, 0, 4, 2, 7});
+    req.cfg.grain = 5;
+    EXPECT_EQ(fnv1a(encodeRequest(req)), 0x274e045c3c48d97eULL);
+
+    WorkerResponse ok;
+    ok.ids = {3, 1, 8};
+    ok.hits = {{7, 19, u64{1} << 35}, {}, {2}};
+    ok.stats = SearchStats{1, 2, 3, 4, 5};
+    ok.seconds = 0.5;
+    ok.canary = responseCanary(ok);
+    EXPECT_EQ(fnv1a(encodeResponse(ok)), 0x354d8edf88fc67f4ULL);
+
+    WorkerResponse failed;
+    failed.status = WorkerStatus::Failed;
+    failed.error = "shard compute threw";
+    failed.ids = {6, 2};
+    EXPECT_EQ(fnv1a(encodeResponse(failed)), 0xed25e2b0d86351e8ULL);
+
+    // A scan shard's packed text section (tag 3 of its .exma.pac).
+    const std::string stem = tempDir("fmt_golden") + "/scan";
+    saveScanFiles(fixedBases(100, 5), TextSegment{1000, 100}, stem);
+    const MappedFile pac_file(stem + kExtPac);
+    const FileView pac(pac_file, kMagicPac);
+    const std::span<const u64> words = pac.viewArray<u64>(3);
+    const std::span<const u8> text(
+        reinterpret_cast<const u8 *>(words.data()), // NOLINT(cppcoreguidelines-pro-type-reinterpret-cast)
+        words.size_bytes());
+    EXPECT_EQ(fnv1a(text), 0x258faa74ff922836ULL);
 }
 
 // --- single-table round trips -------------------------------------------

@@ -131,6 +131,47 @@ TEST(SocketTransport, ScanShardMatchesInProcessWorkerBitForBit)
     EXPECT_FALSE(sock->isDead());
 }
 
+// An empty pattern matches at every position, one past the last base
+// included. The router never sends one; a worker that gets one must
+// answer Failed instead of locating every row.
+TEST(SocketTransport, InProcessWorkerFailsAnEmptyQuery)
+{
+    const ScanFixture fx;
+    ExmaTable::Config cfg;
+    cfg.k = 4;
+    cfg.mode = OccIndexMode::Exact;
+    const ExmaTable table(fx.text, cfg);
+    ShardWorker worker("w", {&table, nullptr, 0});
+
+    const std::vector<std::vector<Base>> queries = {{0, 1, 2}, {}};
+    auto fut = worker.submit(requestFor(queries));
+    const WorkerResponse r = resolved(fut);
+    EXPECT_EQ(r.status, WorkerStatus::Failed);
+    EXPECT_NE(r.error.find("empty"), std::string::npos) << r.error;
+    EXPECT_TRUE(r.hits.empty());
+}
+
+TEST(SocketTransport, SocketWorkerFailsAnEmptyQuery)
+{
+    const ScanFixture fx;
+    const auto good = fx.queries();
+    auto with_empty = good;
+    with_empty.emplace_back();
+    auto sock = spawnScanWorker("s", fx);
+
+    auto fut = sock->submit(requestFor(with_empty));
+    const WorkerResponse r = resolved(fut);
+    EXPECT_EQ(r.status, WorkerStatus::Failed);
+    EXPECT_NE(r.error.find("empty"), std::string::npos) << r.error;
+    EXPECT_TRUE(r.hits.empty());
+
+    // A refused request is compute failing, not the channel: the child
+    // stays up and serves the next one.
+    auto fine = sock->submit(requestFor(good));
+    EXPECT_EQ(resolved(fine).status, WorkerStatus::Ok);
+    EXPECT_FALSE(sock->isDead());
+}
+
 TEST(SocketTransport, EmptyShardServesHitlessRows)
 {
     const ScanFixture fx;

@@ -203,6 +203,16 @@ TEST(Wire, ResponseDecodeRejectsCorruptLengthsAndStatus)
     std::vector<u8> hits = good;
     std::memset(hits.data() + 76, 0xff, 8);
     EXPECT_THROW(decodeResponse(hits, -1), TransportError);
+
+    // An Ok response owes one hit row per id: the router's merge reads
+    // hits[j] for every id, and the sender's canary covers the same
+    // wrong shape, so only the decoder can refuse it.
+    WorkerResponse short_rows;
+    short_rows.ids = {0, 1};
+    short_rows.hits = {{5}};
+    short_rows.canary = responseCanary(short_rows);
+    EXPECT_THROW(decodeResponse(encodeResponse(short_rows), -1),
+                 TransportError);
 }
 
 /** A connected socket pair whose fds close on destruction. */

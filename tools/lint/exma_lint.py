@@ -426,8 +426,9 @@ def check_mutex_annotations(root):
 # An explicit-template writeArray/viewArray call names the element type
 # that hits the disk — and an explicit putPod/getPod names a type that
 # crosses the router/worker process boundary in a wire frame; the
-# definitions in src/io/format.hh and src/transport/wire.cc take the
-# type from a deduced argument and never match this pattern.
+# definitions, all member templates in src/io/format.hh (FileBuilder,
+# FileView, BlobWriter, BlobReader), are declared without a template
+# argument list and never match this pattern.
 ONDISK_CALL_RE = re.compile(
     r"\b(?:writeArray|viewArray|putPod|getPod)"
     r"\s*<\s*([A-Za-z_]\w*(?:::\w+)*)\s*>")
