@@ -1,12 +1,14 @@
 /**
  * @file
  * google-benchmark microkernels for the software layers: suffix-array
- * construction, FM-Index search, k-step/EXMA search, LISA search, and
- * the CHAIN/B∆I codecs. Complements the figure harnesses with
- * wall-clock numbers for the library itself.
+ * construction, FM-Index search, k-step/EXMA search, LISA search, the
+ * CHAIN/B∆I codecs, and the fixed cost of a one-query routed search.
+ * Complements the figure harnesses with wall-clock numbers for the
+ * library itself.
  */
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "genome/reads.hh"
 #include "genome/reference.hh"
 #include "lisa/lisa.hh"
+#include "route/shard_router.hh"
 
 namespace {
 
@@ -35,6 +38,17 @@ microRef()
         return generateReference(spec);
     }();
     return ref;
+}
+
+/** The table configuration of the search micros over microRef(). */
+ExmaTable::Config
+microTableConfig()
+{
+    ExmaTable::Config cfg;
+    cfg.k = 8;
+    cfg.mode = OccIndexMode::Mtl;
+    cfg.mtl.epochs = 30;
+    return cfg;
 }
 
 void
@@ -66,13 +80,7 @@ BENCHMARK(BM_FmIndexSearch)->Arg(32)->Arg(101);
 void
 BM_ExmaSearch(benchmark::State &state)
 {
-    static const ExmaTable table = [] {
-        ExmaTable::Config cfg;
-        cfg.k = 8;
-        cfg.mode = OccIndexMode::Mtl;
-        cfg.mtl.epochs = 30;
-        return ExmaTable(microRef(), cfg);
-    }();
+    static const ExmaTable table(microRef(), microTableConfig());
     auto pats = samplePatterns(microRef(), 256, 101, 9);
     size_t i = 0;
     for (auto _ : state) {
@@ -126,6 +134,56 @@ BM_BdiCompress(benchmark::State &state)
                             static_cast<i64>(data.size()));
 }
 BENCHMARK(BM_BdiCompress);
+
+/** CPU seconds used so far by every thread of this process. */
+double
+processCpuSeconds()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const auto secs = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) +
+               static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+/**
+ * Back-to-back one-query searches on an in-process 2-shard router: the
+ * fixed cost of a one-read request (classify, dispatch, gather, merge)
+ * plus the search and locate of one 101-base read. The time is real
+ * time per search; the cpu_us_per_search counter is process CPU per
+ * search, since google benchmark's CPU clock counts only the calling
+ * thread and would miss the work of any thread a search hands off to.
+ */
+void
+BM_RouterSearchOneQuery(benchmark::State &state)
+{
+    constexpr u64 kMaxQueryLen = 128;
+    static const ShardRouter router = [] {
+        RouterConfig cfg;
+        cfg.table = microTableConfig();
+        cfg.transport.kind = TransportKind::InProcess;
+        return ShardRouter(microRef(),
+                           ShardPlan::kmerPrefix(microRef(), 2,
+                                                 kMaxQueryLen),
+                           cfg);
+    }();
+    std::vector<std::vector<std::vector<Base>>> requests;
+    for (auto &p : samplePatterns(microRef(), 256, 101, 13))
+        requests.push_back({std::move(p)});
+    size_t i = 0;
+    const double cpu0 = processCpuSeconds();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(router.search(requests[i % requests.size()]));
+        ++i;
+    }
+    const double cpu_s = processCpuSeconds() - cpu0;
+    state.counters["cpu_us_per_search"] =
+        cpu_s * 1e6 / static_cast<double>(state.iterations());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RouterSearchOneQuery)->UseRealTime();
 
 } // namespace
 

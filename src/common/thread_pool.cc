@@ -150,7 +150,8 @@ struct LoopState
 /**
  * Run [0, n) on @p pool with @p width participant slots total (the
  * caller is slot 0, helpers take 1..width-1), then rethrow the first
- * chunk error.
+ * chunk error. The caller claims a chunk itself, so a loop of c chunks
+ * wakes at most c - 1 helpers: a one-chunk loop runs on the caller.
  */
 void
 runLoop(ThreadPool &pool, u64 n, u64 grain,
@@ -162,8 +163,8 @@ runLoop(ThreadPool &pool, u64 n, u64 grain,
     state->total_chunks = (n + grain - 1) / grain;
     state->fn = &fn;
 
-    const unsigned helpers = static_cast<unsigned>(
-        std::min<u64>(width > 0 ? width - 1 : 0, state->total_chunks));
+    const unsigned helpers = static_cast<unsigned>(std::min<u64>(
+        width > 0 ? width - 1 : 0, state->total_chunks - 1));
     for (unsigned h = 0; h < helpers; ++h)
         pool.submit([state, slot = h + 1] { state->participate(slot); });
 

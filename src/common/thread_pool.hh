@@ -62,7 +62,9 @@ class ThreadPool
      * `grain` indices at a time, on the workers plus the calling
      * thread. `slot` < slotCount() is stable per participant for the
      * duration of the call. Chunks are claimed dynamically; the call
-     * returns once all of [0, n) is processed. The first exception
+     * returns once all of [0, n) is processed. The caller claims chunks
+     * too, so a loop of c chunks wakes at most c - 1 workers: one that
+     * fits one chunk runs on the caller alone. The first exception
      * thrown by any chunk is rethrown here (remaining chunks are
      * drained, not cancelled mid-chunk).
      */

@@ -403,7 +403,15 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
     if (outlives)
         queue->queries = queries;
     const auto &batch = outlives ? queue->queries : queries;
-    // No lock is held here: a dead replica completes inside submit().
+    // A lone in-process call whose attempts all answer before search()
+    // returns runs each attempt on this thread: the caller would only
+    // sleep until the lane answered, so serving here skips the inbox
+    // wake and the completion wake. Its completion still lands in the
+    // queue, so the gather below is the same either way.
+    const bool here = !outlives && calls.size() == 1 &&
+                      transport_kind_ == TransportKind::InProcess;
+    // No lock is held here: a dead replica completes inside submit(),
+    // and serveHere() completes before it returns.
     const auto submitTo = [&](size_t i, std::shared_ptr<Transport> w) {
         ShardCall &c = calls[i];
         ++c.in_flight;
@@ -411,10 +419,14 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
                     ? Clock::now() + std::chrono::milliseconds(fo.hedge_ms)
                     : Clock::time_point::max();
         c.last = w;
-        w->submit({QueryBatchView::borrow(batch, c.ids), cfg},
-                  [queue, i](WorkerResponse r) {
-                      queue->push(i, std::move(r));
-                  });
+        WorkerRequest req{QueryBatchView::borrow(batch, c.ids), cfg};
+        auto done = [queue, i](WorkerResponse r) {
+            queue->push(i, std::move(r));
+        };
+        if (here)
+            w->serveHere(std::move(req), std::move(done));
+        else
+            w->submit(std::move(req), std::move(done));
     };
     for (size_t i = 0; i < calls.size(); ++i)
         submitTo(i, sets_[calls[i].shard]->pick());

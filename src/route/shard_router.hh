@@ -44,7 +44,15 @@
  * deadline. An attempt still out when search() returns (a hedge
  * loser, a call abandoned at the deadline) lands in the queue later,
  * which its completion keeps alive; such attempts read a copy of the
- * batch, made only when a deadline or hedging is configured.
+ * batch, made only when a deadline or hedging is configured. Without
+ * either, a search that makes exactly one in-process shard call (a
+ * one-read request) serves each of that call's attempts on the
+ * calling thread (Transport::serveHere), which would otherwise only
+ * sleep until the lane answered: the response is in the queue before
+ * the gather looks, and the search pays no thread handoff. A search
+ * of two or more calls, a socket replica, and a deadline or hedged
+ * search keep the lanes, so shard calls still run side by side and
+ * the caller stays free to give up.
  *
  * Text-partitioned plans (fixedWidth, perRecord) have no routing
  * prefix and are the only plans served broadcast: each shard's table
@@ -54,7 +62,8 @@
  *
  * Thread-safety analysis: search() is const and keeps all cross-thread
  * traffic inside annotated machinery — requests ride the workers'
- * annotated inbox queues, responses come back through the search's
+ * annotated inbox queues (or, for a lone in-process call, are served
+ * on the caller), responses come back through the search's
  * annotated completion queue (never locked across a submit()), replica
  * swaps stay behind ReplicaSet's annotated mutex, and the merge writes
  * out.hits on the calling thread only (the dedup/cap parallelFor
@@ -309,6 +318,12 @@ class ShardRouter
      * whatever the other shards produced is returned. Queries are never lost
      * and never double-merged: exactly one verified response per shard
      * call is accepted.
+     *
+     * Threads: shard calls run on the replicas' lanes (or worker
+     * processes), except that a search with no deadline and no
+     * hedging whose only shard call is in-process runs that call's
+     * attempts on the calling thread. Hits, degraded flags and
+     * failover counts are the same either way.
      */
     RoutedResult search(const std::vector<std::vector<Base>> &queries,
                         const BatchConfig &cfg = {}) const;

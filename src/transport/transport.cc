@@ -108,6 +108,19 @@ Transport::submit(WorkerRequest req, Completion done)
 }
 
 void
+Transport::serveHere(WorkerRequest req, Completion done)
+{
+    Pending p{std::move(req), std::move(done)};
+    inbox_depth_.fetch_add(1, std::memory_order_relaxed);
+    // The request never enters the inbox, so kill() cannot drain it:
+    // serve() answers WorkerDown itself if the replica dies meanwhile.
+    if (isDead())
+        resolveDown(p);
+    else
+        serve(std::move(p));
+}
+
+void
 Transport::kill()
 {
     dead_.store(true, std::memory_order_release);

@@ -21,14 +21,19 @@
  * (interrupt).
  *
  * The lane: an inbox (deque + mutex + condvar) drained in submission
- * order by one owned thread. Every dequeue probes the process-wide
- * FaultInjector at the replica's name, so one fault plan drives both
- * transports identically:
+ * order by one owned thread. A caller with nothing else to do may
+ * instead serve one request on its own thread (serveHere) through the
+ * same serve path; only the inbox and its wake are skipped. Every
+ * request served either way probes the process-wide FaultInjector at
+ * the replica's name, so one fault plan drives both transports and
+ * both paths identically:
  *   - kill     the replica dies before serving (kill(): for a socket
  *              replica, a real SIGKILL);
- *   - hang     the lane stalls with no heartbeat until a kill (or the
- *              supervisor) cancels the sleep; then the replica is gone;
- *   - delay    the lane stalls, then serves — unless killed mid-sleep;
+ *   - hang     the serving thread stalls with no heartbeat until a
+ *              kill (or the supervisor) cancels the sleep; then the
+ *              replica is gone;
+ *   - delay    the serving thread stalls, then serves — unless killed
+ *              mid-sleep;
  *   - throw    a Failed response without contacting the compute (the
  *              fault models compute throwing, not the channel: the
  *              replica survives and nothing respawns);
@@ -41,20 +46,23 @@
  *
  * Every response reaches its caller through one function, resolve():
  * counters first, then the completion, with no transport lock held.
- * A completion runs on the lane thread, on the thread that called
- * kill() (or destroyed the transport), or — for a replica already
- * dead — on the submitting thread before submit() returns. Because
- * no lock is held, a completion may submit again, even to the same
- * transport.
+ * A submitted request's completion runs on the lane thread, on the
+ * thread that called kill() (or destroyed the transport), or — for a
+ * replica already dead — on the submitting thread before submit()
+ * returns. A serveHere() completion always runs on the calling
+ * thread before serveHere() returns. Because no lock is held, a
+ * completion may submit again, even to the same transport.
  *
  * Liveness (inboxDepth / heartbeat / processed / isDead / kill) is
  * part of the interface because the failover tier is built on it:
  * power-of-two-choices reads inboxDepth, the supervisor reads
  * heartbeat, and kill() is the one idempotent crash switch every
  * layer (supervisor, ReplicaSet::killReplica, tests) may pull. The
- * heartbeat ticks on every dequeue, every completion and every
- * compute chunk (tickHeartbeat), which is how a supervisor tells a
- * slow replica from a hung one. Counters move before the completion
+ * heartbeat ticks as each request starts being served, on every
+ * completion and on every compute chunk (tickHeartbeat), which is how
+ * a supervisor tells a slow replica from a hung one; a serveHere()
+ * request counts in inboxDepth while it runs, so a hang on the
+ * caller's thread is seen too. Counters move before the completion
  * runs, so a caller that has its response sees the post-request
  * counters.
  *
@@ -144,14 +152,28 @@ class Transport
     /**
      * Enqueue a request; @p done runs exactly once with its response
      * once the replica has served it or gone down (see the file
-     * comment for the thread it runs on). Requests are served in
-     * submission order. Never blocks; submitting to a dead replica
-     * runs @p done with WorkerDown before returning.
+     * comment for the thread it runs on). Submitted requests are
+     * served in submission order. Never blocks; submitting to a dead
+     * replica runs @p done with WorkerDown before returning.
      */
     void submit(WorkerRequest req, Completion done);
 
     /** submit(), with the response delivered through a future. */
     std::future<WorkerResponse> submit(WorkerRequest req);
+
+    /**
+     * Serve a request on the calling thread instead of the lane: the
+     * lane's own serve path (fault dispatch, counters, kill semantics),
+     * so @p done runs exactly once, on this thread, before serveHere()
+     * returns. The request counts in inboxDepth() while it runs and
+     * does not queue behind submitted ones; a kill() from another
+     * thread cuts an injected sleep short, and a replica already dead
+     * answers WorkerDown. Blocks for the whole request: only for a
+     * replica whose serveRequest may run beside its lane (ShardWorker
+     * over immutable shard state; a socket replica's lane owns its
+     * socket).
+     */
+    void serveHere(WorkerRequest req, Completion done);
 
     /**
      * Put the replica down: mark dead, interrupt whatever it is
@@ -170,8 +192,9 @@ class Transport
         return inbox_depth_.load(std::memory_order_relaxed);
     }
 
-    /** Liveness counter: ticks on dequeue and per processed chunk. A
-     *  replica with inboxDepth() > 0 and a frozen heartbeat is hung. */
+    /** Liveness counter: ticks as a request starts being served and
+     *  per processed chunk. A replica with inboxDepth() > 0 and a
+     *  frozen heartbeat is hung. */
     u64 heartbeat() const
     {
         return heartbeat_.load(std::memory_order_relaxed);
@@ -203,10 +226,10 @@ class Transport
     void stopLane();
 
     /**
-     * Answer one request on the lane thread: Ok with a stamped canary,
-     * or Failed when the compute threw. Throw only when the replica
-     * itself is broken; the lane then resolves WorkerDown and puts it
-     * down.
+     * Answer one request on the lane thread (or a serveHere() caller's):
+     * Ok with a stamped canary, or Failed when the compute threw. Throw
+     * only when the replica itself is broken; the request then resolves
+     * WorkerDown and the replica is put down.
      */
     virtual WorkerResponse serveRequest(const WorkerRequest &req) = 0;
 

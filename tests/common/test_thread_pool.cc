@@ -4,6 +4,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -104,6 +105,23 @@ TEST(ThreadPool, FreeParallelForSequentialWidthRunsInline)
         },
         1);
     EXPECT_EQ(begins, (std::vector<u64>{0, 6, 12, 18}));
+}
+
+TEST(ThreadPool, OneChunkLoopRunsOnTheCaller)
+{
+    // The caller claims a chunk itself, so a one-chunk loop wakes no
+    // helper: were one woken, it would win the cursor now and then and
+    // run the chunk on a worker (slot > 0) while the caller slept.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<unsigned> elsewhere{0};
+    for (int loop = 0; loop < 1000; ++loop)
+        parallelFor(5, 16, [&](u64 b, u64 e, unsigned slot) {
+            EXPECT_EQ(b, 0u);
+            EXPECT_EQ(e, 5u);
+            if (slot != 0 || std::this_thread::get_id() != caller)
+                ++elsewhere;
+        });
+    EXPECT_EQ(elsewhere.load(), 0u) << "one-chunk loops ran off the caller";
 }
 
 TEST(ThreadPool, FreeParallelForMatchesSequentialSum)

@@ -4,7 +4,9 @@
 // to a monolithic table — zero lost queries, zero duplicated hits,
 // nothing flagged degraded. With every replica of a range down, the
 // router must return deadline-bounded partial results with exactly the
-// affected queries flagged in RoutedResult::degraded.
+// affected queries flagged in RoutedResult::degraded. A one-query
+// search, which the router serves on the caller's thread unless a
+// deadline keeps it on the lane, must answer the same either way.
 
 #include <gtest/gtest.h>
 
@@ -474,6 +476,117 @@ TEST(ReplicatedRouter, ManualReplicaKillBetweenBatchesIsAbsorbed)
             .killReplica(round % 2);
         const RoutedResult r = router.search(qs);
         expectIdenticalToMonolith(r, qs);
+    }
+}
+
+/** Every occurrence of @p q in @p ref: an oracle sharing no code with
+ *  the index. */
+std::vector<u64>
+scanHits(const std::vector<Base> &ref, const std::vector<Base> &q)
+{
+    std::vector<u64> hits;
+    for (auto it = std::search(ref.begin(), ref.end(), q.begin(), q.end());
+         it != ref.end();
+         it = std::search(it + 1, ref.end(), q.begin(), q.end()))
+        hits.push_back(static_cast<u64>(it - ref.begin()));
+    return hits;
+}
+
+/** What one-query searches returned, query by query. */
+struct OneByOne
+{
+    std::vector<std::vector<u64>> hits;
+    std::vector<u8> degraded;
+    std::vector<FailoverStats> failover;
+};
+
+/** Search each of @p qs on its own under a fresh @p spec injector. */
+OneByOne
+searchOneByOne(const ShardRouter &router,
+               const std::vector<std::vector<Base>> &qs,
+               const std::string &spec)
+{
+    ScopedFaultInjector scope(
+        std::make_shared<FaultInjector>(FaultInjector::parseSpec(spec)));
+    OneByOne out;
+    for (const auto &q : qs) {
+        const RoutedResult r = router.search({q});
+        out.hits.push_back(r.hits[0]);
+        out.degraded.push_back(r.degraded[0]);
+        out.failover.push_back(r.failover);
+    }
+    return out;
+}
+
+TEST(ReplicatedRouter, LoneInProcessCallOnTheCallerMatchesTheLane)
+{
+    // A one-query search makes one shard call. Without a deadline the
+    // router serves it on the calling thread; with one, on the lane.
+    // Under every fault kind both must return the same hits, degraded
+    // flags and failover counts, query by query, and the hits of every
+    // query not degraded must be std::search's.
+    const Fixture &fx = fixture();
+    const ShardPlan plan = ShardPlan::kmerPrefix(fx.ds.ref, 2, kMaxQueryLen);
+    RouterConfig caller_cfg;
+    caller_cfg.table = fx.cfg;
+    caller_cfg.transport.kind = TransportKind::InProcess;
+    RouterConfig lane_cfg = caller_cfg;
+    lane_cfg.failover.deadline_ms = 20'000;
+    const ShardRouter caller(fx.ds.ref, plan, caller_cfg);
+    const ShardRouter lane(fx.ds.ref, plan, lane_cfg);
+    auto qs = routedMix(fx.ds.ref, plan.prefixLen(), 43);
+    qs.resize(std::min<size_t>(qs.size(), 24));
+
+    // Under the throw plan shard 0 fails every other attempt and shard
+    // 1 every attempt, so shard 1's queries degrade.
+    const std::string s0 = plan.shards()[0].name;
+    const std::string s1 = plan.shards()[1].name;
+    const std::vector<std::string> specs = {
+        "kill@*:nth=2:every=3",
+        "throw@" + s0 + "*:nth=2:every=2,throw@" + s1 + "*:every=1",
+        "corrupt@*:nth=1:every=2",
+        "delay@*:every=2:ms=2",
+    };
+    for (const std::string &spec : specs) {
+        SCOPED_TRACE(spec);
+        const OneByOne here = searchOneByOne(caller, qs, spec);
+        const OneByOne laned = searchOneByOne(lane, qs, spec);
+        FailoverStats total;
+        u64 degraded = 0;
+        for (size_t i = 0; i < qs.size(); ++i) {
+            EXPECT_EQ(here.hits[i], laned.hits[i]) << "query " << i;
+            EXPECT_EQ(here.degraded[i], laned.degraded[i]) << "query " << i;
+            EXPECT_TRUE(here.failover[i] == laned.failover[i])
+                << "query " << i;
+            if (here.degraded[i])
+                EXPECT_TRUE(here.hits[i].empty()) << "query " << i;
+            else
+                EXPECT_EQ(here.hits[i], scanHits(fx.ds.ref, qs[i]))
+                    << "query " << i;
+            total += here.failover[i];
+            degraded += here.degraded[i];
+        }
+        // Each plan must have set its machinery off.
+        switch (spec[0]) {
+        case 'k':
+            EXPECT_GT(total.worker_down, 0u);
+            EXPECT_EQ(total.respawns, total.worker_down);
+            EXPECT_EQ(degraded, 0u);
+            break;
+        case 't':
+            EXPECT_GT(total.failed, 0u);
+            EXPECT_GT(degraded, 0u);
+            EXPECT_LT(degraded, qs.size());
+            break;
+        case 'c':
+            EXPECT_GT(total.corrupt, 0u);
+            EXPECT_EQ(degraded, 0u);
+            break;
+        default:
+            EXPECT_TRUE(total == FailoverStats{});
+            EXPECT_EQ(degraded, 0u);
+            break;
+        }
     }
 }
 

@@ -8,6 +8,8 @@
 // both. The lane is Transport's, shared by both transports: the
 // completion, kill and liveness bodies run on a ShardWorker and again
 // on an empty-state SocketTransport backed by a real exma-worker child.
+// serveHere(), which runs the same serve path on the calling thread,
+// must complete on that thread and leave the same counters.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/fault_injector.hh"
@@ -326,6 +329,100 @@ TEST(WorkerRobustness, SocketServedRequestsAdvanceHeartbeatAndDrainDepth)
 {
     SocketTransport worker("w", emptyWorkerConfig(), false, true);
     expectServedRequestsAdvanceHeartbeatAndDrainDepth(worker);
+}
+
+/**
+ * serveHere() runs the lane's serve path on the calling thread. Each
+ * outcome — Ok, Failed (an injected throw), WorkerDown (an injected
+ * kill), WorkerDown (the replica already dead) — completes exactly
+ * once, on the caller, before the call returns, and leaves the
+ * counters where a lane-served request under the same fault plan
+ * leaves them.
+ */
+TEST(WorkerRobustness, ServeHereCompletesEveryOutcomeOnTheCaller)
+{
+    // Per site: the 2nd request throws, the 3rd kills the replica, and
+    // the 4th finds it dead.
+    ScopedFaultInjector scope(std::make_shared<FaultInjector>(
+        FaultInjector::parseSpec("throw@*:nth=2,kill@*:nth=3")));
+    const std::vector<Base> text = {0, 1, 2, 3, 1, 1, 2, 0, 1, 1};
+    const ShardState st{nullptr, &text, 100};
+    ShardWorker lane("lane", st);
+    ShardWorker here("here", st);
+    const auto caller = std::this_thread::get_id();
+    const std::array<WorkerStatus, 4> expected = {
+        WorkerStatus::Ok, WorkerStatus::Failed, WorkerStatus::WorkerDown,
+        WorkerStatus::WorkerDown};
+    for (size_t i = 0; i < expected.size(); ++i) {
+        auto fut = lane.submit(requestFor(batch()));
+        const WorkerResponse want = resolved(fut);
+        int runs = 0;
+        std::thread::id ran_on;
+        WorkerResponse got;
+        here.serveHere(requestFor(batch()), [&](WorkerResponse r) {
+            ++runs;
+            ran_on = std::this_thread::get_id();
+            got = std::move(r);
+        });
+        EXPECT_EQ(runs, 1) << "request " << i;
+        EXPECT_EQ(ran_on, caller) << "request " << i;
+        EXPECT_EQ(want.status, expected[i]) << "request " << i;
+        EXPECT_EQ(got.status, expected[i]) << "request " << i;
+        EXPECT_EQ(got.ids, want.ids) << "request " << i;
+        EXPECT_EQ(got.hits, want.hits) << "request " << i;
+        if (got.ok()) {
+            ASSERT_EQ(got.hits.size(), batch().size());
+            EXPECT_EQ(got.hits[0], std::vector<u64>{100})
+                << "{0,1,2,3} lies at the slice's first base";
+        }
+        EXPECT_EQ(here.processed(), lane.processed()) << "request " << i;
+        EXPECT_EQ(here.heartbeat(), lane.heartbeat()) << "request " << i;
+        EXPECT_EQ(here.inboxDepth(), 0u) << "request " << i;
+        EXPECT_EQ(lane.inboxDepth(), 0u) << "request " << i;
+    }
+    EXPECT_EQ(here.processed(), 2u) << "Ok and Failed count as served";
+    EXPECT_TRUE(here.isDead());
+}
+
+/** An injected delay sleeps on the thread that called serveHere(),
+ *  and a kill() from another thread cuts it short with WorkerDown. */
+TEST(WorkerRobustness, ServeHereDelayIsCutShortByAConcurrentKill)
+{
+    const auto injector = std::make_shared<FaultInjector>(
+        FaultInjector::parseSpec("delay@w:ms=60000"));
+    ScopedFaultInjector scope(injector);
+    ShardWorker worker("w", ShardState{});
+    constexpr auto kAsleep = std::chrono::milliseconds(50);
+    std::thread killer([&worker, kAsleep] {
+        // In flight from the moment serveHere() counts it; by kAsleep
+        // later the caller sleeps in the injected delay.
+        while (worker.inboxDepth() == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        std::this_thread::sleep_for(kAsleep);
+        worker.kill();
+    });
+    const auto caller = std::this_thread::get_id();
+    int runs = 0;
+    std::thread::id ran_on;
+    WorkerStatus status = WorkerStatus::Ok;
+    const auto t0 = std::chrono::steady_clock::now();
+    worker.serveHere(requestFor(batch()), [&](WorkerResponse r) {
+        ++runs;
+        ran_on = std::this_thread::get_id();
+        status = r.status;
+    });
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    killer.join();
+
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(ran_on, caller);
+    EXPECT_EQ(status, WorkerStatus::WorkerDown);
+    EXPECT_EQ(injector->hits("w"), 1u) << "the delay fired once";
+    EXPECT_GE(elapsed, kAsleep) << "the caller never slept in the delay";
+    EXPECT_LT(elapsed, std::chrono::seconds(30))
+        << "kill() must cut the injected sleep short";
+    EXPECT_EQ(worker.processed(), 0u);
+    EXPECT_EQ(worker.inboxDepth(), 0u);
 }
 
 TEST(WorkerRobustness, CanaryDetectsCorruptedResponse)

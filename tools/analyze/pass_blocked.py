@@ -41,7 +41,11 @@ FUT_RECV_RE = re.compile(r"fut", re.I)
 # The serving lane's dispatch chain (src/transport/): Transport::serve
 # runs the fault dispatch and calls the subclass's serveRequest, which
 # runs serveShardRequest in process or a frame round trip to a child.
-DISPATCH_CALLEES = {"serve", "serveRequest", "serveShardRequest"}
+# Transport::serveHere runs serve on its caller; it is listed itself
+# because the one-level inlining below does not chase dispatch through
+# a callee into serve.
+DISPATCH_CALLEES = {"serve", "serveHere", "serveRequest",
+                    "serveShardRequest"}
 DISPATCH_DIR = "transport"
 
 

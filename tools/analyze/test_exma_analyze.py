@@ -338,6 +338,26 @@ class BlockedPassTest(unittest.TestCase):
         self.assertIn("worker dispatch serve()", fs[0].message)
         self.assertIn("worker dispatch serveRequest()", fs[1].message)
 
+    def test_caller_side_dispatch_under_lock_fires(self):
+        # serveHere runs the lane's serve path on its caller, so calling
+        # it with a mutex held blocks that mutex for a whole batch. The
+        # one-level inlining alone would not find serve() inside it.
+        lane = ("class Transport {\n"
+                "  void serveHere(Request r, Done d) { serve(p); }\n"
+                "  void serve(Pending p) { serveRequest(p.req); }\n"
+                "};\n")
+        router = ("class Router {\n"
+                  "  void bad() { MutexLock l(mtx_); w->serveHere(r, d); }\n"
+                  "  void ok() { { MutexLock l(mtx_); pick(); }\n"
+                  "              w->serveHere(r, d); }\n"
+                  "};\n")
+        proj = project_from(parse(lane, path="src/transport/lane.cc"),
+                            parse(router, path="src/route/router.cc"))
+        fs = pass_blocked.run(proj)
+        self.assertEqual([(f.path, f.line) for f in fs],
+                         [("src/route/router.cc", 2)], fs)
+        self.assertIn("worker dispatch serveHere()", fs[0].message)
+
     def test_inlining_flags_blocking_callee(self):
         src = ("class W {\n"
                "  void f() { MutexLock l(mtx_); slowPath(); }\n"
