@@ -31,7 +31,7 @@ class BitVector
     explicit BitVector(u64 n);
 
     /**
-     * Restore from serialized parts (src/io/index_io.cc): @p words and
+     * Restore from serialized parts (src/io/table_io.cc): @p words and
      * @p super are typically borrowed from an mmap'd section and must
      * already satisfy the buildRank() invariants.
      */

@@ -31,28 +31,14 @@ ExmaTable::ExmaTable(const std::vector<Base> &ref, const Config &cfg)
 {
 }
 
-ExmaTable::ExmaTable(Parts parts) : cfg_(parts.cfg), slice_(parts.slice)
+ExmaTable::ExmaTable(Parts parts) : slice_(parts.slice)
 {
+    cfg_.k = parts.occ.k;
+    cfg_.fm = parts.fm.cfg;
     fm_ = std::make_unique<FmIndex>(std::move(parts.fm));
     occ_ = std::make_unique<KmerOccTable>(std::move(parts.occ));
     exma_assert(fm_->size() == occ_->rows(),
                 "table restore: FM-index and occ table disagree on rows");
-    switch (cfg_.mode) {
-        case OccIndexMode::Exact:
-            break;
-        case OccIndexMode::NaiveLearned:
-            exma_assert(parts.naive.has_value(),
-                        "table restore: naive-mode table lacks models");
-            naive_ = std::make_unique<NaiveKmerIndex>(
-                *occ_, cfg_.naive, std::move(*parts.naive));
-            break;
-        case OccIndexMode::Mtl:
-            exma_assert(parts.mtl.has_value(),
-                        "table restore: MTL-mode table lacks models");
-            mtl_ = std::make_unique<MtlIndex>(*occ_,
-                                              std::move(*parts.mtl));
-            break;
-    }
 }
 
 void

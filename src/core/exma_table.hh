@@ -2,8 +2,9 @@
  * @file
  * The EXMA table (§IV.A, Fig. 8) — the paper's primary data structure —
  * bundled with its search engine: per-k-mer sorted increment lists with
- * base pointers and the MAX sentinel convention, Occ computed through a
- * learned index (MTL or naive) or exact binary search, k-step backward
+ * base pointers and the MAX sentinel convention, Occ computed by exact
+ * binary search (the default) or through a learned index (MTL or
+ * naive, built in memory and never saved), k-step backward
  * search with a 1-step FM-Index remainder path, and measured CHAIN/B∆I
  * size accounting (Fig. 23).
  *
@@ -40,9 +41,7 @@
 #define EXMA_CORE_EXMA_TABLE_HH
 
 #include <memory>
-#include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/dna.hh"
@@ -69,7 +68,7 @@ class ExmaTable
     struct Config
     {
         int k = 11;
-        OccIndexMode mode = OccIndexMode::Mtl;
+        OccIndexMode mode = OccIndexMode::Exact;
         MtlIndex::Config mtl;
         NaiveKmerIndex::Config naive;
         FmIndex::Config fm;
@@ -88,23 +87,22 @@ class ExmaTable
     ExmaTable(const std::vector<Base> &ref, const Config &cfg);
 
     /**
-     * Serialized parts of a whole table (src/io/index_io.cc): the
-     * structural parts plus exactly one learned-index part matching
-     * cfg.mode (none for Exact). Restoring trains nothing and copies
-     * no hot array — those stay borrowed from the mmap.
+     * Serialized parts of a whole table (src/io/table_io.cc): the exact
+     * table and nothing learned. Restoring copies no hot array — those
+     * stay borrowed from the mmap.
      */
     struct Parts
     {
-        Config cfg;
         TextSegment slice;
         FmIndex::Restored fm;
         KmerOccTable::Restored occ;
-        std::optional<MtlIndex::Restored> mtl;
-        std::optional<std::vector<std::pair<Kmer, Rmi<u32>::Parts>>>
-            naive;
     };
 
-    /** Restore from serialized parts. */
+    /**
+     * Restore from serialized parts as an Exact-mode table whose
+     * config takes k from @p parts.occ and the FM sampling from
+     * @p parts.fm.
+     */
     explicit ExmaTable(Parts parts);
 
     const Config &config() const { return cfg_; }
@@ -118,8 +116,6 @@ class ExmaTable
     OccIndexMode mode() const { return cfg_.mode; }
     const KmerOccTable &occTable() const { return *occ_; }
     const FmIndex &fmIndex() const { return *fm_; }
-    const MtlIndex *mtlIndex() const { return mtl_.get(); }
-    const NaiveKmerIndex *naiveIndex() const { return naive_.get(); }
 
     /** Per-k-mer base pointer and occurrence count (Fig. 8). */
     u64 baseOf(Kmer code) const { return occ_->baseOf(code); }

@@ -69,7 +69,7 @@ class FmIndex
             Config cfg);
 
     /**
-     * Serialized parts of an index (src/io/index_io.cc). On a load the
+     * Serialized parts of an index (src/io/table_io.cc). On a load the
      * array-backed members are borrowed straight from the mmap'd
      * `.exma.sa` file; nothing is recomputed.
      */

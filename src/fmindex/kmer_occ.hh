@@ -53,7 +53,7 @@ class KmerOccTable
                  unsigned build_threads = 0);
 
     /**
-     * Serialized parts of a table (src/io/index_io.cc). On a load the
+     * Serialized parts of a table (src/io/table_io.cc). On a load the
      * two hot arrays are borrowed straight from the mmap'd `.exma.occ`
      * file; the tiny sentinel arrays (k entries each) are owned copies.
      */

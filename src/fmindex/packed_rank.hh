@@ -63,7 +63,7 @@ class PackedRank
     explicit PackedRank(std::span<const u8> bwt);
 
     /**
-     * Restore from serialized parts (src/io/index_io.cc): @p blocks is
+     * Restore from serialized parts (src/io/table_io.cc): @p blocks is
      * typically borrowed from an mmap'd `.exma.sa` section.
      */
     PackedRank(u64 n, u64 primary, Storage<Block> blocks)

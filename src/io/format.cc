@@ -15,7 +15,7 @@ alignUp(u64 v, u64 a)
 
 } // namespace
 
-void
+u64
 FileBuilder::save(const std::string &path) const
 {
     // Lay the file out: header, section table, then each payload at
@@ -68,6 +68,7 @@ FileBuilder::save(const std::string &path) const
     }
     exma_assert(std::rename(tmp.c_str(), path.c_str()) == 0,
                 "cannot rename '%s' into place", tmp.c_str());
+    return hdr.checksum;
 }
 
 FileView::FileView(const MappedFile &file, const char (&magic)[8])
@@ -107,6 +108,7 @@ FileView::FileView(const MappedFile &file, const char (&magic)[8])
     if (sum != hdr.checksum)
         throw LoadError(file.path() + ": checksum mismatch (file is "
                                       "corrupt)");
+    checksum_ = sum;
 
     // NOLINTNEXTLINE(cppcoreguidelines-pro-type-reinterpret-cast):
     // SectionEntry is trivially copyable and the table sits right
@@ -119,8 +121,9 @@ FileView::FileView(const MappedFile &file, const char (&magic)[8])
         if (e.offset % kSectionAlign != 0)
             throw LoadError(file.path() + ": section " +
                             std::to_string(e.tag) + " is misaligned");
-        const u64 bytes = e.count * e.elem_size;
-        if (e.offset > file.size() || bytes > file.size() - e.offset)
+        // Divide rather than multiply, so no count can wrap the check.
+        if (e.elem_size == 0 || e.offset > file.size() ||
+            e.count > (file.size() - e.offset) / e.elem_size)
             throw LoadError(file.path() + ": section " +
                             std::to_string(e.tag) + " runs past EOF");
     }

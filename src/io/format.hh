@@ -45,7 +45,7 @@
 namespace exma {
 
 /** Bumped on any on-disk layout change (see the policy above). */
-constexpr u32 kFormatVersion = 3;
+constexpr u32 kFormatVersion = 4;
 
 /** Value of FileHeader::endian on a little-endian writer. */
 constexpr u32 kEndianTag = 0x01020304;
@@ -152,8 +152,9 @@ class FileBuilder
     }
 
     /** Write @p path atomically (tmp file + rename); panics on IO
-     *  failure — saving is a build step, not a serving path. */
-    void save(const std::string &path) const;
+     *  failure — saving is a build step, not a serving path. Returns
+     *  the checksum stamped into the header. */
+    u64 save(const std::string &path) const;
 
   private:
     struct Section
@@ -179,6 +180,9 @@ class FileView
     FileView(const MappedFile &file, const char (&magic)[8]);
 
     bool has(u32 tag) const { return find(tag) != nullptr; }
+
+    /** The header's (validated) payload checksum. */
+    u64 checksum() const { return checksum_; }
 
     /**
      * Zero-copy span over section @p tag. The element type must match
@@ -215,13 +219,14 @@ class FileView
     const SectionEntry *find(u32 tag) const;
 
     const MappedFile *file_ = nullptr;
+    u64 checksum_ = 0;
     std::span<const SectionEntry> entries_;
 };
 
 /**
- * Growable little-endian byte blob: index metadata (configs, model
- * weights — everything that is not a hot array) and worker frame
- * bodies alike. Paired with BlobReader.
+ * Growable little-endian byte blob: index metadata (everything that is
+ * not a hot array) and worker frame bodies alike. Paired with
+ * BlobReader.
  */
 class BlobWriter
 {
@@ -251,27 +256,22 @@ class BlobWriter
         putBytes(&v, sizeof(v));
     }
     void
-    putF64(double v)
-    {
-        putBytes(&v, sizeof(v));
-    }
-    void
     putString(const std::string &s)
     {
         putU64(s.size());
         putBytes(s.data(), s.size());
     }
     void
-    putF64Array(std::span<const double> v)
-    {
-        putU64(v.size());
-        putBytes(v.data(), v.size_bytes());
-    }
-    void
     putBytes(const void *p, size_t n)
     {
-        const auto *b = static_cast<const u8 *>(p);
-        buf_.insert(buf_.end(), b, b + n);
+        if (n == 0)
+            return;
+        // resize + memcpy rather than a range insert, which GCC 12
+        // misreads as an overflow of an empty vector
+        // (-Wstringop-overflow).
+        const size_t at = buf_.size();
+        buf_.resize(at + n);
+        std::memcpy(buf_.data() + at, p, n);
     }
 
     std::span<const u8> bytes() const { return buf_; }
@@ -327,13 +327,6 @@ class BlobReader
         getRaw(&v, sizeof(v));
         return v;
     }
-    double
-    getF64()
-    {
-        double v = 0;
-        getRaw(&v, sizeof(v));
-        return v;
-    }
     /**
      * An element count, for a sequence whose elements each take at
      * least @p min_elem_bytes of the blob. A count the remaining bytes
@@ -356,16 +349,6 @@ class BlobReader
     {
         const std::span<const u8> b = getBytes(getCount(1));
         return {reinterpret_cast<const char *>(b.data()), b.size()}; // NOLINT(cppcoreguidelines-pro-type-reinterpret-cast)
-    }
-    std::vector<double>
-    getF64Array()
-    {
-        const u64 n = getCount(sizeof(double));
-        std::vector<double> v(n);
-        if (n > 0)
-            std::memcpy(v.data(), getBytes(n * sizeof(double)).data(),
-                        n * sizeof(double));
-        return v;
     }
     /** The next @p n bytes, as a view into the blob (no copy). */
     std::span<const u8>

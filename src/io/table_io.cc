@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "fault/fault_injector.hh"
 #include "fmindex/packed_rank.hh"
-#include "learned/rmi.hh"
 
 namespace exma {
 
@@ -48,57 +47,6 @@ writeBlob(FileBuilder &fb, u32 tag, const BlobWriter &w)
     fb.writeArray<u8>(tag, w.bytes());
 }
 
-void
-putTableConfig(BlobWriter &w, const ExmaTable::Config &cfg)
-{
-    w.putI32(cfg.k);
-    w.putU32(static_cast<u32>(cfg.mode));
-    w.putU64(cfg.mtl.min_increments);
-    w.putU64(cfg.mtl.leaf_size);
-    w.putI32(cfg.mtl.hidden);
-    w.putI32(cfg.mtl.epochs);
-    w.putU64(cfg.mtl.samples_per_class);
-    w.putF64(cfg.mtl.lr);
-    w.putU64(cfg.mtl.seed);
-    w.putU64(cfg.naive.min_increments);
-    w.putU64(cfg.naive.leaf_size);
-    w.putI32(cfg.naive.hidden);
-    w.putI32(cfg.naive.epochs);
-    w.putU64(cfg.naive.train_cap);
-    w.putU64(cfg.naive.seed);
-    w.putU32(cfg.fm.occ_sample);
-    w.putU32(cfg.fm.sa_sample);
-}
-
-ExmaTable::Config
-getTableConfig(BlobReader &r)
-{
-    ExmaTable::Config cfg;
-    cfg.k = r.getI32();
-    const u32 mode = r.getU32();
-    if (mode > static_cast<u32>(OccIndexMode::Mtl))
-        throw LoadError(r.context() + ": config echo: unknown "
-                                      "occ-index mode " +
-                        std::to_string(mode));
-    cfg.mode = static_cast<OccIndexMode>(mode);
-    cfg.mtl.min_increments = r.getU64();
-    cfg.mtl.leaf_size = r.getU64();
-    cfg.mtl.hidden = r.getI32();
-    cfg.mtl.epochs = r.getI32();
-    cfg.mtl.samples_per_class = r.getU64();
-    cfg.mtl.lr = r.getF64();
-    cfg.mtl.seed = r.getU64();
-    cfg.naive.min_increments = r.getU64();
-    cfg.naive.leaf_size = r.getU64();
-    cfg.naive.hidden = r.getI32();
-    cfg.naive.epochs = r.getI32();
-    cfg.naive.train_cap = r.getU64();
-    cfg.naive.seed = r.getU64();
-    cfg.fm.occ_sample = r.getU32();
-    cfg.fm.sa_sample = r.getU32();
-    return cfg;
-}
-
 std::string
 shardStem(const std::string &dir, size_t i)
 {
@@ -127,20 +75,15 @@ static_assert(sizeof(TextSegment) == 16);
 static_assert(std::is_trivially_copyable_v<TextSegment>);
 static_assert(sizeof(PackedRank::Block) == 32);
 static_assert(std::is_trivially_copyable_v<PackedRank::Block>);
-static_assert(sizeof(ClampedLeaf) == 32);
-static_assert(std::is_trivially_copyable_v<ClampedLeaf>);
 
 // Section tags. Per-file namespaces; a tag's meaning never changes
 // within a format version.
-constexpr u32 kPacMeta = 1;     ///< config echo blob
 constexpr u32 kPacSegments = 2; ///< TextSegment[1]: the covered slice
 constexpr u32 kPacText = 3;     ///< scan shards: 2-bit slice text, u64[]
 
-constexpr u32 kOccMeta = 1;      ///< k/rows/sentinels blob
-constexpr u32 kOccBases = 2;     ///< base pointers, u32[4^k + 1]
-constexpr u32 kOccRows = 3;      ///< concatenated increments, u32[]
-constexpr u32 kOccModelMeta = 4; ///< learned-model blob (mode != Exact)
-constexpr u32 kOccMtlLeaves = 5; ///< ClampedLeaf[] (MTL only)
+constexpr u32 kOccMeta = 1;  ///< k/rows/sentinels/.sa checksum blob
+constexpr u32 kOccBases = 2; ///< base pointers, u32[4^k + 1]
+constexpr u32 kOccRows = 3;  ///< concatenated increments, u32[]
 
 constexpr u32 kSaMeta = 1;       ///< FM geometry blob
 constexpr u32 kSaRankBlocks = 2; ///< PackedRank::Block[]
@@ -148,191 +91,8 @@ constexpr u32 kSaValues = 3;     ///< sampled SA values, u32[]
 constexpr u32 kSaBvWords = 4;    ///< sampled-row bit vector words, u64[]
 constexpr u32 kSaBvSuper = 5;    ///< bit vector rank checkpoints, u64[]
 
-// Fewest blob bytes one element of each counted metadata sequence
-// takes (BlobReader::getCount): the sum of its fixed-width fields.
-constexpr u64 kMlpMinBytes = 2 * 4 + 4 * 8;        ///< putMlp
-constexpr u64 kKmerLeavesBytes = 8 + 3 * 4;        ///< an MTL k-mer entry
-constexpr u64 kLeafBytes = 4 * 8;                  ///< putLeaves
-constexpr u64 kNaiveModelMinBytes = 4 * 4 + 10 * 8; ///< putNaiveModel
-constexpr u64 kSentinelWindowBytes = 8 + 4;        ///< code, row
-
-// --- learned models -----------------------------------------------------
-
-void
-putMlp(BlobWriter &w, const Mlp &m)
-{
-    w.putI32(m.inputDim());
-    w.putI32(m.hiddenWidth());
-    w.putF64Array(m.hiddenWeights());
-    w.putF64Array(m.hiddenBiases());
-    w.putF64Array(m.outputWeights());
-    w.putF64(m.outputBias());
-}
-
-Mlp
-getMlp(BlobReader &r)
-{
-    const int in_dim = r.getI32();
-    const int hidden = r.getI32();
-    std::vector<double> w1 = r.getF64Array();
-    std::vector<double> b1 = r.getF64Array();
-    std::vector<double> w2 = r.getF64Array();
-    const double b2 = r.getF64();
-    if (in_dim < 1 || in_dim > 2 || hidden < 1 ||
-        w1.size() != static_cast<size_t>(hidden) * in_dim ||
-        b1.size() != static_cast<size_t>(hidden) ||
-        w2.size() != static_cast<size_t>(hidden))
-        throw LoadError(r.context() + ": malformed MLP weights");
-    return {in_dim, hidden, std::move(w1), std::move(b1), std::move(w2),
-            b2};
-}
-
-void
-putMtlModel(FileBuilder &fb, const MtlIndex &mtl)
-{
-    BlobWriter w;
-    for (const int m : mtl.classModel())
-        w.putI32(m);
-    w.putU64(mtl.sharedMlps().size());
-    for (const Mlp &m : mtl.sharedMlps())
-        putMlp(w, m);
-    // The k-mer -> leaf-range map lives in an unordered_map; serialize
-    // sorted by code so identical tables save byte-identical files.
-    std::vector<std::pair<Kmer, MtlIndex::KmerLeaves>> kmers(
-        mtl.kmerMap().begin(), mtl.kmerMap().end());
-    std::sort(kmers.begin(), kmers.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    w.putU64(kmers.size());
-    for (const auto &[code, kl] : kmers) {
-        w.putU64(code);
-        w.putU32(kl.first_leaf);
-        w.putU32(kl.n_leaves);
-        w.putI32(kl.cls);
-    }
-    writeBlob(fb, kOccModelMeta, w);
-    fb.writeArray<ClampedLeaf>(kOccMtlLeaves, mtl.leafArray());
-}
-
-MtlIndex::Restored
-getMtlModel(const FileView &view, const MtlIndex::Config &cfg,
-            const std::string &what)
-{
-    MtlIndex::Restored parts;
-    parts.cfg = cfg;
-    const std::vector<u8> blob = view.readBlob(kOccModelMeta);
-    BlobReader r(blob, what + " (MTL model)");
-    for (int &m : parts.class_model)
-        m = r.getI32();
-    const u64 n_mlps = r.getCount(kMlpMinBytes);
-    parts.mlps.reserve(n_mlps);
-    for (u64 i = 0; i < n_mlps; ++i)
-        parts.mlps.push_back(getMlp(r));
-    const u64 n_kmers = r.getCount(kKmerLeavesBytes);
-    parts.kmers.reserve(n_kmers);
-    for (u64 i = 0; i < n_kmers; ++i) {
-        const Kmer code = r.getU64();
-        MtlIndex::KmerLeaves kl;
-        kl.first_leaf = r.getU32();
-        kl.n_leaves = r.getU32();
-        kl.cls = r.getI32();
-        parts.kmers.emplace_back(code, kl);
-    }
-    r.finish();
-    parts.leaves = Storage<ClampedLeaf>::borrowed(
-        view.viewArray<ClampedLeaf>(kOccMtlLeaves));
-    return parts;
-}
-
-void
-putLeaves(BlobWriter &w, std::span<const ClampedLeaf> leaves)
-{
-    w.putU64(leaves.size());
-    for (const ClampedLeaf &l : leaves) {
-        w.putF64(l.model.w);
-        w.putF64(l.model.b);
-        w.putF64(l.ymin);
-        w.putF64(l.ymax);
-    }
-}
-
-std::vector<ClampedLeaf>
-getLeaves(BlobReader &r)
-{
-    const u64 n = r.getCount(kLeafBytes);
-    std::vector<ClampedLeaf> leaves(n);
-    for (u64 i = 0; i < n; ++i) {
-        leaves[i].model.w = r.getF64();
-        leaves[i].model.b = r.getF64();
-        leaves[i].ymin = r.getF64();
-        leaves[i].ymax = r.getF64();
-    }
-    return leaves;
-}
-
-void
-putNaiveModel(FileBuilder &fb, const NaiveKmerIndex &naive)
-{
-    std::vector<std::pair<Kmer, const Rmi<u32> *>> models;
-    models.reserve(naive.models().size());
-    for (const auto &[code, rmi] : naive.models())
-        models.emplace_back(code, &rmi);
-    std::sort(models.begin(), models.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-
-    BlobWriter w;
-    w.putU64(models.size());
-    for (const auto &[code, rmi] : models) {
-        w.putU64(code);
-        const Rmi<u32>::Config &cfg = rmi->config();
-        w.putU64(cfg.leaf_size);
-        w.putU32(cfg.mlp_root ? 1 : 0);
-        w.putI32(cfg.hidden);
-        w.putI32(cfg.epochs);
-        w.putU64(cfg.train_cap);
-        w.putF64(cfg.lr);
-        w.putU64(cfg.seed);
-        w.putF64(rmi->lowKey());
-        w.putF64(rmi->normScale());
-        w.putF64(rmi->rootLinear().w);
-        w.putF64(rmi->rootLinear().b);
-        w.putU32(rmi->rootMlp() ? 1 : 0);
-        if (rmi->rootMlp())
-            putMlp(w, *rmi->rootMlp());
-        putLeaves(w, rmi->leafArray());
-    }
-    writeBlob(fb, kOccModelMeta, w);
-}
-
-std::vector<std::pair<Kmer, Rmi<u32>::Parts>>
-getNaiveModel(const FileView &view, const std::string &what)
-{
-    const std::vector<u8> blob = view.readBlob(kOccModelMeta);
-    BlobReader r(blob, what + " (naive model)");
-    const u64 n = r.getCount(kNaiveModelMinBytes);
-    std::vector<std::pair<Kmer, Rmi<u32>::Parts>> models;
-    models.reserve(n);
-    for (u64 i = 0; i < n; ++i) {
-        const Kmer code = r.getU64();
-        Rmi<u32>::Parts parts;
-        parts.cfg.leaf_size = r.getU64();
-        parts.cfg.mlp_root = r.getU32() != 0;
-        parts.cfg.hidden = r.getI32();
-        parts.cfg.epochs = r.getI32();
-        parts.cfg.train_cap = r.getU64();
-        parts.cfg.lr = r.getF64();
-        parts.cfg.seed = r.getU64();
-        parts.lo = r.getF64();
-        parts.scale = r.getF64();
-        parts.root_lin.w = r.getF64();
-        parts.root_lin.b = r.getF64();
-        if (r.getU32() != 0)
-            parts.root_mlp = getMlp(r);
-        parts.leaves = getLeaves(r);
-        models.emplace_back(code, std::move(parts));
-    }
-    r.finish();
-    return models;
-}
+/** Blob bytes of one sentinel window (BlobReader::getCount): code, row. */
+constexpr u64 kSentinelWindowBytes = 8 + 4;
 
 // --- 2-bit text packing -------------------------------------------------
 
@@ -375,6 +135,14 @@ oneSlice(const FileView &pac, const std::string &what)
     return segs[0];
 }
 
+/** Throw a LoadError naming @p file unless @p ok. */
+void
+require(bool ok, const std::string &file, const std::string &what)
+{
+    if (!ok)
+        throw LoadError(file + ": " + what);
+}
+
 } // namespace
 
 // --- single-table companion files ---------------------------------------
@@ -382,43 +150,8 @@ oneSlice(const FileView &pac, const std::string &what)
 void
 saveTableFiles(const ExmaTable &table, const std::string &stem)
 {
-    { // .exma.pac
-        FileBuilder fb(kMagicPac);
-        BlobWriter w;
-        io_detail::putTableConfig(w, table.config());
-        writeBlob(fb, kPacMeta, w);
-        fb.writeArray<TextSegment>(kPacSegments,
-                                   std::span(&table.slice(), 1));
-        fb.save(stem + kExtPac);
-    }
-
-    { // .exma.occ
-        const KmerOccTable &occ = table.occTable();
-        FileBuilder fb(kMagicOcc);
-        BlobWriter w;
-        w.putI32(occ.k());
-        w.putU64(occ.rows());
-        w.putU64(occ.distinctKmers());
-        w.putU64(occ.sentinelWindows().size());
-        for (const auto &[code, row] : occ.sentinelWindows()) {
-            w.putU64(code);
-            w.putU32(row);
-        }
-        w.putU64(occ.sentinelThresholds().size());
-        for (const u64 t : occ.sentinelThresholds())
-            w.putU64(t);
-        w.putU32(static_cast<u32>(table.mode()));
-        writeBlob(fb, kOccMeta, w);
-        fb.writeArray<u32>(kOccBases, occ.baseArray());
-        fb.writeArray<u32>(kOccRows, occ.allIncrements());
-        if (table.mtlIndex() != nullptr)
-            putMtlModel(fb, *table.mtlIndex());
-        else if (table.naiveIndex() != nullptr)
-            putNaiveModel(fb, *table.naiveIndex());
-        fb.save(stem + kExtOcc);
-    }
-
-    { // .exma.sa
+    u64 sa_checksum = 0;
+    { // .exma.sa, first: the .occ records its checksum
         const FmIndex &fm = table.fmIndex();
         FileBuilder fb(kMagicSa);
         BlobWriter w;
@@ -437,8 +170,34 @@ saveTableFiles(const ExmaTable &table, const std::string &stem)
         fb.writeArray<u32>(kSaValues, fm.saValues());
         fb.writeArray<u64>(kSaBvWords, fm.saSampled().words());
         fb.writeArray<u64>(kSaBvSuper, fm.saSampled().superWords());
-        fb.save(stem + kExtSa);
+        sa_checksum = fb.save(stem + kExtSa);
     }
+
+    { // .exma.occ
+        const KmerOccTable &occ = table.occTable();
+        FileBuilder fb(kMagicOcc);
+        BlobWriter w;
+        w.putI32(occ.k());
+        w.putU64(occ.rows());
+        w.putU64(occ.distinctKmers());
+        w.putU64(occ.sentinelWindows().size());
+        for (const auto &[code, row] : occ.sentinelWindows()) {
+            w.putU64(code);
+            w.putU32(row);
+        }
+        w.putU64(occ.sentinelThresholds().size());
+        for (const u64 t : occ.sentinelThresholds())
+            w.putU64(t);
+        w.putU64(sa_checksum);
+        writeBlob(fb, kOccMeta, w);
+        fb.writeArray<u32>(kOccBases, occ.baseArray());
+        fb.writeArray<u32>(kOccRows, occ.allIncrements());
+        fb.save(stem + kExtOcc);
+    }
+
+    FileBuilder pac(kMagicPac);
+    pac.writeArray<TextSegment>(kPacSegments, std::span(&table.slice(), 1));
+    pac.save(stem + kExtPac);
 }
 
 void
@@ -449,9 +208,6 @@ saveScanFiles(std::span<const Base> local_text, const TextSegment &slice,
                 "scan text holds %zu bases, its slice %llu",
                 local_text.size(), (unsigned long long)slice.length);
     FileBuilder fb(kMagicPac);
-    BlobWriter w;
-    io_detail::putTableConfig(w, ExmaTable::Config{}); // no table here
-    writeBlob(fb, kPacMeta, w);
     fb.writeArray<TextSegment>(kPacSegments, std::span(&slice, 1));
     const std::vector<u64> words = packText(local_text);
     fb.writeArray<u64>(kPacText, words);
@@ -462,28 +218,26 @@ LoadedExmaTable
 loadTableFiles(const std::string &stem)
 {
     probeLoadFaults(stem);
+    const std::string pac_path = stem + kExtPac;
+    const std::string occ_path = stem + kExtOcc;
+    const std::string sa_path = stem + kExtSa;
     LoadedExmaTable out;
     out.files.reserve(3);
-    out.files.emplace_back(stem + kExtPac);
-    out.files.emplace_back(stem + kExtOcc);
-    out.files.emplace_back(stem + kExtSa);
+    out.files.emplace_back(pac_path);
+    out.files.emplace_back(occ_path);
+    out.files.emplace_back(sa_path);
     const FileView pac(out.files[0], kMagicPac);
     const FileView occ(out.files[1], kMagicOcc);
     const FileView sa(out.files[2], kMagicSa);
 
+    // Every size a restore constructor asserts is checked here first,
+    // so files that disagree throw instead of aborting.
     ExmaTable::Parts parts;
+    parts.slice = oneSlice(pac, pac_path);
 
-    { // .exma.pac: config echo + text slice
-        const std::vector<u8> blob = pac.readBlob(kPacMeta);
-        BlobReader r(blob, stem + kExtPac);
-        parts.cfg = io_detail::getTableConfig(r);
-        r.finish();
-        parts.slice = oneSlice(pac, stem + kExtPac);
-    }
-
-    { // .exma.occ: the EXMA table
+    { // .exma.occ: the EXMA table, bound to the .sa it was saved with
         const std::vector<u8> blob = occ.readBlob(kOccMeta);
-        BlobReader r(blob, stem + kExtOcc);
+        BlobReader r(blob, occ_path);
         KmerOccTable::Restored ro;
         ro.k = r.getI32();
         ro.n_rows = r.getU64();
@@ -496,21 +250,33 @@ loadTableFiles(const std::string &stem)
         ro.sentinel_thresholds.resize(r.getCount(sizeof(u64)));
         for (u64 &t : ro.sentinel_thresholds)
             t = r.getU64();
-        const u32 mode = r.getU32();
+        const u64 sa_checksum = r.getU64();
         r.finish();
-        if (mode != static_cast<u32>(parts.cfg.mode))
-            throw LoadError(stem + kExtOcc +
-                            ": occ-index mode disagrees with the "
-                            "config echo in " +
-                            stem + kExtPac);
-        ro.bases = Storage<u32>::borrowed(occ.viewArray<u32>(kOccBases));
-        ro.rows = Storage<u32>::borrowed(occ.viewArray<u32>(kOccRows));
+        require(sa_checksum == sa.checksum(), occ_path,
+                "saved with another " + sa_path +
+                    " (companion files do not belong together)");
+        require(ro.k >= 1 && ro.k <= 27, occ_path,
+                "k=" + std::to_string(ro.k) + " outside 1..27");
+        const auto bases = occ.viewArray<u32>(kOccBases);
+        const auto rows = occ.viewArray<u32>(kOccRows);
+        require(bases.size() == kmerSpace(ro.k) + 1 &&
+                    bases.back() == rows.size(),
+                occ_path,
+                std::to_string(bases.size()) + " base pointers and " +
+                    std::to_string(rows.size()) +
+                    " increments do not fit k=" + std::to_string(ro.k));
+        const u64 k = static_cast<u64>(ro.k);
+        require(ro.sentinel_windows.size() == k &&
+                    ro.sentinel_thresholds.size() == k,
+                occ_path, "sentinel windows or thresholds are not k");
+        ro.bases = Storage<u32>::borrowed(bases);
+        ro.rows = Storage<u32>::borrowed(rows);
         parts.occ = std::move(ro);
     }
 
     { // .exma.sa: the FM-index
         const std::vector<u8> blob = sa.readBlob(kSaMeta);
-        BlobReader r(blob, stem + kExtSa);
+        BlobReader r(blob, sa_path);
         FmIndex::Restored rf;
         rf.cfg.occ_sample = r.getU32();
         rf.cfg.sa_sample = r.getU32();
@@ -522,34 +288,39 @@ loadTableFiles(const std::string &stem)
         const u64 bv_bits = r.getU64();
         const u64 bv_ones = r.getU64();
         r.finish();
-        rf.rank = PackedRank(
-            rank_n, rank_primary,
-            Storage<PackedRank::Block>::borrowed(
-                sa.viewArray<PackedRank::Block>(kSaRankBlocks)));
-        rf.sa_sampled = BitVector(
-            bv_bits, bv_ones,
-            Storage<u64>::borrowed(sa.viewArray<u64>(kSaBvWords)),
-            Storage<u64>::borrowed(sa.viewArray<u64>(kSaBvSuper)));
-        rf.sa_values =
-            Storage<u32>::borrowed(sa.viewArray<u32>(kSaValues));
+        const auto blocks = sa.viewArray<PackedRank::Block>(kSaRankBlocks);
+        const auto values = sa.viewArray<u32>(kSaValues);
+        const auto words = sa.viewArray<u64>(kSaBvWords);
+        const auto super = sa.viewArray<u64>(kSaBvSuper);
+        require(rank_n == rf.n_rows && blocks.size() == (rank_n >> 6) + 1,
+                sa_path,
+                std::to_string(blocks.size()) +
+                    " rank blocks do not cover " +
+                    std::to_string(rf.n_rows) + " rows");
+        require(bv_bits == rf.n_rows &&
+                    words.size() == bv_bits / 64 + (bv_bits % 64 != 0) &&
+                    super.size() == (words.size() + 7) / 8 + 1 &&
+                    super.back() == bv_ones && values.size() == bv_ones,
+                sa_path, "SA samples do not fit their bit vector");
+        require(rf.count[kBwtAlphabet] == rf.n_rows, sa_path,
+                "Count array does not sum to the row count");
+        rf.rank = PackedRank(rank_n, rank_primary,
+                             Storage<PackedRank::Block>::borrowed(blocks));
+        rf.sa_sampled = BitVector(bv_bits, bv_ones,
+                                  Storage<u64>::borrowed(words),
+                                  Storage<u64>::borrowed(super));
+        rf.sa_values = Storage<u32>::borrowed(values);
         parts.fm = std::move(rf);
     }
 
-    switch (parts.cfg.mode) {
-    case OccIndexMode::Exact:
-        break;
-    case OccIndexMode::Mtl:
-        parts.mtl = getMtlModel(occ, parts.cfg.mtl, stem + kExtOcc);
-        break;
-    case OccIndexMode::NaiveLearned:
-        parts.naive = getNaiveModel(occ, stem + kExtOcc);
-        break;
-    }
-
-    if (parts.fm.n_rows == 0 || parts.slice.length != parts.fm.n_rows - 1)
-        throw LoadError(stem + kExtPac +
-                        ": text slice disagrees with the table's " +
-                        std::to_string(parts.fm.n_rows) + " rows");
+    require(parts.occ.n_rows == parts.fm.n_rows, occ_path,
+            std::to_string(parts.occ.n_rows) + " rows, " + sa_path +
+                " holds " + std::to_string(parts.fm.n_rows));
+    require(parts.fm.n_rows != 0 &&
+                parts.slice.length == parts.fm.n_rows - 1,
+            pac_path,
+            "text slice disagrees with the table's " +
+                std::to_string(parts.fm.n_rows) + " rows");
     out.table = std::make_unique<ExmaTable>(std::move(parts));
     return out;
 }
@@ -559,11 +330,6 @@ loadScanFiles(const std::string &stem)
 {
     const MappedFile file(stem + kExtPac);
     const FileView pac(file, kMagicPac);
-    const std::vector<u8> blob = pac.readBlob(kPacMeta);
-    BlobReader r(blob, stem + kExtPac);
-    io_detail::getTableConfig(r); // config echo, unused for scan shards
-    r.finish();
-
     LoadedScanShard out;
     out.slice = oneSlice(pac, stem + kExtPac);
     // Scan text is copied out (unpacking is a format change anyway),

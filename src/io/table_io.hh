@@ -5,19 +5,29 @@
  *
  * One table is three files at a stem:
  *
- *   stem.exma.pac   table config echo and the one text slice covered
+ *   stem.exma.pac   the one text slice the table covers
  *   stem.exma.occ   EXMA table: base pointers, increments, sentinels,
- *                   and the trained learned-index model (MTL or naive)
+ *                   and the checksum of the .sa it was saved with
  *   stem.exma.sa    FM-index: packed-rank blocks, SA samples, sampled-
  *                   row bit vector
  *
- * Loading mmaps the files read-only and points the restored
- * structures' hot arrays straight into the mappings
- * (common/storage.hh), so the Loaded* wrappers hold the MappedFiles
- * alongside the structures and must stay alive as long as the table
- * serves. Models are restored from their trained weights — nothing is
- * retrained, so a loaded table answers bit-identically to the one
- * that was saved.
+ * The files hold the exact EXMA table and nothing learned: a model is
+ * an in-memory build product, so a table built in MTL or naive mode
+ * saves the same files as an Exact one, and every loaded table
+ * resolves Occ exactly (mode Exact; k and the FM sampling come from
+ * the .occ and .sa metadata). Loading mmaps the files read-only and
+ * points the restored structures' hot arrays straight into the
+ * mappings (common/storage.hh), so the Loaded* wrappers hold the
+ * MappedFiles alongside the structures and must stay alive as long as
+ * the table serves.
+ *
+ * Before anything is built over the mappings, the loader checks that
+ * the .occ was saved with this .sa (its recorded checksum) and every
+ * size a restore constructor asserts (k, base pointers, sentinels,
+ * rank blocks, SA samples, the Count sum, rows on both sides, the
+ * slice), throwing LoadError naming the file. It does not check array
+ * contents, such as monotone base pointers or rank checkpoints: a file
+ * whose checksum was forged over wrong contents is out of reach.
  *
  * Whole-index directories (manifest + per-shard files) are one layer
  * up, in persist/index_io.hh — that layer knows about shard plans and
@@ -59,7 +69,10 @@ struct LoadedExmaTable
     std::unique_ptr<ExmaTable> table;
 };
 
-/** Load stem.exma.{pac,occ,sa}; throws LoadError on any defect. */
+/**
+ * Load stem.exma.{pac,occ,sa} as an Exact-mode table; throws LoadError
+ * on any defect the file comment lists.
+ */
 LoadedExmaTable loadTableFiles(const std::string &stem);
 
 /** Load a scan shard's stem.exma.pac: slice + unpacked text. */
@@ -72,9 +85,9 @@ LoadedScanShard loadScanFiles(const std::string &stem);
 
 /**
  * Shared plumbing between this layer and persist/index_io.cc — not a
- * public API. The manifest layer reuses the same config echo, blob
- * framing, shard-stem naming and load-fault hook so one format
- * version covers every file in an index directory.
+ * public API. The manifest layer reuses the same blob framing,
+ * shard-stem naming and load-fault hook so one format version covers
+ * every file in an index directory.
  */
 namespace io_detail {
 
@@ -83,10 +96,6 @@ void probeLoadFaults(const std::string &path);
 
 /** Write @p w's bytes as section @p tag. */
 void writeBlob(FileBuilder &fb, u32 tag, const BlobWriter &w);
-
-/** Serialize / restore an ExmaTable::Config echo. */
-void putTableConfig(BlobWriter &w, const ExmaTable::Config &cfg);
-ExmaTable::Config getTableConfig(BlobReader &r);
 
 /** dir + "/shardNNNN" (4-digit, zero-padded). */
 std::string shardStem(const std::string &dir, size_t i);

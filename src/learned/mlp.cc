@@ -54,20 +54,6 @@ Mlp::Mlp(int in_dim, int hidden, u64 seed)
         w = rng.normal(0.0, 0.5);
 }
 
-Mlp::Mlp(int in_dim, int hidden, std::vector<double> w1,
-         std::vector<double> b1, std::vector<double> w2, double b2)
-    : in_dim_(in_dim), hidden_(hidden), w1_(std::move(w1)),
-      b1_(std::move(b1)), w2_(std::move(w2)), b2_(b2)
-{
-    exma_assert(in_dim == 1 || in_dim == 2, "in_dim must be 1 or 2");
-    exma_assert(hidden >= 1, "hidden width must be positive");
-    exma_assert(w1_.size() == static_cast<size_t>(hidden * in_dim) &&
-                    b1_.size() == static_cast<size_t>(hidden) &&
-                    w2_.size() == static_cast<size_t>(hidden),
-                "mlp restore: weight shapes disagree with %dx%d", in_dim,
-                hidden);
-}
-
 double
 Mlp::predict(double x0, double x1) const
 {

@@ -34,13 +34,6 @@ class Mlp
      */
     Mlp(int in_dim, int hidden, u64 seed);
 
-    /**
-     * Restore trained weights (src/io/index_io.cc) — no training runs,
-     * the network predicts exactly as the one that was saved.
-     */
-    Mlp(int in_dim, int hidden, std::vector<double> w1,
-        std::vector<double> b1, std::vector<double> w2, double b2);
-
     /** Forward pass; @p x1 ignored when in_dim == 1. */
     double predict(double x0, double x1 = 0.0) const;
 
@@ -53,15 +46,6 @@ class Mlp
 
     /** Weights + biases of both layers. */
     u64 paramCount() const;
-
-    int inputDim() const { return in_dim_; }
-    int hiddenWidth() const { return hidden_; }
-
-    /** Trained weights (serialization). */
-    const std::vector<double> &hiddenWeights() const { return w1_; }
-    const std::vector<double> &hiddenBiases() const { return b1_; }
-    const std::vector<double> &outputWeights() const { return w2_; }
-    double outputBias() const { return b2_; }
 
   private:
     int in_dim_;

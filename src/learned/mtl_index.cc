@@ -90,7 +90,6 @@ MtlIndex::MtlIndex(const KmerOccTable &tab, const Config &cfg)
     // Pass 3: per-k-mer linear leaves, each increment assigned by the
     // shared root's own routing (so queries evaluate the leaf fitted on
     // their neighbourhood).
-    std::vector<ClampedLeaf> leaves;
     std::vector<LeafMoments> acc;
     for (int cls = 0; cls < kNumClasses; ++cls) {
         for (const Kmer m : members[static_cast<size_t>(cls)]) {
@@ -98,7 +97,7 @@ MtlIndex::MtlIndex(const KmerOccTable &tab, const Config &cfg)
             const u64 f = inc.size();
             const u64 n_leaves = (f + cfg.leaf_size - 1) / cfg.leaf_size;
             KmerLeaves kl;
-            kl.first_leaf = static_cast<u32>(leaves.size());
+            kl.first_leaf = static_cast<u32>(leaves_.size());
             kl.n_leaves = static_cast<u32>(n_leaves);
             kl.cls = cls;
 
@@ -129,38 +128,11 @@ MtlIndex::MtlIndex(const KmerOccTable &tab, const Config &cfg)
                     solved[j] = last;
             }
             for (auto &mdl : solved)
-                leaves.push_back(mdl);
+                leaves_.push_back(mdl);
             kmers_.emplace(m, kl);
         }
     }
-    leaves_ = Storage<ClampedLeaf>(std::move(leaves));
 
-    params_ = leaves_.size() * LinearModel::paramCount();
-    for (const auto &mlp : mlps_)
-        params_ += mlp.paramCount();
-}
-
-MtlIndex::MtlIndex(const KmerOccTable &tab, Restored parts)
-    : tab_(tab), cfg_(parts.cfg), class_model_(parts.class_model),
-      mlps_(std::move(parts.mlps)), leaves_(std::move(parts.leaves))
-{
-    inv_kmer_space_ = 1.0 / static_cast<double>(kmerSpace(tab.k()));
-    inv_rows_ = 1.0 / static_cast<double>(tab.rows());
-    kmers_.reserve(parts.kmers.size());
-    for (const auto &[code, kl] : parts.kmers) {
-        exma_assert(static_cast<u64>(kl.first_leaf) + kl.n_leaves <=
-                        leaves_.size(),
-                    "mtl restore: k-mer leaf range exceeds the leaf "
-                    "array (%llu leaves)",
-                    (unsigned long long)leaves_.size());
-        exma_assert(kl.cls >= 0 && kl.cls < kNumClasses &&
-                        class_model_[static_cast<size_t>(kl.cls)] >= 0 &&
-                        class_model_[static_cast<size_t>(kl.cls)] <
-                            static_cast<int>(mlps_.size()),
-                    "mtl restore: k-mer class %d has no shared model",
-                    kl.cls);
-        kmers_.emplace(code, kl);
-    }
     params_ = leaves_.size() * LinearModel::paramCount();
     for (const auto &mlp : mlps_)
         params_ += mlp.paramCount();

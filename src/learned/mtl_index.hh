@@ -14,13 +14,10 @@
 #define EXMA_LEARNED_MTL_INDEX_HH
 
 #include <array>
-#include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/dna.hh"
-#include "common/storage.hh"
 #include "fmindex/kmer_occ.hh"
 #include "learned/mlp.hh"
 #include "learned/naive_kmer_index.hh" // IndexLookup
@@ -53,24 +50,11 @@ class MtlIndex
         int cls = 0;
     };
 
-    MtlIndex(const KmerOccTable &tab, const Config &cfg);
-
     /**
-     * Serialized parts of a trained index (src/io/index_io.cc). The
-     * leaf array is typically borrowed straight from the mmap'd
-     * `.exma.occ` file; no training runs on restore.
+     * Train over @p tab. The index lives only in memory: index files
+     * hold no model (io/table_io.hh).
      */
-    struct Restored
-    {
-        Config cfg;
-        std::array<int, kNumClasses> class_model;
-        std::vector<Mlp> mlps;
-        Storage<ClampedLeaf> leaves;
-        std::vector<std::pair<Kmer, KmerLeaves>> kmers;
-    };
-
-    /** Restore against the (already restored) occurrence table. */
-    MtlIndex(const KmerOccTable &tab, Restored parts);
+    MtlIndex(const KmerOccTable &tab, const Config &cfg);
 
     /** Occ(k-mer, pos) via the shared-class model (or binary search). */
     IndexLookup occ(Kmer code, u64 pos) const;
@@ -86,19 +70,6 @@ class MtlIndex
 
     bool hasModel(Kmer code) const { return kmers_.count(code) > 0; }
 
-    /** Serialization accessors (src/io/index_io.cc). */
-    const Config &config() const { return cfg_; }
-    const std::array<int, kNumClasses> &classModel() const
-    {
-        return class_model_;
-    }
-    const std::vector<Mlp> &sharedMlps() const { return mlps_; }
-    std::span<const ClampedLeaf> leafArray() const { return leaves_.span(); }
-    const std::unordered_map<Kmer, KmerLeaves> &kmerMap() const
-    {
-        return kmers_;
-    }
-
   private:
     /** Shared-root leaf routing, identical at build and query time. */
     u64 routeLeaf(const KmerLeaves &kl, double x0, double x1) const;
@@ -107,7 +78,7 @@ class MtlIndex
     Config cfg_;
     std::array<int, kNumClasses> class_model_; ///< index into mlps_, -1
     std::vector<Mlp> mlps_;                    ///< one per populated class
-    Storage<ClampedLeaf> leaves_;              ///< all k-mers, contiguous
+    std::vector<ClampedLeaf> leaves_;          ///< all k-mers, contiguous
     std::unordered_map<Kmer, KmerLeaves> kmers_;
     u64 params_ = 0;
     double inv_kmer_space_ = 0.0;

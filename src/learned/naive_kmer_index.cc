@@ -1,7 +1,6 @@
 #include "learned/naive_kmer_index.hh"
 
 #include "common/branchless.hh"
-#include "common/logging.hh"
 
 namespace exma {
 
@@ -22,23 +21,6 @@ NaiveKmerIndex::NaiveKmerIndex(const KmerOccTable &tab, const Config &cfg)
         rc.seed = cfg.seed + m;
         auto &rmi = models_[m];
         rmi.build(tab.increments(m), rc);
-        params_ += rmi.paramCount();
-    }
-}
-
-NaiveKmerIndex::NaiveKmerIndex(
-    const KmerOccTable &tab, const Config &cfg,
-    std::vector<std::pair<Kmer, Rmi<u32>::Parts>> models)
-    : tab_(tab), cfg_(cfg)
-{
-    models_.reserve(models.size());
-    for (auto &[code, parts] : models) {
-        const auto inc = tab_.increments(code);
-        exma_assert(inc.size() > cfg_.min_increments,
-                    "naive restore: model for k-mer below the modelling "
-                    "threshold");
-        auto &rmi = models_[code];
-        rmi.restore(inc, std::move(parts));
         params_ += rmi.paramCount();
     }
 }

@@ -11,8 +11,6 @@
 #define EXMA_LEARNED_NAIVE_KMER_INDEX_HH
 
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "common/dna.hh"
 #include "fmindex/kmer_occ.hh"
@@ -44,24 +42,14 @@ class NaiveKmerIndex
         u64 seed = 7;
     };
 
-    NaiveKmerIndex(const KmerOccTable &tab, const Config &cfg);
-
     /**
-     * Restore from serialized per-k-mer model parts
-     * (src/io/index_io.cc); each Rmi's key span is re-pointed at
-     * @p tab's increments and no training runs.
+     * Train over @p tab. The models live only in memory: index files
+     * hold none (io/table_io.hh).
      */
-    NaiveKmerIndex(const KmerOccTable &tab, const Config &cfg,
-                   std::vector<std::pair<Kmer, Rmi<u32>::Parts>> models);
+    NaiveKmerIndex(const KmerOccTable &tab, const Config &cfg);
 
     /** Occ(k-mer, pos) via the per-k-mer model (or binary search). */
     IndexLookup occ(Kmer code, u64 pos) const;
-
-    /** The trained per-k-mer models (serialization). */
-    const std::unordered_map<Kmer, Rmi<u32>> &models() const
-    {
-        return models_;
-    }
 
     /** Whether @p code has its own model hierarchy. */
     bool hasModel(Kmer code) const { return models_.count(code) > 0; }

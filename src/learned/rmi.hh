@@ -133,41 +133,6 @@ class Rmi
 
     Rmi() = default;
 
-    /**
-     * Serialized parts of a built Rmi (src/io/index_io.cc). Restoring
-     * re-attaches the key span (not owned, so the caller re-points it
-     * at the loaded table) and adopts the trained models unchanged.
-     */
-    struct Parts
-    {
-        Config cfg;
-        double lo = 0.0;
-        double scale = 0.0;
-        LinearModel root_lin;
-        std::optional<Mlp> root_mlp;
-        std::vector<ClampedLeaf> leaves;
-    };
-
-    /** Restore from serialized parts; no training runs. */
-    void
-    restore(std::span<const K> keys, Parts parts)
-    {
-        keys_ = keys;
-        cfg_ = parts.cfg;
-        lo_ = parts.lo;
-        scale_ = parts.scale;
-        root_lin_ = parts.root_lin;
-        root_mlp_ = std::move(parts.root_mlp);
-        leaves_ = std::move(parts.leaves);
-    }
-
-    const Config &config() const { return cfg_; }
-    double lowKey() const { return lo_; }
-    double normScale() const { return scale_; }
-    const LinearModel &rootLinear() const { return root_lin_; }
-    const std::optional<Mlp> &rootMlp() const { return root_mlp_; }
-    std::span<const ClampedLeaf> leafArray() const { return leaves_; }
-
     /** Build over @p keys (sorted ascending; not owned). */
     void
     build(std::span<const K> keys, const Config &cfg)

@@ -14,9 +14,7 @@ namespace exma {
 
 namespace {
 
-using io_detail::getTableConfig;
 using io_detail::probeLoadFaults;
-using io_detail::putTableConfig;
 using io_detail::shardStem;
 using io_detail::writeBlob;
 
@@ -125,7 +123,6 @@ saveIndex(const ShardRouter &router, const std::string &dir)
 {
     const ShardPlan &plan = router.plan();
     BlobWriter w;
-    putTableConfig(w, router.config().table);
     w.putU64(router.config().min_table_bases);
     putPlan(w, plan);
     saveManifest(dir, w);
@@ -160,7 +157,6 @@ loadIndex(const std::string &dir)
     BlobReader r(blob, manifest_path);
 
     RouterConfig cfg;
-    cfg.table = getTableConfig(r);
     cfg.min_table_bases = r.getU64();
     ShardPlan plan = getPlan(r);
     r.finish();
@@ -185,6 +181,7 @@ loadIndex(const std::string &dir)
             for (MappedFile &f : t.files)
                 out.files.push_back(std::move(f));
             slice = t.table->slice();
+            cfg.table = t.table->config(); // k and FM sampling, Exact
             tables[s] = std::move(t.table);
         } else {
             LoadedScanShard scan = loadScanFiles(stem);

@@ -2,10 +2,10 @@
  * @file
  * Save / load of whole indexes. An index is a ShardRouter of any plan
  * (a single table is a 1-shard kmerPrefix router), saved as a
- * directory holding an `index.exma.manifest` (table config,
- * min_table_bases, serialized ShardPlan) plus `shardNNNN.exma.*` per
- * shard. Whether a shard is a table (`.pac`, `.occ`, `.sa`) or a scan
- * shard (`.pac` only, with its text) follows from the manifest alone
+ * directory holding an `index.exma.manifest` (min_table_bases and the
+ * serialized ShardPlan) plus `shardNNNN.exma.*` per shard. Whether a
+ * shard is a table (`.pac`, `.occ`, `.sa`) or a scan shard (`.pac`
+ * only, with its text) follows from the manifest alone
  * (RouterConfig::indexesSlice). Shards that share a text (every shard
  * of a kmerPrefix plan) share its files: the first shard's stem holds
  * them, every other shard's stem holds hard links to them, and a load
@@ -17,9 +17,13 @@
  * Loading mmaps the files read-only and points the restored
  * structures' hot arrays straight into the mappings, so LoadedIndex
  * holds the MappedFiles alongside the router and must stay alive as
- * long as the index serves. A loaded index remembers its directory in
- * its RouterConfig, so switching the router to the socket transport
- * serves the *same* files to out-of-process workers with no re-save.
+ * long as the index serves. The files hold no learned model, so every
+ * loaded table resolves Occ exactly, and the loaded router's
+ * RouterConfig::table is its tables' own config (k and FM sampling
+ * from their files, mode Exact). A loaded index remembers its
+ * directory in its RouterConfig, so switching the router to the
+ * socket transport serves the *same* files to out-of-process workers
+ * with no re-save.
  */
 
 #ifndef EXMA_PERSIST_INDEX_IO_HH

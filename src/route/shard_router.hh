@@ -23,8 +23,11 @@
  * default, and the differential oracle) or a SocketTransport speaking
  * the length-prefixed wire protocol to an out-of-process exma-worker
  * that mmap-loads the same shard files — the paper's per-channel
- * parallelism with real OS-level isolation. The two are
- * bit-identical: same hits, same stats, same canary.
+ * parallelism with real OS-level isolation. Index files hold no
+ * learned model, so a worker's table resolves Occ exactly. In the
+ * default Exact mode the two are bit-identical: same hits, same
+ * stats, same canary. A router built in MTL or naive mode gets the
+ * same hits from its workers, with Exact-mode stats.
  *
  * Fault tolerance (RouterConfig::failover): each prefix range is
  * served by an R-way ReplicaSet with power-of-two-choices routing, a

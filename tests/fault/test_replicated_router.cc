@@ -32,8 +32,6 @@ tableCfg(int k)
 {
     ExmaTable::Config cfg;
     cfg.k = k;
-    cfg.mtl.epochs = 10;
-    cfg.mtl.samples_per_class = 512;
     return cfg;
 }
 

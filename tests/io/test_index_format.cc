@@ -1,13 +1,17 @@
 // The persistent `.exma.*` format (src/io/): container round trips,
 // every corruption class failing closed with LoadError (crafted
-// manifests with valid checksums included), and full-index
+// manifests and tables with valid checksums included), and full-index
 // differential proofs — a saved + mmap-loaded index must return
 // bit-identical intervals, positions and SearchStats to the freshly
-// built one it came from, in every occ-index mode and shard plan.
+// built one it came from, in every shard plan. Files hold no learned
+// model: a table built in MTL or naive mode loads as an Exact one, with
+// the same hits and an Exact table's stats.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -126,6 +130,13 @@ flipByte(const std::string &path, u64 offset)
     f.write(&c, 1);
 }
 
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
 bool
 pointsIntoMapping(const std::vector<MappedFile> &files, const void *p)
 {
@@ -225,6 +236,32 @@ TEST(FileFormatTest, FlippedPayloadByteFailsChecksum)
     }
 }
 
+TEST(FileFormatTest, WrappingSectionCountThrows)
+{
+    // 2^62 four-byte elements is 2^64 bytes, which wraps to 0: the
+    // section must still be refused, checksum restamped or not.
+    const std::string path = writeTestFile(tempDir("fmt_wrap"));
+    std::string bytes = fileBytes(path);
+    const u64 count = u64{1} << 62;
+    // Section entry 0 follows the 64-byte header; its count sits 8 in.
+    std::memcpy(bytes.data() + sizeof(FileHeader) + 8, &count, sizeof(count));
+    const u64 sum = fnv1a(std::span(
+        reinterpret_cast<const u8 *>(bytes.data()) + sizeof(FileHeader), // NOLINT(cppcoreguidelines-pro-type-reinterpret-cast)
+        bytes.size() - sizeof(FileHeader)));
+    std::memcpy(bytes.data() + offsetof(FileHeader, checksum), &sum,
+                sizeof(sum));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    const MappedFile file(path);
+    try {
+        const FileView view(file, kTestMagic);
+        FAIL() << "wrapped section count not detected";
+    } catch (const LoadError &e) {
+        EXPECT_NE(std::string(e.what()).find("runs past EOF"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(FileFormatTest, ElementSizeMismatchThrows)
 {
     const std::string path = writeTestFile(tempDir("fmt_elem"));
@@ -264,14 +301,14 @@ TEST(FileFormatTest, BlobReaderOverrunThrows)
 TEST(FileFormatTest, BlobReaderCountOverflowThrows)
 {
     // A count the blob cannot hold fails before any container is
-    // sized, including counts whose byte size wraps u64 (2^61 doubles
+    // sized, including counts whose byte size wraps u64 (2^61 words
     // is 2^64 bytes, which a multiplying check sees as 0).
     for (const u64 count : {u64{1} << 61, u64{1} << 40, ~u64{0}}) {
         BlobWriter w;
         w.putU64(count);
-        w.putF64(1.0);
-        BlobReader doubles(w.bytes(), "blob");
-        EXPECT_THROW(doubles.getF64Array(), LoadError) << count;
+        w.putU64(1);
+        BlobReader words(w.bytes(), "blob");
+        EXPECT_THROW(words.getCount(sizeof(u64)), LoadError) << count;
         BlobReader chars(w.bytes(), "blob");
         EXPECT_THROW(chars.getString(), LoadError) << count;
         BlobReader shards(w.bytes(), "blob");
@@ -279,9 +316,10 @@ TEST(FileFormatTest, BlobReaderCountOverflowThrows)
     }
     BlobWriter w;
     w.putU64(1);
-    w.putF64(2.5);
+    w.putU64(25);
     BlobReader r(w.bytes(), "blob");
-    EXPECT_EQ(r.getF64Array(), (std::vector<double>{2.5}));
+    EXPECT_EQ(r.getCount(sizeof(u64)), 1u);
+    EXPECT_EQ(r.getU64(), 25u);
     r.finish();
 }
 
@@ -300,11 +338,12 @@ fixedBases(size_t n, u64 seed)
 // The layout lock freezes struct layouts, not the bodies built from
 // them: a change to the bit order inside a packed word, a field order
 // or a length width passes every round trip. These hashes were taken
-// from the format-3 writers; a body change must bump kFormatVersion
-// and recapture them.
+// from the format-4 writers (the frame and packed-text hashes are
+// format 3's: version 4 changed only the table files); a body change
+// must bump kFormatVersion and recapture them.
 TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
 {
-    EXPECT_EQ(kFormatVersion, 3u);
+    EXPECT_EQ(kFormatVersion, 4u);
 
     // Query lengths on both sides of the 32-base word edges.
     std::vector<std::vector<Base>> queries;
@@ -331,7 +370,8 @@ TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
     EXPECT_EQ(fnv1a(encodeResponse(failed)), 0xed25e2b0d86351e8ULL);
 
     // A scan shard's packed text section (tag 3 of its .exma.pac).
-    const std::string stem = tempDir("fmt_golden") + "/scan";
+    const std::string dir = tempDir("fmt_golden");
+    const std::string stem = dir + "/scan";
     saveScanFiles(fixedBases(100, 5), TextSegment{1000, 100}, stem);
     const MappedFile pac_file(stem + kExtPac);
     const FileView pac(pac_file, kMagicPac);
@@ -340,6 +380,17 @@ TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
         reinterpret_cast<const u8 *>(words.data()), // NOLINT(cppcoreguidelines-pro-type-reinterpret-cast)
         words.size_bytes());
     EXPECT_EQ(fnv1a(text), 0x258faa74ff922836ULL);
+
+    // A table's whole .exma.sa body, through its checksum, and its
+    // .exma.occ meta blob (tag 1), which records that checksum.
+    ExmaTable::Config tcfg;
+    tcfg.k = 4;
+    saveTableFiles(ExmaTable(fixedBases(4096, 9), tcfg), dir + "/table");
+    const MappedFile sa_file(dir + "/table" + kExtSa);
+    const MappedFile occ_file(dir + "/table" + kExtOcc);
+    EXPECT_EQ(FileView(sa_file, kMagicSa).checksum(), 0x108ac6550ff55e38ULL);
+    EXPECT_EQ(fnv1a(FileView(occ_file, kMagicOcc).readBlob(1)),
+              0xeb05af4b2e2c60afULL);
 }
 
 // --- single-table round trips -------------------------------------------
@@ -355,7 +406,7 @@ expectIdenticalSearch(const ExmaTable &built, const ExmaTable &loaded)
         const Interval ib = built.search(q, &sb);
         const Interval il = loaded.search(q, &sl);
         EXPECT_EQ(ib, il);
-        EXPECT_EQ(sb, sl); // identical models -> identical error/probes
+        EXPECT_EQ(sb, sl); // one mode -> identical error/probes
         EXPECT_GT(ib.count(), 0u); // sampled off the reference
         EXPECT_EQ(built.locateAllGlobal(ib, q.size()),
                   loaded.locateAllGlobal(il, q.size()));
@@ -370,8 +421,6 @@ class TableRoundTripTest
 TEST_P(TableRoundTripTest, LoadedTableSearchesIdentically)
 {
     const ExmaTable built(testRef(), cfgFor(GetParam()));
-    // One directory per mode: ctest runs the three modes as parallel
-    // processes, which must not remove each other's files.
     const std::string stem =
         tempDir("table_rt_" + std::to_string(static_cast<int>(GetParam()))) +
         "/table";
@@ -383,21 +432,65 @@ TEST_P(TableRoundTripTest, LoadedTableSearchesIdentically)
         loaded.files, loaded.table->occTable().baseArray().data()));
 }
 
+// Files hold the one mode a loaded table has; tables built in a learned
+// mode are LearnedTableRoundTripTest's.
 INSTANTIATE_TEST_SUITE_P(AllModes, TableRoundTripTest,
-                         ::testing::Values(OccIndexMode::Exact,
-                                           OccIndexMode::NaiveLearned,
-                                           OccIndexMode::Mtl),
-                         [](const auto &info) {
-                             switch (info.param) {
-                             case OccIndexMode::Exact:
-                                 return "Exact";
-                             case OccIndexMode::NaiveLearned:
-                                 return "Naive";
-                             case OccIndexMode::Mtl:
-                                 return "Mtl";
-                             }
-                             return "?";
-                         });
+                         ::testing::Values(OccIndexMode::Exact),
+                         [](const auto &) { return "Exact"; });
+
+TEST(LearnedTableRoundTripTest, MtlAndNaiveTablesLoadAsExact)
+{
+    // A model is an in-memory build product: an MTL or naive table
+    // saves the very files an Exact table does, and loads as an Exact
+    // table with the built table's intervals and hits and the Exact
+    // table's stats.
+    const ExmaTable exact(testRef(), cfgFor(OccIndexMode::Exact));
+    const std::string exact_stem = tempDir("table_rt_learned_exact") + "/table";
+    saveTableFiles(exact, exact_stem);
+    for (const OccIndexMode mode :
+         {OccIndexMode::Mtl, OccIndexMode::NaiveLearned}) {
+        const ExmaTable built(testRef(), cfgFor(mode));
+        const std::string stem =
+            tempDir("table_rt_learned_" +
+                    std::to_string(static_cast<int>(mode))) +
+            "/table";
+        saveTableFiles(built, stem);
+        for (const char *ext : {kExtPac, kExtOcc, kExtSa})
+            EXPECT_EQ(fileBytes(stem + ext), fileBytes(exact_stem + ext))
+                << ext;
+        const LoadedExmaTable loaded = loadTableFiles(stem);
+        EXPECT_EQ(loaded.table->mode(), OccIndexMode::Exact);
+        EXPECT_EQ(loaded.table->k(), built.k());
+        u64 model_lookups = 0;
+        for (const auto &q : refQueries(60, 24)) {
+            SearchStats sb, sl, se;
+            const Interval ib = built.search(q, &sb);
+            const Interval il = loaded.table->search(q, &sl);
+            exact.search(q, &se);
+            EXPECT_EQ(il, ib);
+            EXPECT_EQ(loaded.table->locateAllGlobal(il, q.size()),
+                      built.locateAllGlobal(ib, q.size()));
+            EXPECT_EQ(sl, se);
+            model_lookups += sb.model_lookups;
+        }
+        EXPECT_GT(model_lookups, 0u) << "the built table never used its model";
+
+        // The same holds for a whole index: a learned-mode router loads
+        // as an Exact one with the same hits.
+        RouterConfig rcfg;
+        rcfg.table = cfgFor(mode);
+        const ShardRouter router(testRef(),
+                                 ShardPlan::kmerPrefix(testRef(), 2, 64), rcfg);
+        const std::string dir = tempDir("idx_learned_" +
+                                        std::to_string(static_cast<int>(mode)));
+        saveIndex(router, dir);
+        const LoadedIndex index = loadIndex(dir);
+        EXPECT_EQ(index.router->config().table.mode, OccIndexMode::Exact);
+        const auto queries = refQueries(40, 32);
+        EXPECT_EQ(index.router->search(queries).hits,
+                  router.search(queries).hits);
+    }
+}
 
 TEST(TableCorruptionTest, FlippedOccByteFailsClosed)
 {
@@ -443,8 +536,11 @@ TEST(IndexRoundTripTest, MonoDirectory)
 {
     // A single table is a 1-shard kmerPrefix router (what `exma-index
     // build` writes by default): one shard stem, three files, no text.
+    // The default table config is Exact, so the loaded router repeats
+    // the built one's config as well as its hits and stats.
     RouterConfig cfg;
-    cfg.table = cfgFor(OccIndexMode::Mtl);
+    cfg.table.k = 4;
+    ASSERT_EQ(cfg.table.mode, OccIndexMode::Exact);
     const ShardRouter built(testRef(), ShardPlan::kmerPrefix(testRef(), 1, 64),
                             cfg);
     const std::string dir = tempDir("idx_mono");
@@ -460,9 +556,16 @@ TEST(IndexRoundTripTest, MonoDirectory)
     EXPECT_LT(fs::file_size(io_detail::shardStem(dir, 0) + kExtPac),
               testRef().size() / 4);
     expectIdenticalSearch(*built.shardTable(0), *loaded.router->shardTable(0));
+    const ExmaTable::Config &lc = loaded.router->config().table;
+    EXPECT_EQ(lc.k, cfg.table.k);
+    EXPECT_EQ(lc.mode, cfg.table.mode);
+    EXPECT_EQ(lc.fm.sa_sample, cfg.table.fm.sa_sample);
+    EXPECT_EQ(lc.fm.occ_sample, cfg.table.fm.occ_sample);
     const auto queries = refQueries(40, 32);
-    EXPECT_EQ(built.search(queries).hits,
-              loaded.router->search(queries).hits);
+    const RoutedResult rb = built.search(queries);
+    const RoutedResult rl = loaded.router->search(queries);
+    EXPECT_EQ(rb.hits, rl.hits);
+    EXPECT_EQ(rb.stats, rl.stats);
     EXPECT_GE(loaded.load_seconds, 0.0);
 }
 
@@ -634,7 +737,6 @@ writeTextPlanManifest(const std::string &name, u64 n_shards,
 {
     const std::string dir = tempDir(name);
     BlobWriter w;
-    io_detail::putTableConfig(w, cfgFor(OccIndexMode::Exact));
     w.putU64(ShardPlan::kMinShardBases);
     w.putU64(n_shards);
     for (const Shard &sh : shards) {
@@ -696,6 +798,82 @@ TEST(CraftedManifestTest, HugeShardCount)
         writeTextPlanManifest("crafted_huge_count", u64{1} << 40,
                               {{"s0", 0, 1000}}, 1000),
         "overruns");
+}
+
+// --- crafted tables -----------------------------------------------------
+//
+// Each companion file below is whole (valid checksum) but does not
+// belong with the others, or was written through FileBuilder with a
+// size no table has. The loader must refuse each with a LoadError
+// naming the file, before any restore constructor asserts on it.
+
+/** Save an Exact table over a fresh @p length-base reference at a new stem. */
+std::string
+saveTableOver(const std::string &name, u64 length, u64 seed)
+{
+    ReferenceSpec spec;
+    spec.length = length;
+    spec.seed = seed;
+    const std::string stem = tempDir(name) + "/table";
+    saveTableFiles(ExmaTable(generateReference(spec),
+                             cfgFor(OccIndexMode::Exact)),
+                   stem);
+    return stem;
+}
+
+/** loadTableFiles(@p stem) throws a LoadError naming @p file and @p needle. */
+void
+expectTableLoadError(const std::string &stem, const std::string &file,
+                     const std::string &needle)
+{
+    try {
+        loadTableFiles(stem);
+        FAIL() << "crafted table loaded";
+    } catch (const LoadError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(file), std::string::npos) << what;
+        EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+}
+
+TEST(CraftedTableTest, OccFromAnotherReferenceOfTheSameLength)
+{
+    const std::string stem = saveTableOver("crafted_occ_same_len", 4096, 1);
+    const std::string other = saveTableOver("crafted_occ_same_len_src", 4096, 2);
+    fs::copy_file(other + kExtOcc, stem + kExtOcc,
+                  fs::copy_options::overwrite_existing);
+    expectTableLoadError(stem, stem + kExtOcc, "do not belong together");
+}
+
+TEST(CraftedTableTest, OccFromALongerReference)
+{
+    const std::string stem = saveTableOver("crafted_occ_longer", 4096, 1);
+    const std::string other = saveTableOver("crafted_occ_longer_src", 8192, 2);
+    fs::copy_file(other + kExtOcc, stem + kExtOcc,
+                  fs::copy_options::overwrite_existing);
+    expectTableLoadError(stem, stem + kExtOcc, "do not belong together");
+}
+
+TEST(CraftedTableTest, OccWithKAboveTheSupportedRange)
+{
+    // Bound to the genuine .sa, so only the k check stands in the way
+    // of a 4^28-entry base array that the file does not hold.
+    const std::string stem = saveTableOver("crafted_occ_k28", 4096, 1);
+    const MappedFile sa_file(stem + kExtSa);
+    BlobWriter w;
+    w.putI32(28);       // k
+    w.putU64(4097);     // rows
+    w.putU64(1);        // distinct k-mers
+    w.putU64(0);        // sentinel windows
+    w.putU64(0);        // sentinel thresholds
+    w.putU64(FileView(sa_file, kMagicSa).checksum());
+    FileBuilder fb(kMagicOcc);
+    io_detail::writeBlob(fb, 1, w); // the .occ's meta blob tag
+    const std::vector<u32> bases{0, 0};
+    fb.writeArray<u32>(2, bases);   // base pointers
+    fb.writeArray<u32>(3, std::span<const u32>{}); // increments
+    fb.save(stem + kExtOcc);
+    expectTableLoadError(stem, stem + kExtOcc, "k=28");
 }
 
 } // namespace

@@ -19,3 +19,5 @@ expect_usage_error(--shards --shards abc)
 expect_usage_error(--prefix-len --shards 2 --prefix-len 11)
 # Every index is one kind, so --layout is no flag at all.
 expect_usage_error("unknown flag '--layout'" --layout sharded --shards 2)
+# Index files hold no learned model, so there is no --mode either.
+expect_usage_error("unknown flag '--mode'" --mode mtl)

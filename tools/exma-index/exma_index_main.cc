@@ -4,18 +4,19 @@
  * indexes (src/io/).
  *
  *   exma-index build  --out DIR [--dataset NAME] [--scale F]
- *                     [--fasta FILE] [--mode exact|naive|mtl] [--k K]
- *                     [--shards N] [--max-query-len L] [--prefix-len P]
- *                     [--json FILE]
+ *                     [--fasta FILE] [--k K] [--shards N]
+ *                     [--max-query-len L] [--prefix-len P] [--json FILE]
  *   exma-index info   --out DIR
  *   exma-index verify --out DIR <same build flags> [--queries N]
  *
  * `build` constructs the index in memory (synthetic dataset at the
  * given scale, or a real FASTA) as a kmerPrefix ShardRouter of
- * --shards lanes (1 by default) and saves it; `info` loads an index
- * and prints its shape (`tables=` counts distinct tables: 1 for a
- * kmerPrefix index at any shard count) and load time; `verify` rebuilds
- * the same index fresh, loads the saved one, and differentially
+ * --shards lanes (1 by default) over one Exact-mode table, and saves
+ * it: index files hold the exact EXMA table and no learned model, so
+ * there is no mode to choose. `info` loads an index and prints its
+ * shape (`tables=` counts distinct tables: 1 for a kmerPrefix index at
+ * any shard count) and load time; `verify` rebuilds the same index
+ * fresh, loads the saved one, and differentially
  * checks that both return identical hit sets on reference-sampled
  * queries — the CLI face of the tests/io round-trip suite, used by the
  * CI index-format job. Timings print as `key=value` lines and, with
@@ -64,7 +65,6 @@ struct Options
     std::string dataset = "human";
     double scale = 0.25;
     std::string fasta;
-    std::string mode = "mtl";
     int k = 0; ///< 0 = dataset-scaled default
     unsigned shards = 1;
     u64 max_query_len = 128;
@@ -81,9 +81,9 @@ usage(const std::string &err = "")
     std::cerr <<
         "usage:\n"
         "  exma-index build  --out DIR [--dataset NAME] [--scale F]\n"
-        "                    [--fasta FILE] [--mode exact|naive|mtl]\n"
-        "                    [--k K] [--shards N] [--max-query-len L]\n"
-        "                    [--prefix-len P] [--json FILE]\n"
+        "                    [--fasta FILE] [--k K] [--shards N]\n"
+        "                    [--max-query-len L] [--prefix-len P]\n"
+        "                    [--json FILE]\n"
         "  exma-index info   --out DIR [--json FILE]\n"
         "  exma-index verify --out DIR <same build flags> [--queries N]\n";
     std::exit(err.empty() ? 0 : 2);
@@ -136,8 +136,6 @@ parse(int argc, char **argv)
             number(i, opt.scale, 1e-6);
         else if (flag == "--fasta")
             opt.fasta = need(i);
-        else if (flag == "--mode")
-            opt.mode = need(i);
         else if (flag == "--k")
             number(i, opt.k, 0);
         else if (flag == "--shards")
@@ -155,8 +153,6 @@ parse(int argc, char **argv)
     }
     if (opt.out.empty())
         usage("--out is required");
-    if (opt.mode != "exact" && opt.mode != "naive" && opt.mode != "mtl")
-        usage("--mode must be exact, naive or mtl");
     return opt;
 }
 
@@ -202,17 +198,6 @@ loadDataset(const Options &opt)
     return makeDataset(opt.dataset, opt.scale);
 }
 
-ExmaTable::Config
-tableConfig(const Options &opt, const Dataset &ds)
-{
-    ExmaTable::Config cfg;
-    cfg.k = opt.k > 0 ? opt.k : ds.exma_k;
-    cfg.mode = opt.mode == "exact"   ? OccIndexMode::Exact
-               : opt.mode == "naive" ? OccIndexMode::NaiveLearned
-                                     : OccIndexMode::Mtl;
-    return cfg;
-}
-
 /** The index the build flags describe, built fresh in memory. */
 std::unique_ptr<ShardRouter>
 buildRouter(const Options &opt, const Dataset &ds, Metrics &metrics)
@@ -223,8 +208,8 @@ buildRouter(const Options &opt, const Dataset &ds, Metrics &metrics)
               "-base reference");
     const ShardPlan plan = ShardPlan::kmerPrefix(
         ds.ref, opt.shards, opt.max_query_len, opt.prefix_len);
-    RouterConfig rcfg;
-    rcfg.table = tableConfig(opt, ds);
+    RouterConfig rcfg; // default table config: Exact, the only kind saved
+    rcfg.table.k = opt.k > 0 ? opt.k : ds.exma_k;
     auto router = std::make_unique<ShardRouter>(ds.ref, plan, rcfg);
     metrics.put("table_build_s", router->buildSeconds());
     return router;
@@ -259,8 +244,7 @@ cmdBuild(const Options &opt)
     Metrics metrics;
     const Dataset ds = loadDataset(opt);
     std::cout << "dataset " << ds.name << ": " << ds.ref.size()
-              << " bases, " << opt.shards << " shard(s), mode "
-              << opt.mode << "\n";
+              << " bases, " << opt.shards << " shard(s)\n";
     const auto router = buildRouter(opt, ds, metrics);
     const double t0 = now();
     saveIndex(*router, opt.out);
