@@ -5,6 +5,7 @@
 #include "common/branchless.hh"
 #include "common/inflight.hh"
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "compress/chain.hh"
 #include "fmindex/suffix_array.hh"
 
@@ -44,19 +45,28 @@ ExmaTable::ExmaTable(Parts parts) : slice_(parts.slice)
 void
 ExmaTable::build(const std::vector<Base> &ref)
 {
+    // The FM index and the Occ table (with its model) only read the
+    // suffix array, so they build at the same time: two one-item
+    // chunks of one loop on the global pool, whose nesting lets the
+    // Occ build keep its own chunked loop.
     const std::vector<SaIndex> sa = buildSuffixArray(ref);
-    fm_ = std::make_unique<FmIndex>(ref, sa, cfg_.fm);
-    occ_ = std::make_unique<KmerOccTable>(ref, sa, cfg_.k);
-    switch (cfg_.mode) {
-        case OccIndexMode::Exact:
-            break;
-        case OccIndexMode::NaiveLearned:
-            naive_ = std::make_unique<NaiveKmerIndex>(*occ_, cfg_.naive);
-            break;
-        case OccIndexMode::Mtl:
-            mtl_ = std::make_unique<MtlIndex>(*occ_, cfg_.mtl);
-            break;
-    }
+    parallelFor(2, 1, [&](u64 item, u64, unsigned) {
+        if (item == 0) {
+            fm_ = std::make_unique<FmIndex>(ref, sa, cfg_.fm);
+            return;
+        }
+        occ_ = std::make_unique<KmerOccTable>(ref, sa, cfg_.k);
+        switch (cfg_.mode) {
+            case OccIndexMode::Exact:
+                break;
+            case OccIndexMode::NaiveLearned:
+                naive_ = std::make_unique<NaiveKmerIndex>(*occ_, cfg_.naive);
+                break;
+            case OccIndexMode::Mtl:
+                mtl_ = std::make_unique<MtlIndex>(*occ_, cfg_.mtl);
+                break;
+        }
+    });
 }
 
 std::vector<u64>

@@ -50,7 +50,7 @@ FileBuilder::save(const std::string &path) const
     hdr.version = kFormatVersion;
     hdr.endian = kEndianTag;
     hdr.file_bytes = file_bytes;
-    hdr.checksum = fnv1a(body);
+    hdr.checksum = fnv1aWords(body);
     hdr.n_sections = static_cast<u32>(sections_.size());
 
     // Write tmp + rename so a crashed save never leaves a readable
@@ -104,7 +104,7 @@ FileView::FileView(const MappedFile &file, const char (&magic)[8])
     if (table_end > file.size())
         throw LoadError(file.path() + ": section table runs past EOF");
 
-    const u64 sum = fnv1a(file.bytes().subspan(sizeof(FileHeader)));
+    const u64 sum = fnv1aWords(file.bytes().subspan(sizeof(FileHeader)));
     if (sum != hdr.checksum)
         throw LoadError(file.path() + ": checksum mismatch (file is "
                                       "corrupt)");

@@ -261,7 +261,7 @@ readFrame(int fd, WireFrame &out)
     if (h.body_bytes)
         readFully(fd, out.body.data(), out.body.size(),
                   sizeof(FrameHeader), "frame body", nullptr);
-    if (fnv1a(std::span<const u8>(out.body)) != h.canary)
+    if (fnv1aWords(std::span<const u8>(out.body)) != h.canary)
         throw TransportError("frame canary mismatch", fd,
                              sizeof(FrameHeader));
     return true;
@@ -276,7 +276,7 @@ writeFrame(int fd, u16 type, u32 seq, std::span<const u8> body)
     h.type = type;
     h.seq = seq;
     h.body_bytes = body.size();
-    h.canary = fnv1a(body);
+    h.canary = fnv1aWords(body);
     writeFully(fd, &h, sizeof h, 0, "frame header");
     if (!body.empty())
         writeFully(fd, body.data(), body.size(), sizeof h, "frame body");

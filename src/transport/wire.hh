@@ -9,9 +9,10 @@
  * version (a router and a worker built from different format
  * generations refuse each other outright — the same policy the mmap
  * loaders apply), the frame type, a request sequence number the
- * response echoes, and an FNV-1a canary over the body so a flipped
- * bit anywhere in the payload is a detected transport error, not a
- * silently wrong answer.
+ * response echoes, and a canary over the body (io/format.hh's
+ * fnv1aWords, the index files' checksum) so a flipped bit anywhere in
+ * the payload is a detected transport error, not a silently wrong
+ * answer.
  *
  * Bodies are built and read with the index format's blob codec
  * (io/format.hh's BlobWriter / BlobReader), and request bodies
@@ -96,7 +97,7 @@ struct FrameHeader
     u16 reserved0 = 0;
     u32 seq = 0;        ///< request sequence; responses echo it
     u64 body_bytes = 0; ///< payload length following this header
-    u64 canary = 0;     ///< fnv1a over the body bytes
+    u64 canary = 0;     ///< fnv1aWords over the body bytes
 };
 
 /** Leading record of a request body. */

@@ -245,7 +245,7 @@ TEST(FileFormatTest, WrappingSectionCountThrows)
     const u64 count = u64{1} << 62;
     // Section entry 0 follows the 64-byte header; its count sits 8 in.
     std::memcpy(bytes.data() + sizeof(FileHeader) + 8, &count, sizeof(count));
-    const u64 sum = fnv1a(std::span(
+    const u64 sum = fnv1aWords(std::span(
         reinterpret_cast<const u8 *>(bytes.data()) + sizeof(FileHeader), // NOLINT(cppcoreguidelines-pro-type-reinterpret-cast)
         bytes.size() - sizeof(FileHeader)));
     std::memcpy(bytes.data() + offsetof(FileHeader, checksum), &sum,
@@ -338,12 +338,13 @@ fixedBases(size_t n, u64 seed)
 // The layout lock freezes struct layouts, not the bodies built from
 // them: a change to the bit order inside a packed word, a field order
 // or a length width passes every round trip. These hashes were taken
-// from the format-4 writers (the frame and packed-text hashes are
-// format 3's: version 4 changed only the table files); a body change
-// must bump kFormatVersion and recapture them.
+// from the format-5 writers with format 5's fnv1aWords (the bodies are
+// format 4's: version 5 changed only the checksum, which the .sa
+// checksum and the .occ meta blob carry); a body change must bump
+// kFormatVersion and recapture them.
 TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
 {
-    EXPECT_EQ(kFormatVersion, 4u);
+    EXPECT_EQ(kFormatVersion, 5u);
 
     // Query lengths on both sides of the 32-base word edges.
     std::vector<std::vector<Base>> queries;
@@ -353,7 +354,7 @@ TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
     WorkerRequest req;
     req.batch = QueryBatchView::own(std::move(queries), {9, 0, 4, 2, 7});
     req.cfg.grain = 5;
-    EXPECT_EQ(fnv1a(encodeRequest(req)), 0x274e045c3c48d97eULL);
+    EXPECT_EQ(fnv1aWords(encodeRequest(req)), 0xb38d5564c1751076ULL);
 
     WorkerResponse ok;
     ok.ids = {3, 1, 8};
@@ -361,13 +362,13 @@ TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
     ok.stats = SearchStats{1, 2, 3, 4, 5};
     ok.seconds = 0.5;
     ok.canary = responseCanary(ok);
-    EXPECT_EQ(fnv1a(encodeResponse(ok)), 0x354d8edf88fc67f4ULL);
+    EXPECT_EQ(fnv1aWords(encodeResponse(ok)), 0x730030fa3b187650ULL);
 
     WorkerResponse failed;
     failed.status = WorkerStatus::Failed;
     failed.error = "shard compute threw";
     failed.ids = {6, 2};
-    EXPECT_EQ(fnv1a(encodeResponse(failed)), 0xed25e2b0d86351e8ULL);
+    EXPECT_EQ(fnv1aWords(encodeResponse(failed)), 0xc189d83bfdd99b52ULL);
 
     // A scan shard's packed text section (tag 3 of its .exma.pac).
     const std::string dir = tempDir("fmt_golden");
@@ -379,7 +380,7 @@ TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
     const std::span<const u8> text(
         reinterpret_cast<const u8 *>(words.data()), // NOLINT(cppcoreguidelines-pro-type-reinterpret-cast)
         words.size_bytes());
-    EXPECT_EQ(fnv1a(text), 0x258faa74ff922836ULL);
+    EXPECT_EQ(fnv1aWords(text), 0x5e2ae8c6e9cf5798ULL);
 
     // A table's whole .exma.sa body, through its checksum, and its
     // .exma.occ meta blob (tag 1), which records that checksum.
@@ -388,9 +389,9 @@ TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
     saveTableFiles(ExmaTable(fixedBases(4096, 9), tcfg), dir + "/table");
     const MappedFile sa_file(dir + "/table" + kExtSa);
     const MappedFile occ_file(dir + "/table" + kExtOcc);
-    EXPECT_EQ(FileView(sa_file, kMagicSa).checksum(), 0x108ac6550ff55e38ULL);
-    EXPECT_EQ(fnv1a(FileView(occ_file, kMagicOcc).readBlob(1)),
-              0xeb05af4b2e2c60afULL);
+    EXPECT_EQ(FileView(sa_file, kMagicSa).checksum(), 0x8c02dec9c1be752dULL);
+    EXPECT_EQ(fnv1aWords(FileView(occ_file, kMagicOcc).readBlob(1)),
+              0x4f51132cf8348b08ULL);
 }
 
 // --- single-table round trips -------------------------------------------

@@ -317,7 +317,7 @@ TEST(Wire, FrameRejectsBadMagicVersionSkewTypeAndCanary)
     FrameHeader flipped;
     flipped.type = kFrameRequest;
     flipped.body_bytes = body.size();
-    flipped.canary = fnv1a(std::span<const u8>(body)) ^ 1;
+    flipped.canary = fnv1aWords(std::span<const u8>(body)) ^ 1;
     expectRefused(flipped, body);
 }
 

@@ -20,7 +20,8 @@ that code review alone won't keep enforced:
   concurrency-label  gtest suites that exercise threaded machinery
                      (ThreadPool, parallelFor, BatchSearcher, the
                      route/shard serving stack, a pool-parallel
-                     KmerOccTable build, raw std::thread/std::async)
+                     KmerOccTable or ExmaTable build, raw
+                     std::thread/std::async)
                      must carry the `concurrency` ctest LABEL in
                      tests/CMakeLists.txt — the TSan CI job runs
                      `ctest -L concurrency`, so a missing label means a
@@ -260,11 +261,13 @@ def check_bench_json(root):
 # Constructs whose presence in a test file means TSan must see it: pool
 # machinery itself, the classes that own worker threads or fan work
 # across the pool (both Transport implementations own a serving-lane
-# thread), and a KmerOccTable construction (its build goes
-# pool-parallel above the row threshold).
+# thread), a KmerOccTable construction (its build goes pool-parallel
+# above the row threshold) and an ExmaTable construction (its FM index
+# and Occ table build as two items of one pool loop).
 CONCURRENCY_MACHINERY_RE = re.compile(
     r"\b(ThreadPool|parallelFor|BatchSearcher|ShardWorker|SocketTransport"
-    r"|ShardRouter|KmerOccTable|std::thread|std::jthread|std::async)\b")
+    r"|ShardRouter|KmerOccTable|ExmaTable|std::thread|std::jthread"
+    r"|std::async)\b")
 
 ADD_TEST_RE = re.compile(r"exma_add_test\(\s*([^\s)]+)([^)]*)\)")
 
