@@ -62,10 +62,10 @@ main(int argc, char **argv)
             const u32 x = static_cast<u32>(
                 s / 100.0 * static_cast<double>(occ.rows()));
             const double fa =
-                static_cast<double>(occ.occ(a, x)) /
+                static_cast<double>(occ.occ(a, x).rank) /
                 static_cast<double>(ia.size());
             const double fb =
-                static_cast<double>(occ.occ(b, x)) /
+                static_cast<double>(occ.occ(b, x).rank) /
                 static_cast<double>(ib.size());
             worst = std::max(worst, std::abs(fa - fb));
         }

@@ -6,8 +6,8 @@
  * rank-searching a sorted increment list. `std::lower_bound` spends one
  * hard-to-predict branch per probe (the comparison outcome is
  * essentially a coin flip on random queries), so each lookup eats
- * several mispredicts on top of its cache misses. The helpers here are
- * the shared replacement for every increment-list search site:
+ * several mispredicts on top of its cache misses. The one increment-list
+ * search, KmerOccTable::occ, is built from the helpers here:
  *
  *  - branchlessLowerBound(): the classic monotone-bound binary search
  *    expressed so the comparison compiles to a conditional move, with

@@ -34,6 +34,13 @@ constexpr int kDnaAlphabet = 4;
 /** Number of BWT symbols ($,A,C,G,T). */
 constexpr int kBwtAlphabet = 5;
 
+/**
+ * Largest k a k-mer table (KmerOccTable, IpBwt) supports. A window
+ * that holds the sentinel is coded in base 5 ($,A,C,G,T), and that
+ * code must fit a u64: 5^27 < 2^64 < 5^28.
+ */
+constexpr int kMaxKmerLen = 27;
+
 /** Character for each base code. */
 constexpr char kBaseChars[kDnaAlphabet] = {'A', 'C', 'G', 'T'};
 

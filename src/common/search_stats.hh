@@ -1,11 +1,17 @@
 /**
  * @file
- * Per-search instrumentation counters shared by every search engine
- * (ExmaTable, KStepFmIndex) and their timing models. A SearchStats is a
- * plain per-call value object — callers own one per search (or one per
- * worker thread in a batched run) and merge with operator+=, so the
- * search engines themselves stay const and freely shareable across
- * threads.
+ * Search instrumentation shared by the Occ lookups, the EXMA table's
+ * search engine and their timing models.
+ *
+ * An IndexLookup is one instrumented Occ lookup: the exact rank plus
+ * what resolving it cost. KmerOccTable::occ, the one exact lookup,
+ * fills the rank and its worst-case probe count; a learned index
+ * (MtlIndex, NaiveKmerIndex) adds its misprediction and model fields.
+ *
+ * A SearchStats sums those over a search. It is a plain per-call value
+ * object — callers own one per search (or one per worker thread in a
+ * batched run) and merge with operator+=, so the search engine itself
+ * stays const and freely shareable across threads.
  */
 
 #ifndef EXMA_COMMON_SEARCH_STATS_HH
@@ -14,6 +20,17 @@
 #include "common/types.hh"
 
 namespace exma {
+
+/** Result of one instrumented Occ(k-mer, pos) lookup. */
+struct IndexLookup
+{
+    u64 rank = 0;       ///< exact Occ(k-mer, pos)
+    u64 error = 0;      ///< model misprediction in entries
+    u64 probes = 0;     ///< comparisons to resolve the rank
+    bool used_model = false;
+    u64 leaf_id = 0;    ///< global leaf index (cache addressing)
+    int cls = -1;       ///< increment-count class (MTL only)
+};
 
 struct SearchStats
 {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/branchless.hh"
 #include "common/inflight.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -95,11 +94,7 @@ ExmaTable::occ(Kmer code, u64 pos) const
         return mtl_->occ(code, pos);
     if (naive_)
         return naive_->occ(code, pos);
-    IndexLookup out;
-    auto inc = occ_->increments(code);
-    out.rank = lowerBoundRank(inc, static_cast<u32>(pos));
-    out.probes = probeCount(inc.size());
-    return out;
+    return occ_->occ(code, pos);
 }
 
 Interval

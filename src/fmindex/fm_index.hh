@@ -89,9 +89,6 @@ class FmIndex
     /** Number of BW-matrix rows (|ref| + 1). */
     u64 size() const { return n_rows_; }
 
-    /** Reference length |ref|. */
-    u64 textLength() const { return n_rows_ - 1; }
-
     /** The whole-matrix interval (initial search state). */
     Interval fullInterval() const { return {0, n_rows_}; }
 

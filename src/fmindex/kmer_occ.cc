@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/branchless.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
@@ -73,7 +72,8 @@ KmerOccTable::KmerOccTable(Restored parts)
       sentinel_windows_(std::move(parts.sentinel_windows)),
       sentinel_thresholds_(std::move(parts.sentinel_thresholds))
 {
-    exma_assert(k_ >= 1 && k_ <= 27, "k=%d out of supported range", k_);
+    exma_assert(k_ >= 1 && k_ <= kMaxKmerLen, "k=%d out of supported range",
+                k_);
     exma_assert(bases_.size() == kmerSpace(k_) + 1,
                 "occ restore: base array has %llu entries for k=%d",
                 (unsigned long long)bases_.size(), k_);
@@ -90,7 +90,8 @@ void
 KmerOccTable::build(const std::vector<Base> &ref,
                     const std::vector<SaIndex> &sa, unsigned build_threads)
 {
-    exma_assert(k_ >= 1 && k_ <= 27, "k=%d out of supported range", k_);
+    exma_assert(k_ >= 1 && k_ <= kMaxKmerLen, "k=%d out of supported range",
+                k_);
     const u64 n = ref.size();
     const u64 k = static_cast<u64>(k_);
     n_rows_ = n + 1;
@@ -274,15 +275,6 @@ KmerOccTable::countBefore(Kmer code) const
     for (const u64 t : sentinel_thresholds_)
         cnt += static_cast<u64>(t <= code);
     return cnt;
-}
-
-u64
-KmerOccTable::occ(Kmer code, u64 row) const
-{
-    const u32 *begin = rows_.data() + bases_[code];
-    const u32 *end = rows_.data() + bases_[code + 1];
-    return static_cast<u64>(
-        branchlessLowerBound(begin, end, static_cast<u32>(row)) - begin);
 }
 
 u64

@@ -1,7 +1,8 @@
 /**
  * @file
- * Occurrence table over k-symbol windows of the BW-matrix — the shared
- * core of the k-step FM-Index and the EXMA table.
+ * Occurrence table over k-symbol windows of the BW-matrix — the core of
+ * the EXMA table (core/exma_table.hh), which is also the k-step
+ * FM-Index: an Exact-mode table resolves every k-step with occ() below.
  *
  * For every BW-matrix row r, the "window" is the k symbols that precede
  * the suffix at r (circularly over ref·$). Occ_k(P, i) — the number of
@@ -13,6 +14,9 @@
  * Windows containing the sentinel exist (there are exactly k of them,
  * since $ occurs once); they are kept separately because DNA queries can
  * never match them, but they must participate in the cumulative Count_k.
+ *
+ * occ() is the one exact Occ lookup: the Exact mode calls it for every
+ * lookup, and both learned indexes for every k-mer they do not model.
  */
 
 #ifndef EXMA_FMINDEX_KMER_OCC_HH
@@ -24,6 +28,7 @@
 
 #include "common/branchless.hh"
 #include "common/dna.hh"
+#include "common/search_stats.hh"
 #include "common/storage.hh"
 #include "common/types.hh"
 #include "fmindex/suffix_array.hh"
@@ -76,18 +81,12 @@ class KmerOccTable
     /** Number of BW-matrix rows (|ref| + 1). */
     u64 rows() const { return n_rows_; }
 
-    /** Packed 2-bit code of a pure-DNA k-mer (see common/dna.hh). */
-    Kmer codeOf(const Base *bases) const { return packKmer(bases, k_); }
-
     /**
      * Count_k(P): number of rows whose *first* k symbols are
      * lexicographically smaller than pure-DNA k-mer @p code
      * (sentinel-containing windows included, $ smallest).
      */
     u64 countBefore(Kmer code) const;
-
-    /** Occ_k(P, row): rank of @p row among the increments of @p code. */
-    u64 occ(Kmer code, u64 row) const;
 
     /** Number of increments (occurrences) of k-mer @p code: f_i. */
     u64
@@ -102,6 +101,21 @@ class KmerOccTable
     {
         return {rows_.data() + bases_[code],
                 rows_.data() + bases_[code + 1]};
+    }
+
+    /**
+     * Occ_k(P, row): the rank of @p row among the increments of
+     * @p code, by branchless binary search, with that search's
+     * worst-case probe count. The model fields stay at their defaults.
+     */
+    IndexLookup
+    occ(Kmer code, u64 row) const
+    {
+        const std::span<const u32> inc = increments(code);
+        IndexLookup out;
+        out.rank = lowerBoundRank(inc, static_cast<u32>(row));
+        out.probes = probeCount(inc.size());
+        return out;
     }
 
     /** Offset of the first increment of @p code — the EXMA `base`. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/dna.hh"
 #include "common/logging.hh"
 #include "fault/fault_injector.hh"
 #include "fmindex/packed_rank.hh"
@@ -255,8 +256,9 @@ loadTableFiles(const std::string &stem)
         require(sa_checksum == sa.checksum(), occ_path,
                 "saved with another " + sa_path +
                     " (companion files do not belong together)");
-        require(ro.k >= 1 && ro.k <= 27, occ_path,
-                "k=" + std::to_string(ro.k) + " outside 1..27");
+        require(ro.k >= 1 && ro.k <= kMaxKmerLen, occ_path,
+                "k=" + std::to_string(ro.k) + " outside 1.." +
+                    std::to_string(kMaxKmerLen));
         const auto bases = occ.viewArray<u32>(kOccBases);
         const auto rows = occ.viewArray<u32>(kOccRows);
         require(bases.size() == kmerSpace(ro.k) + 1 &&

@@ -26,44 +26,6 @@ struct LinearModel
     /** Number of trainable parameters (always 2). */
     static constexpr u64 paramCount() { return 2; }
 
-    /**
-     * Least-squares fit of y = w·x + b over (xs[i], y0 + i).
-     * Ranks are implicit consecutive integers, matching CDF learning
-     * over a sorted key segment.
-     */
-    static LinearModel
-    fitRanks(std::span<const double> xs, double y0)
-    {
-        LinearModel m;
-        const size_t n = xs.size();
-        if (n == 0)
-            return m;
-        if (n == 1) {
-            m.w = 0.0;
-            m.b = y0;
-            return m;
-        }
-        double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            const double x = xs[i];
-            const double y = y0 + static_cast<double>(i);
-            sx += x;
-            sy += y;
-            sxx += x * x;
-            sxy += x * y;
-        }
-        const double dn = static_cast<double>(n);
-        const double den = dn * sxx - sx * sx;
-        if (std::abs(den) < 1e-12) {
-            m.w = 0.0;
-            m.b = sy / dn;
-        } else {
-            m.w = (dn * sxy - sx * sy) / den;
-            m.b = (sy - m.w * sx) / dn;
-        }
-        return m;
-    }
-
     /** Least-squares fit over explicit (xs[i], ys[i]) pairs. */
     static LinearModel
     fitXY(std::span<const double> xs, std::span<const double> ys)

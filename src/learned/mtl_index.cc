@@ -1,11 +1,7 @@
 #include "learned/mtl_index.hh"
 
-#include <algorithm>
-
-#include "common/branchless.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "learned/rmi.hh" // LeafMoments
 
 namespace exma {
 
@@ -109,26 +105,8 @@ MtlIndex::MtlIndex(const KmerOccTable &tab, const Config &cfg)
                 acc[routeLeaf(kl, x0, x1)].add(x1,
                                                static_cast<double>(i));
             }
-            ClampedLeaf last;
-            bool have_last = false;
-            std::vector<ClampedLeaf> solved(n_leaves);
-            for (u64 j = 0; j < n_leaves; ++j) {
-                if (acc[j].n >= 0.5) {
-                    solved[j] = ClampedLeaf::from(acc[j]);
-                    last = solved[j];
-                    have_last = true;
-                } else if (have_last) {
-                    solved[j] = last;
-                }
-            }
-            for (u64 j = n_leaves; j-- > 0;) {
-                if (acc[j].n >= 0.5)
-                    last = solved[j];
-                else
-                    solved[j] = last;
-            }
-            for (auto &mdl : solved)
-                leaves_.push_back(mdl);
+            const std::vector<ClampedLeaf> solved = solveLeaves(acc);
+            leaves_.insert(leaves_.end(), solved.begin(), solved.end());
             kmers_.emplace(m, kl);
         }
     }
@@ -143,74 +121,34 @@ MtlIndex::routeLeaf(const KmerLeaves &kl, double x0, double x1) const
 {
     const Mlp &mlp = mlps_[static_cast<size_t>(
         class_model_[static_cast<size_t>(kl.cls)])];
-    const double q = mlp.predict(x0, x1);
-    if (q <= 0.0)
-        return 0;
-    const u64 j = static_cast<u64>(q * static_cast<double>(kl.n_leaves));
-    return std::min<u64>(j, kl.n_leaves - 1);
+    return leafOf(mlp.predict(x0, x1), kl.n_leaves);
 }
 
 IndexLookup
 MtlIndex::occ(Kmer code, u64 pos) const
 {
-    IndexLookup out;
-    auto inc = tab_.increments(code);
     // Only k-mers with more than min_increments occurrences were
     // modelled (constructor pass 1), so the common small-list case —
     // the vast majority of lookups on a genomic k-mer distribution —
-    // resolves without ever touching the model hash map.
-    if (inc.size() <= cfg_.min_increments) {
-        out.rank = lowerBoundRank(inc, static_cast<u32>(pos));
-        out.probes = probeCount(inc.size());
-        return out;
-    }
+    // takes the exact lookup without ever touching the model hash map.
+    if (tab_.frequency(code) <= cfg_.min_increments)
+        return tab_.occ(code, pos);
     const auto it = kmers_.find(code);
     exma_dassert(it != kmers_.end(),
                  "k-mer above the modelling threshold has no model");
 
     const KmerLeaves &kl = it->second;
-    const double x0 = static_cast<double>(code) * inv_kmer_space_;
     const double x1 = static_cast<double>(pos) * inv_rows_;
-    const u64 f = inc.size();
+    const u64 leaf =
+        routeLeaf(kl, static_cast<double>(code) * inv_kmer_space_, x1);
+    const std::span<const u32> inc = tab_.increments(code);
+    const u64 pred =
+        clampRank(leaves_[kl.first_leaf + leaf].predict(x1), inc.size());
 
-    const u64 leaf = routeLeaf(kl, x0, x1);
-    const double p = leaves_[kl.first_leaf + leaf].predict(x1);
-    u64 pred = 0;
-    if (p > 0.0)
-        pred = std::min<u64>(static_cast<u64>(p), f);
-
-    // Galloping correction around the prediction.
-    u64 probes = 0;
-    u64 lo = 0, hi = f;
-    const u32 key = static_cast<u32>(pos);
-    if (pred < f && (++probes, inc[pred] < key)) {
-        u64 step = 1;
-        lo = pred + 1;
-        while (lo + step < f && (++probes, inc[lo + step] < key)) {
-            lo += step + 1;
-            step <<= 1;
-        }
-        hi = std::min(f, lo + step + 1);
-    } else {
-        u64 step = 1;
-        hi = pred;
-        while (hi > step && (++probes, inc[hi - step] >= key)) {
-            hi -= step;
-            step <<= 1;
-        }
-        lo = hi > step ? hi - step : 0;
-    }
-    while (lo < hi) {
-        const u64 mid = lo + (hi - lo) / 2;
-        ++probes;
-        if (inc[mid] < key)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    out.rank = lo;
-    out.error = lo > pred ? lo - pred : pred - lo;
-    out.probes = probes;
+    IndexLookup out;
+    out.rank =
+        gallopLowerBound(inc, static_cast<u32>(pos), pred, out.probes);
+    out.error = out.rank > pred ? out.rank - pred : pred - out.rank;
     out.used_model = true;
     out.leaf_id = kl.first_leaf + leaf;
     out.cls = kl.cls;

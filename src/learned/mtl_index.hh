@@ -18,10 +18,10 @@
 #include <vector>
 
 #include "common/dna.hh"
+#include "common/search_stats.hh"
 #include "fmindex/kmer_occ.hh"
 #include "learned/mlp.hh"
-#include "learned/naive_kmer_index.hh" // IndexLookup
-#include "learned/rmi.hh"              // ClampedLeaf
+#include "learned/rmi.hh"
 
 namespace exma {
 
@@ -33,7 +33,7 @@ class MtlIndex
 
     struct Config
     {
-        u64 min_increments = 256; ///< below this: binary search
+        u64 min_increments = 256; ///< at or below: the exact lookup
         u64 leaf_size = 512;      ///< finer than naive (shared budget)
         int hidden = 10;
         int epochs = 80;
@@ -56,7 +56,7 @@ class MtlIndex
      */
     MtlIndex(const KmerOccTable &tab, const Config &cfg);
 
-    /** Occ(k-mer, pos) via the shared-class model (or binary search). */
+    /** Occ(k-mer, pos) via the shared-class model (or the exact lookup). */
     IndexLookup occ(Kmer code, u64 pos) const;
 
     /** Shared-MLP + leaf parameters across all classes/k-mers. */

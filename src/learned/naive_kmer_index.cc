@@ -1,7 +1,5 @@
 #include "learned/naive_kmer_index.hh"
 
-#include "common/branchless.hh"
-
 namespace exma {
 
 NaiveKmerIndex::NaiveKmerIndex(const KmerOccTable &tab, const Config &cfg)
@@ -28,16 +26,12 @@ NaiveKmerIndex::NaiveKmerIndex(const KmerOccTable &tab, const Config &cfg)
 IndexLookup
 NaiveKmerIndex::occ(Kmer code, u64 pos) const
 {
-    IndexLookup out;
     // Modelled iff f > min_increments (constructor), so the short-list
-    // majority skips the hash lookup and binary-searches branchlessly.
-    auto inc = tab_.increments(code);
-    if (inc.size() <= cfg_.min_increments) {
-        out.rank = lowerBoundRank(inc, static_cast<u32>(pos));
-        out.probes = probeCount(inc.size());
-        return out;
-    }
-    RmiResult r = models_.at(code).lookup(static_cast<u32>(pos));
+    // majority skips the hash lookup and takes the exact lookup.
+    if (tab_.frequency(code) <= cfg_.min_increments)
+        return tab_.occ(code, pos);
+    const RmiResult r = models_.at(code).lookup(static_cast<u32>(pos));
+    IndexLookup out;
     out.rank = r.rank;
     out.error = r.error;
     out.probes = r.probes;

@@ -13,21 +13,11 @@
 #include <unordered_map>
 
 #include "common/dna.hh"
+#include "common/search_stats.hh"
 #include "fmindex/kmer_occ.hh"
 #include "learned/rmi.hh"
 
 namespace exma {
-
-/** Result of an instrumented Occ lookup through a learned index. */
-struct IndexLookup
-{
-    u64 rank = 0;       ///< exact Occ(k-mer, pos)
-    u64 error = 0;      ///< model misprediction in entries
-    u64 probes = 0;     ///< comparisons to correct the prediction
-    bool used_model = false;
-    u64 leaf_id = 0;    ///< global leaf index (cache addressing)
-    int cls = -1;       ///< increment-count class (MTL only)
-};
 
 class NaiveKmerIndex
 {
@@ -48,7 +38,7 @@ class NaiveKmerIndex
      */
     NaiveKmerIndex(const KmerOccTable &tab, const Config &cfg);
 
-    /** Occ(k-mer, pos) via the per-k-mer model (or binary search). */
+    /** Occ(k-mer, pos) via the per-k-mer model (or the exact lookup). */
     IndexLookup occ(Kmer code, u64 pos) const;
 
     /** Whether @p code has its own model hierarchy. */

@@ -12,6 +12,13 @@
  * neighbourhood — the property that makes finer leaves monotonically
  * more accurate. Leaf fits use accumulated least-squares moments, so
  * construction is a single O(n) pass with O(#leaves) memory.
+ *
+ * The pieces every learned index here shares are free functions, so
+ * each exists once: leafOf() routes a root prediction to a leaf,
+ * solveLeaves() fits the leaves (filling empty ones), clampRank() turns
+ * a leaf's prediction into a rank, and gallopLowerBound() corrects it.
+ * Rmi uses them, and so does MtlIndex, whose shared root routes to
+ * per-k-mer leaves.
  */
 
 #ifndef EXMA_LEARNED_RMI_HH
@@ -116,6 +123,99 @@ struct ClampedLeaf
     }
 };
 
+/**
+ * Fit every leaf from its moments. A leaf no key was routed to takes
+ * the next fitted leaf, and trailing empty leaves take the last one, so
+ * every leaf predicts from real keys; with no key at all every leaf
+ * stays default.
+ */
+inline std::vector<ClampedLeaf>
+solveLeaves(std::span<const LeafMoments> acc)
+{
+    const auto fitted = [](const LeafMoments &m) { return m.n >= 0.5; };
+    std::vector<ClampedLeaf> leaves(acc.size());
+    ClampedLeaf next;
+    const auto last = std::find_if(acc.rbegin(), acc.rend(), fitted);
+    if (last != acc.rend())
+        next = ClampedLeaf::from(*last);
+    for (size_t j = acc.size(); j-- > 0;) {
+        if (fitted(acc[j]))
+            next = ClampedLeaf::from(acc[j]);
+        leaves[j] = next;
+    }
+    return leaves;
+}
+
+/**
+ * The leaf a root prediction @p q (a quantile, nominally in [0, 1))
+ * routes to among @p n_leaves >= 1: q <= 0 goes to the first leaf and
+ * q >= 1 to the last. Build and query route through this alone.
+ */
+inline u64
+leafOf(double q, u64 n_leaves)
+{
+    if (q <= 0.0)
+        return 0;
+    if (q >= 1.0)
+        return n_leaves - 1;
+    const u64 j = static_cast<u64>(q * static_cast<double>(n_leaves));
+    return std::min(j, n_leaves - 1);
+}
+
+/** A leaf's rank prediction @p p as a start position in [0, @p n]. */
+inline u64
+clampRank(double p, u64 n)
+{
+    if (p <= 0.0)
+        return 0;
+    if (p >= static_cast<double>(n))
+        return n;
+    return static_cast<u64>(p);
+}
+
+/**
+ * Lower bound of @p key in sorted @p keys, searched from the estimate
+ * @p start (clamped to the size): gallop away from it with doubling
+ * steps until the answer is bracketed, then binary-search the bracket.
+ * Every key comparison is added to @p probes — the "linear search over
+ * the increments" cost the paper charges against a misprediction.
+ */
+template <typename K>
+u64
+gallopLowerBound(std::span<const K> keys, K key, u64 start, u64 &probes)
+{
+    const u64 n = keys.size();
+    u64 lo = 0, hi = n;
+    if (start > n)
+        start = n;
+    if (start < n && (++probes, keys[start] < key)) {
+        u64 step = 1;
+        lo = start + 1;
+        while (lo + step < n && (++probes, keys[lo + step] < key)) {
+            lo += step + 1;
+            step <<= 1;
+        }
+        hi = std::min(n, lo + step + 1);
+    } else {
+        u64 step = 1;
+        hi = start;
+        while (hi > step && (++probes, keys[hi - step] >= key)) {
+            hi -= step;
+            step <<= 1;
+        }
+        lo = hi > step ? hi - step : 0;
+    }
+    while (lo < hi) {
+        const u64 mid = lo + (hi - lo) / 2;
+        ++probes;
+        if (keys[mid] < key)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 template <typename K>
 class Rmi
 {
@@ -175,25 +275,7 @@ class Rmi
             const double x = norm(keys_[i]);
             acc[route(x, n_leaves)].add(x, static_cast<double>(i));
         }
-        leaves_.resize(n_leaves);
-        ClampedLeaf last; // inherit neighbours for empty leaves
-        bool have_last = false;
-        for (u64 j = 0; j < n_leaves; ++j) {
-            if (acc[j].n >= 0.5) {
-                leaves_[j] = ClampedLeaf::from(acc[j]);
-                last = leaves_[j];
-                have_last = true;
-            } else if (have_last) {
-                leaves_[j] = last;
-            }
-        }
-        // Leading empty leaves inherit from the first non-empty one.
-        for (u64 j = n_leaves; j-- > 0;) {
-            if (acc[j].n >= 0.5)
-                last = leaves_[j];
-            else
-                leaves_[j] = last;
-        }
+        leaves_ = solveLeaves(acc);
     }
 
     /** Model-predicted rank of @p key (no correction). */
@@ -204,10 +286,7 @@ class Rmi
         if (n == 0 || leaves_.empty())
             return 0;
         const double x = norm(key);
-        const double p = leaves_[route(x, leaves_.size())].predict(x);
-        if (p <= 0.0)
-            return 0;
-        return std::min<u64>(static_cast<u64>(p), n);
+        return clampRank(leaves_[route(x, leaves_.size())].predict(x), n);
     }
 
     /** Exact lower-bound rank with error/probe instrumentation. */
@@ -219,7 +298,7 @@ class Rmi
         if (n == 0)
             return res;
         const u64 p = predict(key);
-        res.rank = gallop(key, p, res.probes);
+        res.rank = gallopLowerBound(keys_, key, p, res.probes);
         res.error = res.rank > p ? res.rank - p : p - res.rank;
         return res;
     }
@@ -247,52 +326,9 @@ class Rmi
     u64
     route(double x, u64 n_leaves) const
     {
-        const double q = root_mlp_ ? root_mlp_->predict(x)
-                                   : root_lin_.predict(x);
-        if (q <= 0.0)
-            return 0;
-        const u64 j = static_cast<u64>(q * static_cast<double>(n_leaves));
-        return std::min(j, n_leaves - 1);
-    }
-
-    /**
-     * Galloping lower-bound search from estimate @p start, counting key
-     * comparisons (this is the "linear search over the increments" cost
-     * the paper charges against index mispredictions).
-     */
-    u64
-    gallop(K key, u64 start, u64 &probes) const
-    {
-        const u64 n = keys_.size();
-        u64 lo = 0, hi = n;
-        if (start > n)
-            start = n;
-        if (start < n && (++probes, keys_[start] < key)) {
-            u64 step = 1;
-            lo = start + 1;
-            while (lo + step < n && (++probes, keys_[lo + step] < key)) {
-                lo += step + 1;
-                step <<= 1;
-            }
-            hi = std::min(n, lo + step + 1);
-        } else {
-            u64 step = 1;
-            hi = start;
-            while (hi > step && (++probes, keys_[hi - step] >= key)) {
-                hi -= step;
-                step <<= 1;
-            }
-            lo = hi > step ? hi - step : 0;
-        }
-        while (lo < hi) {
-            const u64 mid = lo + (hi - lo) / 2;
-            ++probes;
-            if (keys_[mid] < key)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        return lo;
+        return leafOf(root_mlp_ ? root_mlp_->predict(x)
+                                : root_lin_.predict(x),
+                      n_leaves);
     }
 
     std::span<const K> keys_;

@@ -22,7 +22,7 @@ IpBwt::IpBwt(const std::vector<Base> &ref, int k)
 void
 IpBwt::build(const std::vector<Base> &ref, const std::vector<SaIndex> &sa)
 {
-    exma_assert(k_ >= 1 && k_ <= 27, "k=%d out of range", k_);
+    exma_assert(k_ >= 1 && k_ <= kMaxKmerLen, "k=%d out of range", k_);
     const u64 n = ref.size();
     n_rows_ = n + 1;
     exma_assert(sa.size() == n_rows_, "suffix array size mismatch");
@@ -97,28 +97,9 @@ IpBwt::code5Of(const Base *syms) const
 Interval
 IpBwt::search(const std::vector<Base> &query) const
 {
-    Interval iv{0, n_rows_};
-    size_t i = query.size();
-    const size_t rem = query.size() % static_cast<size_t>(k_);
-    if (rem != 0) {
-        // Rightmost partial chunk: pad down for low, up for high.
-        i -= rem;
-        const Base *chunk = query.data() + i;
-        iv.low = lowerBound(padLow(chunk, static_cast<int>(rem)), 0);
-        iv.high = lowerBound(padHigh(chunk, static_cast<int>(rem)),
-                             n_rows_);
-        if (iv.empty())
-            return Interval{iv.low, iv.low};
-    }
-    while (i > 0) {
-        i -= static_cast<size_t>(k_);
-        const u64 code = code5Of(query.data() + i);
-        iv.low = lowerBound(code, iv.low);
-        iv.high = lowerBound(code, iv.high);
-        if (iv.empty())
-            return Interval{iv.low, iv.low};
-    }
-    return iv;
+    return searchWith(query, [this](u64 code5, u64 pos) {
+        return lowerBound(code5, pos);
+    });
 }
 
 u64

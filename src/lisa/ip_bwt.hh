@@ -49,11 +49,44 @@ class IpBwt
     u64 code5Of(const Base *syms) const;
 
     /**
-     * Chunked backward search (binary-search driven): processes the
-     * rightmost partial chunk first with $/T padding, then full k-mer
-     * chunks right to left. Must equal FmIndex::search's interval.
+     * Chunked backward search (binary-search driven): searchWith() over
+     * lowerBound(). Must equal FmIndex::search's interval.
      */
     Interval search(const std::vector<Base> &query) const;
+
+    /**
+     * The chunk walk of every LISA search: the rightmost partial chunk
+     * first with $/T padding, then full k-mer chunks right to left, each
+     * chunk a low then a high @p lower_bound(code5, pos) call — an
+     * oracle that must answer as lowerBound() does.
+     */
+    template <typename LowerBound>
+    Interval
+    searchWith(const std::vector<Base> &query,
+               LowerBound &&lower_bound) const
+    {
+        Interval iv{0, n_rows_};
+        size_t i = query.size();
+        const size_t rem = query.size() % static_cast<size_t>(k_);
+        if (rem != 0) {
+            i -= rem;
+            const Base *chunk = query.data() + i;
+            iv.low = lower_bound(padLow(chunk, static_cast<int>(rem)), 0);
+            iv.high = lower_bound(padHigh(chunk, static_cast<int>(rem)),
+                                  n_rows_);
+            if (iv.empty())
+                return Interval{iv.low, iv.low};
+        }
+        while (i > 0) {
+            i -= static_cast<size_t>(k_);
+            const u64 code = code5Of(query.data() + i);
+            iv.low = lower_bound(code, iv.low);
+            iv.high = lower_bound(code, iv.high);
+            if (iv.empty())
+                return Interval{iv.low, iv.low};
+        }
+        return iv;
+    }
 
     /** Iterations a search of length @p qlen takes: ceil(qlen / k). */
     u64

@@ -73,30 +73,9 @@ Lisa::lowerBoundLearned(u64 code5, u64 pos, LisaStats *stats) const
 Interval
 Lisa::search(const std::vector<Base> &query, LisaStats *stats) const
 {
-    const int k = ipbwt_.k();
-    const u64 n = ipbwt_.rows();
-    Interval iv{0, n};
-    size_t i = query.size();
-    const size_t rem = query.size() % static_cast<size_t>(k);
-    if (rem != 0) {
-        i -= rem;
-        const Base *chunk = query.data() + i;
-        iv.low = lowerBoundLearned(
-            ipbwt_.padLow(chunk, static_cast<int>(rem)), 0, stats);
-        iv.high = lowerBoundLearned(
-            ipbwt_.padHigh(chunk, static_cast<int>(rem)), n, stats);
-        if (iv.empty())
-            return Interval{iv.low, iv.low};
-    }
-    while (i > 0) {
-        i -= static_cast<size_t>(k);
-        const u64 code = ipbwt_.code5Of(query.data() + i);
-        iv.low = lowerBoundLearned(code, iv.low, stats);
-        iv.high = lowerBoundLearned(code, iv.high, stats);
-        if (iv.empty())
-            return Interval{iv.low, iv.low};
-    }
-    return iv;
+    return ipbwt_.searchWith(query, [&](u64 code5, u64 pos) {
+        return lowerBoundLearned(code5, pos, stats);
+    });
 }
 
 } // namespace exma

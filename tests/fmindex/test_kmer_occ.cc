@@ -2,11 +2,12 @@
 
 #include <algorithm>
 
+#include "common/branchless.hh"
 #include "common/dna.hh"
 #include "common/rng.hh"
+#include "core/exma_table.hh"
 #include "fmindex/fm_index.hh"
 #include "fmindex/kmer_occ.hh"
-#include "fmindex/kstep_fm.hh"
 
 namespace exma {
 namespace {
@@ -84,8 +85,10 @@ TEST(KmerOccTable, OccMatchesNaiveWindowCounting)
                     eq &= w[static_cast<size_t>(j)] == q[static_cast<size_t>(j)] + 1;
                 expect += eq;
             }
-            EXPECT_EQ(tab.occ(code, row), expect)
-                << "k=" << k << " t=" << t;
+            const IndexLookup lk = tab.occ(code, row);
+            EXPECT_EQ(lk.rank, expect) << "k=" << k << " t=" << t;
+            EXPECT_EQ(lk.probes, probeCount(tab.frequency(code)));
+            EXPECT_FALSE(lk.used_model);
         }
     }
 }
@@ -175,7 +178,8 @@ TEST_P(KmerOccParallelBuildTest, MatchesSerialBuild)
                 b = static_cast<Base>(rng.below(4));
             const Kmer code = packKmer(q.data(), k);
             const u64 row = rng.below(serial.rows() + 1);
-            ASSERT_EQ(parallel.occ(code, row), serial.occ(code, row));
+            ASSERT_EQ(parallel.occ(code, row).rank,
+                      serial.occ(code, row).rank);
             ASSERT_EQ(parallel.countBefore(code),
                       serial.countBefore(code));
         }
@@ -199,6 +203,15 @@ TEST(KmerOccParallelBuild, AutoPolicyMatchesSerialAboveThreshold)
                                    serial.allIncrements()));
 }
 
+/** An Exact-mode EXMA table over @p ref: the k-step FM-Index. */
+ExmaTable
+kStepIndex(const std::vector<Base> &ref, int k)
+{
+    ExmaTable::Config cfg;
+    cfg.k = k;
+    return ExmaTable(ref, cfg);
+}
+
 class KStepEquivalenceTest : public ::testing::TestWithParam<int>
 {
 };
@@ -207,10 +220,8 @@ TEST_P(KStepEquivalenceTest, SearchEqualsOneStepFmIndex)
 {
     const int k = GetParam();
     auto ref = randomSeq(4000, 100 + static_cast<u64>(k));
-    auto sa = buildSuffixArray(ref);
-    FmIndex fm(ref, sa);
-    KmerOccTable tab(ref, sa, k);
-    KStepFmIndex kfm(fm, tab);
+    FmIndex fm(ref);
+    const ExmaTable kfm = kStepIndex(ref, k);
 
     Rng rng(200 + static_cast<u64>(k));
     for (int t = 0; t < 120; ++t) {
@@ -247,10 +258,8 @@ INSTANTIATE_TEST_SUITE_P(Steps, KStepEquivalenceTest,
 TEST(KStepFmIndex, StepKmerWithKOneEqualsExtend)
 {
     auto ref = randomSeq(800, 9);
-    auto sa = buildSuffixArray(ref);
-    FmIndex fm(ref, sa);
-    KmerOccTable tab(ref, sa, 1);
-    KStepFmIndex kfm(fm, tab);
+    FmIndex fm(ref);
+    const ExmaTable kfm = kStepIndex(ref, 1);
     Rng rng(10);
     Interval iv = fm.fullInterval();
     for (int t = 0; t < 30; ++t) {

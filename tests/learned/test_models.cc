@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hh"
 #include "learned/linear_model.hh"
@@ -22,13 +25,23 @@ TEST(LinearModel, FitsExactLine)
     EXPECT_NEAR(m.b, 7.0, 1e-9);
 }
 
+/** Ranks y0, y0 + 1, ... for @p n sorted keys: a key segment's CDF. */
+std::vector<double>
+ranksFrom(double y0, size_t n)
+{
+    std::vector<double> ys(n);
+    for (size_t i = 0; i < n; ++i)
+        ys[i] = y0 + static_cast<double>(i);
+    return ys;
+}
+
 TEST(LinearModel, FitRanksRecoversCdfSlope)
 {
     // Keys 0, 2, 4, ... have rank i = key/2.
     std::vector<double> xs;
     for (int i = 0; i < 100; ++i)
         xs.push_back(2.0 * i);
-    auto m = LinearModel::fitRanks(xs, 0.0);
+    auto m = LinearModel::fitXY(xs, ranksFrom(0.0, xs.size()));
     EXPECT_NEAR(m.w, 0.5, 1e-9);
     EXPECT_NEAR(m.b, 0.0, 1e-9);
 }
@@ -36,16 +49,17 @@ TEST(LinearModel, FitRanksRecoversCdfSlope)
 TEST(LinearModel, DegenerateConstantKeys)
 {
     std::vector<double> xs(10, 5.0);
-    auto m = LinearModel::fitRanks(xs, 3.0);
+    auto m = LinearModel::fitXY(xs, ranksFrom(3.0, xs.size()));
     EXPECT_DOUBLE_EQ(m.w, 0.0);
     EXPECT_NEAR(m.predict(5.0), 7.5, 1e-9); // mean rank
 }
 
 TEST(LinearModel, SingleAndEmpty)
 {
-    EXPECT_DOUBLE_EQ(LinearModel::fitRanks({}, 0.0).predict(1.0), 0.0);
+    EXPECT_DOUBLE_EQ(LinearModel::fitXY({}, {}).predict(1.0), 0.0);
     std::vector<double> one = {4.0};
-    EXPECT_DOUBLE_EQ(LinearModel::fitRanks(one, 9.0).predict(4.0), 9.0);
+    EXPECT_DOUBLE_EQ(LinearModel::fitXY(one, ranksFrom(9.0, 1)).predict(4.0),
+                     9.0);
 }
 
 TEST(Mlp, ParamCountMatchesPaperShape)
@@ -241,6 +255,128 @@ TEST(Rmi, U64KeysExactAtHighMagnitude)
             std::lower_bound(keys.begin(), keys.end(), q) - keys.begin());
         ASSERT_EQ(rmi.lookup(q).rank, expect);
     }
+}
+
+/** gallopLowerBound from every start in [0, n + 2] equals lower_bound. */
+template <typename K>
+void
+expectGallopIsLowerBound(const std::vector<K> &keys)
+{
+    std::vector<K> queries = {K{0}, std::numeric_limits<K>::max()};
+    for (const K k : keys) {
+        queries.push_back(k);
+        if (k > 0)
+            queries.push_back(k - 1);
+        if (k < std::numeric_limits<K>::max())
+            queries.push_back(k + 1);
+    }
+    const u64 n = keys.size();
+    for (const K q : queries) {
+        const auto expect = static_cast<u64>(
+            std::lower_bound(keys.begin(), keys.end(), q) - keys.begin());
+        for (u64 start = 0; start <= n + 2; ++start) {
+            u64 probes = 0;
+            ASSERT_EQ(gallopLowerBound<K>(keys, q, start, probes), expect)
+                << "n=" << n << " q=" << q << " start=" << start;
+            if (n > 0) {
+                ASSERT_GE(probes, 1u)
+                    << "n=" << n << " q=" << q << " start=" << start;
+            }
+        }
+    }
+}
+
+TEST(RmiHelpers, GallopLowerBoundEqualsStdLowerBound)
+{
+    expectGallopIsLowerBound<u32>({});
+    expectGallopIsLowerBound<u32>({7});
+    // Runs of duplicates, keys below the first and above the last.
+    expectGallopIsLowerBound<u32>({3, 3, 3, 5, 9, 9, 12, 12, 12, 12, 40});
+    expectGallopIsLowerBound<u32>(sortedRandomKeys(300, 12, 64));
+    expectGallopIsLowerBound<u64>({u64{1} << 40, u64{1} << 40,
+                                   (u64{1} << 40) + 1, u64{1} << 47});
+    Rng rng(13);
+    std::vector<u64> wide(257);
+    for (auto &k : wide)
+        k = rng.below(u64{1} << 48);
+    std::sort(wide.begin(), wide.end());
+    expectGallopIsLowerBound<u64>(wide);
+}
+
+TEST(RmiHelpers, GallopLowerBoundAddsToProbes)
+{
+    const std::vector<u32> keys = {1, 2, 3, 4, 5, 6, 7, 8};
+    u64 probes = 100;
+    gallopLowerBound<u32>(keys, 5, 4, probes);
+    EXPECT_GT(probes, 100u);
+    // An exact prediction costs fewer comparisons than a distant one.
+    u64 near = 0, far = 0;
+    gallopLowerBound<u32>(keys, 5, 4, near);
+    gallopLowerBound<u32>(keys, 5, 8, far);
+    EXPECT_LT(near, far);
+}
+
+TEST(RmiHelpers, SolveLeavesFillsEmptyLeaves)
+{
+    // Leaf moments for [empty, A, empty, empty, B, empty].
+    std::vector<LeafMoments> acc(6);
+    acc[1].add(0.1, 1.0);
+    acc[1].add(0.2, 2.0);
+    acc[4].add(0.7, 7.0);
+    acc[4].add(0.9, 8.0);
+    const ClampedLeaf a = ClampedLeaf::from(acc[1]);
+    const ClampedLeaf b = ClampedLeaf::from(acc[4]);
+    ASSERT_NE(a.model.w, b.model.w);
+    const std::vector<ClampedLeaf> leaves = solveLeaves(acc);
+    ASSERT_EQ(leaves.size(), 6u);
+    // An empty leaf takes the next solved one; trailing ones the last.
+    const ClampedLeaf *expect[] = {&a, &a, &b, &b, &b, &b};
+    for (size_t j = 0; j < leaves.size(); ++j) {
+        EXPECT_EQ(leaves[j].model.w, expect[j]->model.w) << "j=" << j;
+        EXPECT_EQ(leaves[j].model.b, expect[j]->model.b) << "j=" << j;
+        EXPECT_EQ(leaves[j].ymin, expect[j]->ymin) << "j=" << j;
+        EXPECT_EQ(leaves[j].ymax, expect[j]->ymax) << "j=" << j;
+    }
+
+    // With no key at all, every leaf stays default.
+    for (const ClampedLeaf &leaf : solveLeaves(std::vector<LeafMoments>(3))) {
+        EXPECT_EQ(leaf.model.w, 0.0);
+        EXPECT_EQ(leaf.model.b, 0.0);
+        EXPECT_EQ(leaf.ymin, 0.0);
+        EXPECT_EQ(leaf.ymax, 0.0);
+    }
+    EXPECT_TRUE(solveLeaves({}).empty());
+}
+
+TEST(RmiHelpers, LeafOfClampsRouting)
+{
+    for (const u64 n : {u64{1}, u64{2}, u64{7}, u64{1000}}) {
+        for (const double q : {-1e300, -1.0, -1e-12, 0.0})
+            EXPECT_EQ(leafOf(q, n), 0u) << "q=" << q << " n=" << n;
+        for (const double q : {1.0, 1.0 + 1e-12, 2.0, 1e300})
+            EXPECT_EQ(leafOf(q, n), n - 1) << "q=" << q << " n=" << n;
+        for (u64 j = 0; j < n; ++j) {
+            // The middle of leaf j's quantile band routes to leaf j.
+            const double q =
+                (static_cast<double>(j) + 0.5) / static_cast<double>(n);
+            EXPECT_EQ(leafOf(q, n), j) << "q=" << q << " n=" << n;
+        }
+    }
+}
+
+TEST(RmiHelpers, ClampRankKeepsPredictionsInRange)
+{
+    for (const u64 n : {u64{0}, u64{1}, u64{9}, u64{1} << 32}) {
+        for (const double p : {-1e300, -3.5, -1e-12, 0.0})
+            EXPECT_EQ(clampRank(p, n), 0u) << "p=" << p << " n=" << n;
+        for (const double p : {static_cast<double>(n),
+                               static_cast<double>(n) + 0.5, 1e300})
+            EXPECT_EQ(clampRank(p, n), n) << "p=" << p << " n=" << n;
+    }
+    // Inside the range a prediction truncates toward zero.
+    EXPECT_EQ(clampRank(0.999, 9), 0u);
+    EXPECT_EQ(clampRank(4.7, 9), 4u);
+    EXPECT_EQ(clampRank(8.99, 9), 8u);
 }
 
 } // namespace

@@ -91,6 +91,36 @@ TEST_P(IpBwtSearchTest, SearchEqualsFmIndex)
 INSTANTIATE_TEST_SUITE_P(Steps, IpBwtSearchTest,
                          ::testing::Values(2, 3, 4, 5, 8));
 
+TEST(IpBwt, SearchWithAsksLowThenHighPerChunk)
+{
+    // LisaStats::error_samples records lookups in call order, so the
+    // chunk walk must ask for each chunk's low bound before its high.
+    auto ref = randomSeq(3000, 15);
+    IpBwt ip(ref, 4);
+    // A present query, so no chunk empties the interval: one padded
+    // chunk of 2 symbols, then 2 full k-mers.
+    const std::vector<Base> q(ref.begin() + 100, ref.begin() + 110);
+    struct Call
+    {
+        u64 code5, pos, answer;
+    };
+    std::vector<Call> calls;
+    const Interval iv = ip.searchWith(q, [&](u64 code5, u64 pos) {
+        const u64 answer = ip.lowerBound(code5, pos);
+        calls.push_back({code5, pos, answer});
+        return answer;
+    });
+    EXPECT_EQ(iv, ip.search(q));
+    ASSERT_EQ(calls.size(), 6u);
+    EXPECT_EQ(calls[0].pos, 0u);
+    EXPECT_EQ(calls[1].pos, ip.rows());
+    for (size_t c = 2; c < calls.size(); c += 2) {
+        EXPECT_EQ(calls[c].code5, calls[c + 1].code5) << "c=" << c;
+        EXPECT_EQ(calls[c].pos, calls[c - 2].answer) << "c=" << c;
+        EXPECT_EQ(calls[c + 1].pos, calls[c - 1].answer) << "c=" << c;
+    }
+}
+
 TEST(IpBwt, IterationsPerSearch)
 {
     auto ref = randomSeq(500, 5);

@@ -17,6 +17,9 @@ expect_usage_error(--shards --shards 0)
 expect_usage_error(--max-query-len --max-query-len 0)
 expect_usage_error(--shards --shards abc)
 expect_usage_error(--prefix-len --shards 2 --prefix-len 11)
+# k above kMaxKmerLen (common/dna.hh): a sentinel window's base-5 code
+# would not fit a u64.
+expect_usage_error(--k --k 28)
 # Every index is one kind, so --layout is no flag at all.
 expect_usage_error("unknown flag '--layout'" --layout sharded --shards 2)
 # Index files hold no learned model, so there is no --mode either.

@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "common/dna.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "genome/fasta.hh"
@@ -137,7 +138,7 @@ parse(int argc, char **argv)
         else if (flag == "--fasta")
             opt.fasta = need(i);
         else if (flag == "--k")
-            number(i, opt.k, 0);
+            number(i, opt.k, 0, kMaxKmerLen);
         else if (flag == "--shards")
             number(i, opt.shards, 1u);
         else if (flag == "--max-query-len")
