@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microkernels for the software layers: suffix-array
  * construction, FM-Index search, k-step/EXMA search, LISA search, the
- * CHAIN/B∆I codecs, and the fixed cost of a one-query routed search.
+ * CHAIN/B∆I codecs, and routed searches of one read and of 4096.
  * Complements the figure harnesses with wall-clock numbers for the
  * library itself.
  */
@@ -148,16 +148,9 @@ processCpuSeconds()
     return secs(ru.ru_utime) + secs(ru.ru_stime);
 }
 
-/**
- * Back-to-back one-query searches on an in-process 2-shard router: the
- * fixed cost of a one-read request (classify, dispatch, gather, merge)
- * plus the search and locate of one 101-base read. The time is real
- * time per search; the cpu_us_per_search counter is process CPU per
- * search, since google benchmark's CPU clock counts only the calling
- * thread and would miss the work of any thread a search hands off to.
- */
-void
-BM_RouterSearchOneQuery(benchmark::State &state)
+/** The in-process 2-shard router over microRef() of the router micros. */
+const ShardRouter &
+microRouter()
 {
     constexpr u64 kMaxQueryLen = 128;
     static const ShardRouter router = [] {
@@ -169,6 +162,21 @@ BM_RouterSearchOneQuery(benchmark::State &state)
                                                  kMaxQueryLen),
                            cfg);
     }();
+    return router;
+}
+
+/**
+ * Back-to-back one-query searches on an in-process 2-shard router: the
+ * fixed cost of a one-read request (classify, dispatch, gather, merge)
+ * plus the search and locate of one 101-base read. The time is real
+ * time per search; the cpu_us_per_search counter is process CPU per
+ * search, since google benchmark's CPU clock counts only the calling
+ * thread and would miss the work of any thread a search hands off to.
+ */
+void
+BM_RouterSearchOneQuery(benchmark::State &state)
+{
+    const ShardRouter &router = microRouter();
     std::vector<std::vector<std::vector<Base>>> requests;
     for (auto &p : samplePatterns(microRef(), 256, 101, 13))
         requests.push_back({std::move(p)});
@@ -184,6 +192,37 @@ BM_RouterSearchOneQuery(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RouterSearchOneQuery)->UseRealTime();
+
+/**
+ * Bulk searches on the same router: 4096 sampled 101-base reads per
+ * search, cycling over 32 distinct batches so the table is not warm
+ * from the previous search of the same reads. Each shard call is a
+ * lane's batch of about 2048 reads, so this times the staged engine's
+ * full rings plus the router's per-batch costs. The time is real time
+ * per search; cpu_us_per_read is process CPU per read.
+ */
+void
+BM_RouterSearchBulk(benchmark::State &state)
+{
+    constexpr u64 kReads = 4096;
+    constexpr u64 kBatches = 32;
+    const ShardRouter &router = microRouter();
+    std::vector<std::vector<std::vector<Base>>> batches;
+    for (u64 b = 0; b < kBatches; ++b)
+        batches.push_back(samplePatterns(microRef(), kReads, 101, 100 + b));
+    size_t i = 0;
+    const double cpu0 = processCpuSeconds();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(router.search(batches[i % kBatches]));
+        ++i;
+    }
+    const double cpu_s = processCpuSeconds() - cpu0;
+    const double reads =
+        static_cast<double>(state.iterations()) * static_cast<double>(kReads);
+    state.counters["cpu_us_per_read"] = cpu_s * 1e6 / reads;
+    state.SetItemsProcessed(static_cast<int64_t>(reads));
+}
+BENCHMARK(BM_RouterSearchBulk)->UseRealTime();
 
 } // namespace
 

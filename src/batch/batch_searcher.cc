@@ -33,13 +33,10 @@ BatchSearcher::search(const std::vector<std::vector<Base>> &queries,
 
 namespace {
 
-/** Rows per locateRows call: the heartbeat ticks between slices. */
-constexpr size_t kLocateSlice = 4096;
-
 /**
  * Resolve one searched chunk's intervals to hit lists. Every row the
  * chunk's intervals hold goes on rings of LF walks
- * (ExmaTable::locateRows) of up to kLocateSlice rows, with a
+ * (ExmaTable::locateRows) of up to kLaneSlice rows, with a
  * @p progress tick after each, so a chunk whose short queries locate
  * thousands of hits still shows movement; then each query's share is
  * finished by ExmaTable::globalHits, which keeps the lowest @p limit
@@ -54,9 +51,9 @@ locateChunk(const ExmaTable &table, std::span<const Interval> ivs,
     for (const Interval &iv : ivs)
         for (u64 r = iv.low; r < iv.high; ++r)
             rows.push_back(r);
-    for (size_t at = 0; at < rows.size(); at += kLocateSlice) {
+    for (size_t at = 0; at < rows.size(); at += kLaneSlice) {
         table.locateRows(std::span(rows).subspan(
-            at, std::min(kLocateSlice, rows.size() - at)));
+            at, std::min<size_t>(kLaneSlice, rows.size() - at)));
         if (progress)
             progress();
     }
@@ -79,7 +76,8 @@ BatchSearcher::run(const std::vector<std::vector<Base>> &queries,
     BatchResult out;
     out.queries = n;
     out.intervals.resize(n);
-    out.per_thread.assign(parallelForSlots(cfg_.threads), SearchStats{});
+    const unsigned slots = parallelForSlots(cfg_.threads);
+    out.per_thread.assign(slots, SearchStats{});
     if (cfg_.per_query_stats)
         out.per_query.assign(n, SearchStats{});
     if (cfg_.locate)
@@ -87,9 +85,13 @@ BatchSearcher::run(const std::vector<std::vector<Base>> &queries,
     const u64 locate_limit = cfg_.locate_limit ? cfg_.locate_limit
                                                : ~u64{0};
 
+    // A lone participant has no thread to balance: it runs the batch
+    // as kLaneSlice-query slices, so its rings stay full.
+    const u64 grain = slots == 1 ? kLaneSlice : cfg_.grain;
+
     const auto t0 = std::chrono::steady_clock::now();
     parallelFor(
-        n, cfg_.grain,
+        n, grain,
         [&](u64 begin, u64 end, unsigned slot) {
             const u64 m = end - begin;
             std::vector<const std::vector<Base> *> chunk(m);

@@ -12,24 +12,31 @@
  * accumulated per worker slot and merged afterwards (counter sums are
  * order-independent), so the hot path takes no locks.
  *
- * Each claimed chunk (`grain` queries) runs in two stages on its
- * thread, both overlapping cache misses across the chunk's queries:
+ * Each chunk runs in two stages on its thread, both overlapping cache
+ * misses across the chunk's queries:
  *
  *  1. search: ExmaTable's staged engine keeps kInFlight of the chunk's
  *     searches in flight, each advancing one memory stage per visit
  *     (k-mer base pointers, increment lines, resolve; or a 1-step's two
  *     rank blocks) while the others' prefetches land;
  *  2. locate: the rows the chunk's intervals need go on rings of
- *     kInFlight LF walks (ExmaTable::locateRows), 4096 rows per call,
- *     then each query's share is translated, sorted and capped
+ *     kInFlight LF walks (ExmaTable::locateRows), kLaneSlice rows per
+ *     call, then each query's share is translated, sorted and capped
  *     (ExmaTable::globalHits).
+ *
+ * A chunk's size follows the participant count. A run with one
+ * participant (threads = 1: every serving lane, in process or in
+ * exma-worker) has no thread to balance, so its chunks are
+ * kLaneSlice-query slices and both rings stay full until a slice's last
+ * kInFlight searches. A pooled run claims `grain`-query chunks from a
+ * shared cursor: that balances its threads, and each chunk's rings
+ * drain to one job every `grain` queries.
  *
  * A one-query chunk runs the same stages with nothing to overlap, so
  * the search is sequential plus a prefetch per stage. The width is the
  * compile-time constant kInFlight (common/inflight.hh), not a
  * BatchConfig field: it matches the memory system's miss parallelism,
- * which no caller knows better. `grain` only decides how many queries
- * share a ring.
+ * which no caller knows better.
  */
 
 #ifndef EXMA_BATCH_BATCH_SEARCHER_HH
@@ -44,19 +51,33 @@
 
 namespace exma {
 
+/**
+ * Queries per slice of a one-participant run, and rows per locateRows
+ * call in every run; the heartbeat (BatchConfig::progress) ticks
+ * between slices. A constant, like kInFlight: a slice only has to be
+ * long enough that ring fill and drain are rare, and short enough that
+ * the heartbeat stays well inside a supervisor's hang timeout.
+ */
+inline constexpr u64 kLaneSlice = 4096;
+
 struct BatchConfig
 {
     /** Worker width: 0 = all hardware threads, 1 = sequential. */
     unsigned threads = 0;
-    /** Queries per dynamically claimed chunk. */
+    /**
+     * Queries per dynamically claimed chunk of a pooled run
+     * (parallelForSlots(threads) > 1). A one-participant run ignores
+     * it and runs kLaneSlice-query slices.
+     */
     u64 grain = 16;
     /**
-     * Liveness hook: called after every 4096 located rows and once
-     * per completed chunk, from whichever thread ran it. ShardWorker
-     * points this at its heartbeat counter so the WorkerSupervisor
-     * can tell a legitimately slow batch (heartbeat advancing) from a
-     * hung one (heartbeat frozen). Must be cheap and thread-safe;
-     * null = no calls.
+     * Liveness hook: called after every kLaneSlice located rows and
+     * once per completed chunk (a kLaneSlice-query slice with one
+     * participant, `grain` queries when pooled), from whichever thread
+     * ran it. ShardWorker points this at its heartbeat counter so the
+     * WorkerSupervisor can tell a legitimately slow batch (heartbeat
+     * advancing) from a hung one (heartbeat frozen). Must be cheap
+     * and thread-safe; null = no calls.
      */
     std::function<void()> progress;
     /** Record per-query SearchStats too (costs one vector of stats). */

@@ -6,7 +6,8 @@
  * An IndexLookup is one instrumented Occ lookup: the exact rank plus
  * what resolving it cost. KmerOccTable::occ, the one exact lookup,
  * fills the rank and its worst-case probe count; a learned index
- * (MtlIndex, NaiveKmerIndex) adds its misprediction and model fields.
+ * (MtlIndex, or an Rmi as in NaiveKmerIndex and LISA) adds its
+ * misprediction and model fields.
  *
  * A SearchStats sums those over a search. It is a plain per-call value
  * object — callers own one per search (or one per worker thread in a

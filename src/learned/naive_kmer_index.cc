@@ -30,13 +30,7 @@ NaiveKmerIndex::occ(Kmer code, u64 pos) const
     // majority skips the hash lookup and takes the exact lookup.
     if (tab_.frequency(code) <= cfg_.min_increments)
         return tab_.occ(code, pos);
-    const RmiResult r = models_.at(code).lookup(static_cast<u32>(pos));
-    IndexLookup out;
-    out.rank = r.rank;
-    out.error = r.error;
-    out.probes = r.probes;
-    out.used_model = true;
-    return out;
+    return models_.at(code).lookup(static_cast<u32>(pos));
 }
 
 } // namespace exma

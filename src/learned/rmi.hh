@@ -30,19 +30,12 @@
 #include <span>
 #include <vector>
 
+#include "common/search_stats.hh"
 #include "common/types.hh"
 #include "learned/linear_model.hh"
 #include "learned/mlp.hh"
 
 namespace exma {
-
-/** Result of an instrumented learned-index lookup. */
-struct RmiResult
-{
-    u64 rank = 0;   ///< exact lower-bound rank
-    u64 error = 0;  ///< |predicted - exact| ("extra entries searched")
-    u64 probes = 0; ///< key comparisons in the correction search
-};
 
 /**
  * Least-squares moment accumulator for one leaf. Moments are anchored
@@ -289,11 +282,16 @@ class Rmi
         return clampRank(leaves_[route(x, leaves_.size())].predict(x), n);
     }
 
-    /** Exact lower-bound rank with error/probe instrumentation. */
-    RmiResult
+    /**
+     * Exact lower-bound rank with error/probe instrumentation: `error`
+     * is |predicted - exact| (the extra entries searched) and `probes`
+     * the key comparisons of the correction.
+     */
+    IndexLookup
     lookup(K key) const
     {
-        RmiResult res;
+        IndexLookup res;
+        res.used_model = true;
         const u64 n = keys_.size();
         if (n == 0)
             return res;

@@ -60,7 +60,7 @@ Lisa::lowerBoundLearned(u64 code5, u64 pos, LisaStats *stats) const
     }
     const Group &g = it->second;
     const u64 key = (code5 % tail_space_) * n + pos;
-    RmiResult r = g.rmi.lookup(key);
+    const IndexLookup r = g.rmi.lookup(key);
     if (stats) {
         ++stats->iterations;
         stats->total_error += r.error;

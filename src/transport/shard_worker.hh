@@ -12,7 +12,7 @@
  * itself (inbox, fault dispatch, liveness, the completion contract) is
  * Transport's; see transport.hh.
  *
- * Every compute chunk and every 4096 located rows
+ * Every kLaneSlice queries and every kLaneSlice located rows
  * (BatchConfig::progress) tick the heartbeat, so a supervisor sees
  * progress inside a long batch. Nothing interrupts
  * in-process compute: a kill mid-batch lets the batch finish and then

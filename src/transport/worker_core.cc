@@ -48,9 +48,9 @@ searchShard(const ShardState &st, const WorkerRequest &req,
         // Caps are the router's job, applied after the cross-shard
         // merge; a per-shard cap would keep a shard-dependent subset.
         cfg.locate_limit = 0;
-        // Liveness per chunk and per 4096 located rows: the
-        // supervisor reads this to tell "slow batch" from "hung
-        // worker".
+        // Liveness per kLaneSlice queries and per kLaneSlice located
+        // rows: the supervisor reads this to tell "slow batch" from
+        // "hung worker".
         cfg.progress = progress;
         BatchResult br = BatchSearcher(*st.table, cfg)
                              .search(req.batch.storage(),

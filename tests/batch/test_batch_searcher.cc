@@ -440,7 +440,7 @@ TEST(StagedSearch, EveryOccModeWithDuplicateIds)
         for (u32 j = static_cast<u32>(qs.size() - kW); j < qs.size(); ++j)
             ids.push_back(j);
         BatchConfig cfg;
-        cfg.threads = 1;
+        cfg.threads = 2; // pooled: `grain` still cuts chunks
         cfg.grain = 2 * kW;
         cfg.locate = true;
         cfg.per_query_stats = true;
@@ -471,46 +471,66 @@ TEST(StagedSearch, EngineCallMatchesLoneSearches)
     }
 }
 
+/** A reference and queries whose intervals hold hundreds of rows. */
+struct RepeatRich
+{
+    std::vector<Base> ref;
+    std::vector<std::vector<Base>> qs;
+    ExmaTable table;
+};
+
+/**
+ * A 37-base unit tandem-repeated hundreds of times between random
+ * stretches, and substrings of it: their intervals hold hundreds of
+ * rows, so each one alone refills the kW-walk ring many times over.
+ */
+const RepeatRich &
+repeatRich()
+{
+    static const RepeatRich fixture = [] {
+        Rng rng(12);
+        std::vector<Base> unit(37);
+        for (auto &b : unit)
+            b = static_cast<Base>(rng.below(4));
+        std::vector<Base> ref;
+        for (int block = 0; block < 6; ++block) {
+            for (int i = 0; i < 2000; ++i)
+                ref.push_back(static_cast<Base>(rng.below(4)));
+            for (int copy = 0; copy < 60; ++copy)
+                ref.insert(ref.end(), unit.begin(), unit.end());
+        }
+        std::vector<Base> twice = unit;
+        twice.insert(twice.end(), unit.begin(), unit.end());
+        std::vector<std::vector<Base>> qs;
+        for (u64 len : {u64{3}, u64{6}, u64{9}, u64{20}, u64{37}, u64{40}})
+            for (u64 at : {u64{0}, u64{11}})
+                qs.emplace_back(
+                    twice.begin() + static_cast<std::ptrdiff_t>(at),
+                    twice.begin() + static_cast<std::ptrdiff_t>(at + len));
+        ExmaTable table(ref, cfgFor(OccIndexMode::Exact));
+        return RepeatRich{std::move(ref), std::move(qs), std::move(table)};
+    }();
+    return fixture;
+}
+
 TEST(StagedSearch, RepeatRichIntervalsRefillTheLocateRing)
 {
-    // A 37-base unit tandem-repeated hundreds of times between random
-    // stretches: its substrings have intervals of hundreds of rows, so
-    // each one alone refills the kW-walk ring many times over.
-    Rng rng(12);
-    std::vector<Base> unit(37);
-    for (auto &b : unit)
-        b = static_cast<Base>(rng.below(4));
-    std::vector<Base> ref;
-    for (int block = 0; block < 6; ++block) {
-        for (int i = 0; i < 2000; ++i)
-            ref.push_back(static_cast<Base>(rng.below(4)));
-        for (int copy = 0; copy < 60; ++copy)
-            ref.insert(ref.end(), unit.begin(), unit.end());
-    }
-    const ExmaTable table(ref, cfgFor(OccIndexMode::Exact));
-    std::vector<Base> twice = unit;
-    twice.insert(twice.end(), unit.begin(), unit.end());
-    std::vector<std::vector<Base>> qs;
-    for (u64 len : {u64{3}, u64{6}, u64{9}, u64{20}, u64{37}, u64{40}})
-        for (u64 at : {u64{0}, u64{11}})
-            qs.emplace_back(
-                twice.begin() + static_cast<std::ptrdiff_t>(at),
-                twice.begin() + static_cast<std::ptrdiff_t>(at + len));
-    std::vector<u32> ids(qs.size());
+    const RepeatRich &rr = repeatRich();
+    std::vector<u32> ids(rr.qs.size());
     for (u32 j = 0; j < ids.size(); ++j)
         ids[j] = j;
     BatchConfig cfg;
-    cfg.threads = 1;
+    cfg.threads = 2; // pooled: `grain` still cuts chunks
     cfg.grain = kW + 1;
     cfg.locate = true;
     cfg.per_query_stats = true;
-    const BatchResult r = BatchSearcher(table, cfg).search(qs, ids);
+    const BatchResult r = BatchSearcher(rr.table, cfg).search(rr.qs, ids);
     u64 most = 0;
     for (const auto &pos : r.positions)
         most = std::max<u64>(most, pos.size());
     EXPECT_GE(most, 300u) << "fixture no longer yields big intervals";
-    expectMatchesOracles(table, qs, naiveHitsOfAll(ref, qs), ids, r,
-                         "repeat-rich");
+    expectMatchesOracles(rr.table, rr.qs, naiveHitsOfAll(rr.ref, rr.qs), ids,
+                         r, "repeat-rich");
 }
 
 TEST(StagedSearch, LocateLimitKeepsLowestGlobalHitsOnSegmentedTables)
@@ -528,7 +548,7 @@ TEST(StagedSearch, LocateLimitKeepsLowestGlobalHitsOnSegmentedTables)
         const auto qs = edgeQueries(slice, table->k(), 3 * kW + 1, 23);
         for (const u64 limit : {u64{0}, u64{1}, kW + 1}) {
             BatchConfig cfg;
-            cfg.threads = 1;
+            cfg.threads = 2; // pooled: `grain` still cuts chunks
             cfg.grain = kW - 1;
             cfg.locate = true;
             cfg.locate_limit = limit;
@@ -545,6 +565,77 @@ TEST(StagedSearch, LocateLimitKeepsLowestGlobalHitsOnSegmentedTables)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// One participant: a serving lane. It runs its batch as kLaneSlice-query
+// slices whatever `grain` says, and its heartbeat ticks per slice and
+// per kLaneSlice located rows.
+
+/** A one-participant located run of @p ids that counts heartbeat ticks. */
+std::pair<BatchResult, u64>
+laneRun(const ExmaTable &table, const std::vector<std::vector<Base>> &qs,
+        const std::vector<u32> &ids, u64 grain)
+{
+    u64 ticks = 0;
+    BatchConfig cfg;
+    cfg.threads = 1;
+    cfg.grain = grain;
+    cfg.locate = true;
+    cfg.per_query_stats = true;
+    cfg.progress = [&ticks] { ++ticks; };
+    BatchResult r = BatchSearcher(table, cfg).search(qs, ids);
+    return {std::move(r), ticks};
+}
+
+TEST(StagedSearch, LaneRunsFullSlicesWhateverTheGrain)
+{
+    // More queries than one slice holds, cycling over a pool of
+    // distinct ones (hits and misses of 3 to 62 bases), so the last
+    // slice is a partial one of kW + 1 queries.
+    const auto &ref = testRef();
+    const ExmaTable &table = mtlTable();
+    const auto pool = randomQueries(3 * kW + 1, 61);
+    const auto hits = naiveHitsOfAll(ref, pool);
+    const u64 n = kLaneSlice + kW + 1;
+    std::vector<u32> ids(n);
+    for (u32 j = 0; j < n; ++j)
+        ids[j] = static_cast<u32>(j % pool.size());
+    const u64 slices = (n + kLaneSlice - 1) / kLaneSlice;
+
+    const auto [first, first_ticks] = laneRun(table, pool, ids, 1);
+    expectMatchesOracles(table, pool, hits, ids, first, "grain=1");
+    EXPECT_GE(first_ticks, slices);
+    for (const u64 grain : {kW, n + 1}) {
+        const auto [r, ticks] = laneRun(table, pool, ids, grain);
+        const std::string what = "grain=" + std::to_string(grain);
+        EXPECT_EQ(r.intervals, first.intervals) << what;
+        EXPECT_EQ(r.positions, first.positions) << what;
+        EXPECT_EQ(r.per_query, first.per_query) << what;
+        EXPECT_EQ(r.stats, first.stats) << what;
+        EXPECT_EQ(ticks, first_ticks) << what;
+    }
+}
+
+TEST(StagedSearch, LaneLocateTicksEveryLaneSliceOfRows)
+{
+    // One slice of repeat-rich queries whose intervals hold more rows
+    // than one locateRows call takes: the heartbeat ticks after each
+    // kLaneSlice rows and once more for the slice.
+    const RepeatRich &rr = repeatRich();
+    std::vector<u32> ids;
+    for (int round = 0; round < 20; ++round)
+        for (u32 j = 0; j < rr.qs.size(); ++j)
+            ids.push_back(j);
+    ASSERT_LT(ids.size(), kLaneSlice);
+    const auto [r, ticks] = laneRun(rr.table, rr.qs, ids, kW);
+    u64 rows = 0;
+    for (const auto &pos : r.positions)
+        rows += pos.size();
+    ASSERT_GT(rows, 2 * kLaneSlice) << "fixture no longer locates enough";
+    EXPECT_GE(ticks, rows / kLaneSlice + 1);
+    expectMatchesOracles(rr.table, rr.qs, naiveHitsOfAll(rr.ref, rr.qs), ids,
+                         r, "repeat-rich lane");
 }
 
 } // namespace

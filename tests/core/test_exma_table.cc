@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hh"
 #include "core/exma_table.hh"
 #include "genome/reference.hh"
@@ -89,6 +91,61 @@ TEST_P(ExmaModeTest, SearchEqualsFmIndexAcrossModes)
             EXPECT_TRUE(got.empty()) << "t=" << t;
         else
             EXPECT_EQ(got, expect) << "t=" << t;
+    }
+}
+
+TEST_P(ExmaModeTest, TraceSearchRecordsTheSearchsKSteps)
+{
+    // traceSearch walks its own k-step loop for the accelerator model:
+    // it must record exactly the k-steps search() makes, with the same
+    // Occ lookups, for hits and misses at lengths that are and are not
+    // multiples of k.
+    ExmaTable tab(testRef(), cfgFor(GetParam()));
+    const u64 k = static_cast<u64>(tab.k());
+    const auto &ref = testRef();
+    Rng rng(6);
+    u64 traced = 0, exact_ends = 0, modelled = 0;
+    for (int t = 0; t < 120; ++t) {
+        const u64 len = t % 3 == 0 ? k * (1 + rng.below(10))
+                                   : 1 + rng.below(40);
+        std::vector<Base> q(len);
+        if (t % 4 != 3) {
+            const u64 pos = rng.below(ref.size() - len);
+            std::copy_n(ref.begin() + static_cast<std::ptrdiff_t>(pos), len,
+                        q.begin());
+        } else {
+            for (auto &b : q)
+                b = static_cast<Base>(rng.below(4));
+        }
+        SearchStats stats;
+        const Interval iv = tab.search(q, &stats);
+        const auto trace = tab.traceSearch(q);
+        EXPECT_EQ(trace.size(), stats.kstep_iterations) << "t=" << t;
+        u64 probes = 0, error = 0, lookups = 0;
+        for (const ExmaTable::IterTrace &it : trace) {
+            probes += it.low.probes + it.high.probes;
+            error += it.low.error + it.high.error;
+            lookups += u64{it.low.used_model} + u64{it.high.used_model};
+        }
+        EXPECT_EQ(probes, stats.total_probes) << "t=" << t;
+        EXPECT_EQ(error, stats.total_error) << "t=" << t;
+        EXPECT_EQ(lookups, stats.model_lookups) << "t=" << t;
+        traced += trace.size();
+        modelled += lookups;
+        if (len % k == 0 && !trace.empty()) {
+            // No 1-step follows: the last k-step's interval is the
+            // answer, including a miss's empty one.
+            const ExmaTable::IterTrace &last = trace.back();
+            const u64 c = tab.occTable().countBefore(last.kmer);
+            EXPECT_EQ((Interval{c + last.low.rank, c + last.high.rank}), iv)
+                << "t=" << t;
+            ++exact_ends;
+        }
+    }
+    EXPECT_GT(traced, 0u);
+    EXPECT_GT(exact_ends, 10u);
+    if (GetParam() != OccIndexMode::Exact) {
+        EXPECT_GT(modelled, 0u) << "no lookup reached a model";
     }
 }
 
