@@ -1,10 +1,16 @@
 /**
  * @file
- * google-benchmark microkernels for the PR 3 rank machinery: the old
+ * google-benchmark microkernels for the rank machinery: the old
  * byte-per-symbol checkpoint+scan Occ versus the packed interleaved
- * PackedRank, and branchy std::lower_bound versus the shared branchless
- * helper on increment-list-shaped inputs. Emits JSON via the bench
- * suite's `--json` convention (see bench_gbench_main.hh).
+ * PackedRank, branchy std::lower_bound versus the shared branchless
+ * helper on increment-list-shaped inputs, and locate on one ring of LF
+ * walks. Emits JSON via the bench suite's `--json` convention (see
+ * bench_gbench_main.hh).
+ *
+ * BM_PackedRankOcc calls occ() from a function compiled once for the
+ * baseline ISA, so it shows the one-popcount rank but not the hardware
+ * popcount; BM_LocateRows goes through a dispatched entry point
+ * (EXMA_POPCNT_CLONES) and shows both.
  */
 
 #include <benchmark/benchmark.h>
@@ -190,7 +196,10 @@ BENCHMARK(BM_BranchlessLowerBound)
 // save number is the one-time build-step cost.
 // ---------------------------------------------------------------------------
 
-/** A small table worth saving (Exact mode: IO cost, not training). */
+/**
+ * A small table worth saving and locating in (Exact mode: IO and
+ * locate cost, not training).
+ */
 const ExmaTable &
 microTable()
 {
@@ -251,6 +260,32 @@ BM_TableFilesLoad(benchmark::State &state)
                             bytes);
 }
 BENCHMARK(BM_TableFilesLoad);
+
+// ---------------------------------------------------------------------------
+// Locate: 4096 random rows of the 1 Mbp table per iteration, on one ring
+// of LF walks (ExmaTable::locateRows). Each iteration first restores the
+// rows, a 32 KiB copy, since locating overwrites them with positions.
+// ---------------------------------------------------------------------------
+
+void
+BM_LocateRows(benchmark::State &state)
+{
+    const ExmaTable &table = microTable();
+    Rng rng(31);
+    std::vector<u64> rows(4096);
+    for (u64 &row : rows)
+        row = rng.below(table.rows());
+    std::vector<u64> located(rows.size());
+    for (auto _ : state) {
+        located = rows;
+        table.locateRows(located);
+        benchmark::DoNotOptimize(located.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(rows.size()));
+}
+BENCHMARK(BM_LocateRows);
 
 } // namespace
 

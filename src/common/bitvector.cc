@@ -53,26 +53,6 @@ BitVector::buildRank()
 }
 
 u64
-BitVector::rank1(u64 i) const
-{
-    // Hot path (every locate step resolves through here): Debug-only,
-    // like get() — construction-time checks in set()/buildRank() keep
-    // exma_assert.
-    exma_dassert(i <= n_bits_, "rank index %llu out of range %llu",
-                 (unsigned long long)i, (unsigned long long)n_bits_);
-    const u64 word = i >> 6;
-    const u64 block = word >> 3;
-    u64 r = super_[block];
-    for (u64 w = block * 8; w < word; ++w)
-        r += static_cast<u64>(std::popcount(words_[w]));
-    const u64 bit = i & 63;
-    if (bit)
-        r += static_cast<u64>(std::popcount(words_[word] &
-                                            ((u64{1} << bit) - 1)));
-    return r;
-}
-
-u64
 BitVector::sizeBytes() const
 {
     return words_.size() * 8 + super_.size() * 8 + sizeof(*this);

@@ -12,6 +12,7 @@
 #ifndef EXMA_COMMON_BITVECTOR_HH
 #define EXMA_COMMON_BITVECTOR_HH
 
+#include <bit>
 #include <span>
 #include <vector>
 
@@ -61,8 +62,30 @@ class BitVector
     /** Build rank checkpoints; must be called after the last set(). */
     void buildRank();
 
-    /** Number of 1-bits in [0, i). Requires buildRank() first. */
-    u64 rank1(u64 i) const;
+    /**
+     * Number of 1-bits in [0, i). Requires buildRank() first. Inline so
+     * the locate ring's clones (EXMA_POPCNT_CLONES) each compile its
+     * popcounts for their own ISA.
+     */
+    u64
+    rank1(u64 i) const
+    {
+        // Hot path (every locate step resolves through here):
+        // Debug-only, like get() — construction-time checks in
+        // set()/buildRank() keep exma_assert.
+        exma_dassert(i <= n_bits_, "rank index %llu out of range %llu",
+                     (unsigned long long)i, (unsigned long long)n_bits_);
+        const u64 word = i >> 6;
+        const u64 block = word >> 3;
+        u64 r = super_[block];
+        for (u64 w = block * 8; w < word; ++w)
+            r += static_cast<u64>(std::popcount(words_[w]));
+        const u64 bit = i & 63;
+        if (bit)
+            r += static_cast<u64>(std::popcount(words_[word] &
+                                                ((u64{1} << bit) - 1)));
+        return r;
+    }
 
     /** Total number of 1-bits. */
     u64 ones() const { return ones_; }

@@ -16,7 +16,10 @@
  *    per-lookup `ceil(log2(n + 1))` floating-point formula;
  *  - prefetchRead(): the one software-prefetch spelling, shared by the
  *    search above and the staged search's per-structure hooks
- *    (KmerOccTable, PackedRank, BitVector).
+ *    (KmerOccTable, PackedRank, BitVector);
+ *  - EXMA_POPCNT_CLONES: the hardware-popcount dispatch of the two
+ *    ring entry points (FmIndex::locateRows, ExmaTable's staged
+ *    search), picked once per process at load time.
  */
 
 #ifndef EXMA_COMMON_BRANCHLESS_HH
@@ -27,6 +30,31 @@
 #include <span>
 
 #include "common/types.hh"
+
+/**
+ * On a function definition: compile it twice, once with POPCNT and once
+ * for the baseline ISA, and let the loader pick one per process from
+ * the CPU's features (an ifunc resolved at load time). The build's
+ * baseline x86-64 has no POPCNT, so there every std::popcount is a
+ * __popcountdi2 library call. `flatten` inlines every call the body
+ * makes whose definition the compiler sees (the in-flight ring, the
+ * rank and LF code under it), so each clone holds its own copy; without
+ * it the callees stay one shared baseline copy and the POPCNT clone
+ * still calls the library.
+ *
+ * Expands to nothing, leaving one baseline function, unless GCC
+ * targets x86-64 Linux (the one toolchain the clones and the
+ * build.popcnt_clones guard are checked on), and under ThreadSanitizer:
+ * TSan instruments the ifunc resolver, which the loader runs before the
+ * TSan runtime is up, so every binary would crash at start.
+ */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    defined(__linux__) && !defined(__SANITIZE_THREAD__)
+#define EXMA_POPCNT_CLONES \
+    __attribute__((target_clones("popcnt", "default"), flatten))
+#else
+#define EXMA_POPCNT_CLONES
+#endif
 
 namespace exma {
 

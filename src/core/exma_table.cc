@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/branchless.hh"
 #include "common/inflight.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -136,7 +137,7 @@ enum class Stage : u8
 
 } // namespace
 
-void
+EXMA_POPCNT_CLONES void
 ExmaTable::search(std::span<const std::vector<Base> *const> queries,
                   std::span<Interval> out,
                   std::span<SearchStats> stats) const

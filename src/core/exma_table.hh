@@ -151,7 +151,9 @@ class ExmaTable
      * The staged engine (see the file comment): search every query of
      * @p queries with up to kInFlight in flight, writing out[j] and
      * stats[j] (overwritten) for queries[j]. All three spans have the
-     * same length; a query may appear more than once.
+     * same length; a query may appear more than once. Compiled as
+     * POPCNT and baseline clones, one picked per process
+     * (EXMA_POPCNT_CLONES).
      */
     void search(std::span<const std::vector<Base> *const> queries,
                 std::span<Interval> out,

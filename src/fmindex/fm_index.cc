@@ -96,14 +96,6 @@ FmIndex::build(const std::vector<Base> &ref, const std::vector<SaIndex> &sa)
 }
 
 Interval
-FmIndex::extend(const Interval &iv, Base c) const
-{
-    const u8 sym = static_cast<u8>(c + 1);
-    return Interval{count_[sym] + occ(sym, iv.low),
-                    count_[sym] + occ(sym, iv.high)};
-}
-
-Interval
 FmIndex::search(const std::vector<Base> &query, SearchTrace *trace) const
 {
     Interval iv = fullInterval();
@@ -142,7 +134,7 @@ FmIndex::locateAll(const Interval &iv, u64 limit) const
     return out;
 }
 
-void
+EXMA_POPCNT_CLONES void
 FmIndex::locateRows(std::span<u64> rows) const
 {
     struct Walk

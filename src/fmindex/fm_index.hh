@@ -101,8 +101,18 @@ class FmIndex
      */
     u64 occ(u8 sym, u64 i) const { return rank_.occ(sym, i); }
 
-    /** One backward-search step: prepend base @p c (0..3) to the match. */
-    Interval extend(const Interval &iv, Base c) const;
+    /**
+     * One backward-search step: prepend base @p c (0..3) to the match.
+     * Inline so the staged search's clones (EXMA_POPCNT_CLONES) each
+     * compile its two rank lookups for their own ISA.
+     */
+    Interval
+    extend(const Interval &iv, Base c) const
+    {
+        const u8 sym = static_cast<u8>(c + 1);
+        return Interval{count_[sym] + occ(sym, iv.low),
+                        count_[sym] + occ(sym, iv.high)};
+    }
 
     /** Full backward search of @p query; optional access trace. */
     Interval search(const std::vector<Base> &query,
@@ -129,7 +139,8 @@ class FmIndex
      * round-robin, each visit taking one LF step and prefetching the
      * next row's rank block and SA-sample word (or, at a sampled row,
      * the sample value), and a finished walk's slot takes the next row.
-     * Results do not depend on the order.
+     * Results do not depend on the order. Compiled as POPCNT and
+     * baseline clones, one picked per process (EXMA_POPCNT_CLONES).
      */
     void locateRows(std::span<u64> rows) const;
 

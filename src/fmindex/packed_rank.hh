@@ -8,8 +8,8 @@
  * blocks; each block carries its four interleaved Occ checkpoints
  * (counts of A,C,G,T before the block), so the checkpoint and the
  * symbols it covers live in the same 32-byte block — one Occ(sym, i)
- * resolution touches a single cache line, via mask + popcount over at
- * most two 64-bit words, instead of a separate checkpoint array plus up
+ * resolution touches a single cache line, via a mask over two 64-bit
+ * words and one popcount, instead of a separate checkpoint array plus up
  * to occ_sample-1 byte loads.
  *
  * The sentinel has no 2-bit code: its row stores code 0 ('A') and its
@@ -99,11 +99,12 @@ class PackedRank
         const u64 pat = c * kEvenBits; // symbol code replicated per lane
         const unsigned l0 = off < 32 ? off : 32;
         const unsigned l1 = off < 32 ? 0 : off - 32;
-        u64 r = b.ckpt[c];
-        r += static_cast<u64>(
-            std::popcount(eqLanes(b.data[0], pat) & laneMask(l0)));
-        r += static_cast<u64>(
-            std::popcount(eqLanes(b.data[1], pat) & laneMask(l1)));
+        // Both words' markers sit on even bits, so shifting the second
+        // word's onto the odd bits counts the two with one popcount.
+        const u64 m0 = eqLanes(b.data[0], pat) & laneMask(l0);
+        const u64 m1 = eqLanes(b.data[1], pat) & laneMask(l1);
+        const u64 both = m0 | (m1 << 1);
+        u64 r = b.ckpt[c] + static_cast<u64>(std::popcount(both));
         // The primary row stores a phantom 'A'; Occ(A, i) must not
         // count it (checkpoints include it, so one subtract fixes all).
         r -= static_cast<u64>(c == 0) & static_cast<u64>(i > primary_);

@@ -68,6 +68,28 @@ TEST(PackedRank, MatchesByteScanOnArbitrarySymbolStreams)
     }
 }
 
+TEST(PackedRank, MatchesByteScanOnHomopolymerBlocks)
+{
+    // One repeated symbol matches every lane of both words of a block,
+    // so occ() counts a combined marker word with all 64 bits set, which
+    // random streams never produce; period-4 ACGT matches every fourth
+    // lane. The sentinel sits at the front, the middle or the end.
+    for (u64 n : {63u, 64u, 65u, 127u, 128u, 129u, 256u}) {
+        for (u64 sentinel_at : {u64{0}, n / 2, n - 1}) {
+            for (u8 sym = 1; sym <= 4; ++sym) {
+                std::vector<u8> bwt(n, sym);
+                bwt[sentinel_at] = 0;
+                expectMatchesScan(bwt);
+            }
+            std::vector<u8> bwt(n);
+            for (u64 i = 0; i < n; ++i)
+                bwt[i] = static_cast<u8>(1 + i % 4);
+            bwt[sentinel_at] = 0;
+            expectMatchesScan(bwt);
+        }
+    }
+}
+
 TEST(PackedRank, SentinelFreeStreamHasZeroSentinelOcc)
 {
     Rng rng(43);
