@@ -77,9 +77,7 @@ BatchSearcher::run(const std::vector<std::vector<Base>> &queries,
     out.queries = n;
     out.intervals.resize(n);
     const unsigned slots = parallelForSlots(cfg_.threads);
-    out.per_thread.assign(slots, SearchStats{});
-    if (cfg_.per_query_stats)
-        out.per_query.assign(n, SearchStats{});
+    std::vector<SearchStats> per_slot(slots);
     if (cfg_.locate)
         out.positions.resize(n);
     const u64 locate_limit = cfg_.locate_limit ? cfg_.locate_limit
@@ -97,18 +95,13 @@ BatchSearcher::run(const std::vector<std::vector<Base>> &queries,
             std::vector<const std::vector<Base> *> chunk(m);
             for (u64 j = 0; j < m; ++j)
                 chunk[j] = &queries[ids ? (*ids)[begin + j] : begin + j];
-            std::vector<SearchStats> scratch;
-            std::span<SearchStats> stats;
-            if (cfg_.per_query_stats) {
-                stats = std::span(out.per_query).subspan(begin, m);
-            } else {
-                scratch.resize(m);
-                stats = scratch;
-            }
             const auto ivs = std::span(out.intervals).subspan(begin, m);
-            table_.search(chunk, ivs, stats);
-            for (const SearchStats &qs : stats)
-                out.per_thread[slot] += qs;
+            // Summed on the stack, then added once per chunk: slots
+            // share cache lines, and the search updates its stats at
+            // every step.
+            SearchStats chunk_stats;
+            table_.search(chunk, ivs, chunk_stats);
+            per_slot[slot] += chunk_stats;
             if (cfg_.locate)
                 locateChunk(table_, ivs, locate_limit,
                             std::span(out.positions).subspan(begin, m),
@@ -122,7 +115,7 @@ BatchSearcher::run(const std::vector<std::vector<Base>> &queries,
     out.seconds = std::chrono::duration<double>(t1 - t0).count();
     for (u64 i = 0; i < n; ++i)
         out.bases += queries[ids ? (*ids)[i] : i].size();
-    for (const SearchStats &s : out.per_thread)
+    for (const SearchStats &s : per_slot)
         out.stats += s;
     return out;
 }

@@ -9,8 +9,9 @@
  * dynamic scheduling. Results land at their query's index, so output
  * ordering is deterministic and bit-identical to a sequential loop
  * regardless of thread count or scheduling order; instrumentation is
- * accumulated per worker slot and merged afterwards (counter sums are
- * order-independent), so the hot path takes no locks.
+ * accumulated per participant slot inside run() and merged afterwards
+ * (counter sums are order-independent), so the hot path takes no
+ * locks.
  *
  * Each chunk runs in two stages on its thread, both overlapping cache
  * misses across the chunk's queries:
@@ -80,8 +81,6 @@ struct BatchConfig
      * and thread-safe; null = no calls.
      */
     std::function<void()> progress;
-    /** Record per-query SearchStats too (costs one vector of stats). */
-    bool per_query_stats = false;
     /**
      * Also resolve each query's interval to global text positions
      * (BatchResult::positions, sorted ascending), as locateAllGlobal
@@ -104,9 +103,7 @@ struct BatchResult
 {
     std::vector<Interval> intervals;
     std::vector<std::vector<u64>> positions; ///< iff cfg.locate (sorted)
-    SearchStats stats;                     ///< merged across all workers
-    std::vector<SearchStats> per_thread;   ///< one per participant slot
-    std::vector<SearchStats> per_query;    ///< iff cfg.per_query_stats
+    SearchStats stats;                       ///< summed over the batch
     u64 queries = 0;
     u64 bases = 0;     ///< total query symbols searched
     double seconds = 0.0;

@@ -35,7 +35,6 @@ ExmaTable::ExmaTable(const std::vector<Base> &ref, const Config &cfg)
 ExmaTable::ExmaTable(Parts parts) : slice_(parts.slice)
 {
     cfg_.k = parts.occ.k;
-    cfg_.fm = parts.fm.cfg;
     fm_ = std::make_unique<FmIndex>(std::move(parts.fm));
     occ_ = std::make_unique<KmerOccTable>(std::move(parts.occ));
     exma_assert(fm_->size() == occ_->rows(),
@@ -52,7 +51,7 @@ ExmaTable::build(const std::vector<Base> &ref)
     const std::vector<SaIndex> sa = buildSuffixArray(ref);
     parallelFor(2, 1, [&](u64 item, u64, unsigned) {
         if (item == 0) {
-            fm_ = std::make_unique<FmIndex>(ref, sa, cfg_.fm);
+            fm_ = std::make_unique<FmIndex>(ref, sa);
             return;
         }
         occ_ = std::make_unique<KmerOccTable>(ref, sa, cfg_.k);
@@ -118,10 +117,8 @@ ExmaTable::search(const std::vector<Base> &query, SearchStats *stats) const
 {
     const std::vector<Base> *q = &query;
     Interval iv;
-    SearchStats st;
-    search({&q, 1}, {&iv, 1}, {&st, 1});
-    if (stats)
-        *stats += st;
+    SearchStats unused;
+    search({&q, 1}, {&iv, 1}, stats ? *stats : unused);
     return iv;
 }
 
@@ -139,16 +136,14 @@ enum class Stage : u8
 
 EXMA_POPCNT_CLONES void
 ExmaTable::search(std::span<const std::vector<Base> *const> queries,
-                  std::span<Interval> out,
-                  std::span<SearchStats> stats) const
+                  std::span<Interval> out, SearchStats &stats) const
 {
-    exma_assert(out.size() == queries.size() &&
-                    stats.size() == queries.size(),
-                "staged search: %zu queries, %zu intervals, %zu stats",
-                queries.size(), out.size(), stats.size());
+    exma_assert(out.size() == queries.size(),
+                "staged search: %zu queries, %zu intervals",
+                queries.size(), out.size());
     struct Search
     {
-        size_t job = 0;         ///< index into queries / out / stats
+        size_t job = 0;         ///< index into queries / out
         const Base *q = nullptr;
         size_t i = 0;           ///< q[0, i) is still to be matched
         size_t rem = 0;         ///< length of the 1-step remainder
@@ -190,12 +185,12 @@ ExmaTable::search(std::span<const std::vector<Base> *const> queries,
                 return true;
             case Stage::KmerIncrements:
                 s.i -= step;
-                s.iv = stepKmer(s.iv, s.code, &stats[s.job]);
+                s.iv = stepKmer(s.iv, s.code, &stats);
                 break;
             case Stage::OneStep:
                 --s.i;
                 s.iv = fm_->extend(s.iv, s.q[s.i]);
-                ++stats[s.job].onestep_iterations;
+                ++stats.onestep_iterations;
                 break;
         }
         return issue(s);
@@ -210,7 +205,6 @@ ExmaTable::search(std::span<const std::vector<Base> *const> queries,
             s.i = q.size();
             s.rem = q.size() % step;
             s.iv = fm_->fullInterval();
-            stats[s.job] = SearchStats{};
             if (issue(s))
                 return true;
         }

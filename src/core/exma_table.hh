@@ -23,11 +23,11 @@
  *  - 1-step remainder: the PackedRank blocks of both interval ends,
  *    resolved by FmIndex::extend on the next visit.
  *
- * Results and stats are per query and identical to running the queries
- * one by one; the one-query search(query) is the same engine with one
- * search in flight. The width is a compile-time constant rather than an
- * option because it matches the memory system's miss parallelism,
- * which no caller knows better. Locating works the same way, as one
+ * Results, and the stats summed over the batch, are identical to
+ * running the queries one by one; the one-query search(query) is the
+ * same engine with one search in flight. The width is a compile-time
+ * constant rather than an option because it matches the memory
+ * system's miss parallelism, which no caller knows better. Locating works the same way, as one
  * ring of LF walks over a list of rows (locateRows).
  *
  * Every table covers one slice of the reference (core/text_segments.hh):
@@ -71,7 +71,6 @@ class ExmaTable
         OccIndexMode mode = OccIndexMode::Exact;
         MtlIndex::Config mtl;
         NaiveKmerIndex::Config naive;
-        FmIndex::Config fm;
     };
 
     /**
@@ -100,8 +99,7 @@ class ExmaTable
 
     /**
      * Restore from serialized parts as an Exact-mode table whose
-     * config takes k from @p parts.occ and the FM sampling from
-     * @p parts.fm.
+     * config takes k from @p parts.occ.
      */
     explicit ExmaTable(Parts parts);
 
@@ -149,15 +147,14 @@ class ExmaTable
 
     /**
      * The staged engine (see the file comment): search every query of
-     * @p queries with up to kInFlight in flight, writing out[j] and
-     * stats[j] (overwritten) for queries[j]. All three spans have the
-     * same length; a query may appear more than once. Compiled as
-     * POPCNT and baseline clones, one picked per process
+     * @p queries with up to kInFlight in flight, writing out[j] for
+     * queries[j] and adding every query's counts to @p stats. Both
+     * spans have the same length; a query may appear more than once.
+     * Compiled as POPCNT and baseline clones, one picked per process
      * (EXMA_POPCNT_CLONES).
      */
     void search(std::span<const std::vector<Base> *const> queries,
-                std::span<Interval> out,
-                std::span<SearchStats> stats) const;
+                std::span<Interval> out, SearchStats &stats) const;
 
     /**
      * Local text positions of up to @p limit occurrences in a search

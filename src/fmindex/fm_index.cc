@@ -10,30 +10,17 @@
 namespace exma {
 
 FmIndex::FmIndex(const std::vector<Base> &ref)
-    : FmIndex(ref, Config())
-{
-}
-
-FmIndex::FmIndex(const std::vector<Base> &ref, Config cfg)
-    : cfg_(cfg)
 {
     build(ref, buildSuffixArray(ref));
 }
 
 FmIndex::FmIndex(const std::vector<Base> &ref, const std::vector<SaIndex> &sa)
-    : FmIndex(ref, sa, Config())
-{
-}
-
-FmIndex::FmIndex(const std::vector<Base> &ref, const std::vector<SaIndex> &sa,
-                 Config cfg)
-    : cfg_(cfg)
 {
     build(ref, sa);
 }
 
 FmIndex::FmIndex(Restored parts)
-    : cfg_(parts.cfg), n_rows_(parts.n_rows),
+    : n_rows_(parts.n_rows),
       rank_(std::move(parts.rank)),
       sa_sampled_(std::move(parts.sa_sampled)),
       sa_values_(std::move(parts.sa_values))
@@ -60,8 +47,6 @@ FmIndex::build(const std::vector<Base> &ref, const std::vector<SaIndex> &sa)
     const u64 n = ref.size();
     n_rows_ = n + 1;
     exma_assert(sa.size() == n_rows_, "suffix array size mismatch");
-    exma_assert(cfg_.occ_sample > 0 && cfg_.sa_sample > 0,
-                "sampling strides must be positive");
 
     // BWT: symbol preceding each suffix; the sentinel precedes suffix 0.
     // Materialised briefly in byte form, then packed into the 2-bit
@@ -80,11 +65,11 @@ FmIndex::build(const std::vector<Base> &ref, const std::vector<SaIndex> &sa)
                                               n_rows_);
 
     // Text-position-sampled SA: mark rows whose SA value is a multiple
-    // of sa_sample so every LF-walk terminates within sa_sample steps.
+    // of kSaSample so every LF-walk terminates within kSaSample steps.
     sa_sampled_ = BitVector(n_rows_);
     std::vector<std::pair<u64, u32>> marks;
     for (u64 i = 0; i < n_rows_; ++i)
-        if (sa[i] % cfg_.sa_sample == 0)
+        if (sa[i] % kSaSample == 0)
             marks.emplace_back(i, sa[i]);
     for (const auto &[row, val] : marks)
         sa_sampled_.set(row);
@@ -101,8 +86,8 @@ FmIndex::search(const std::vector<Base> &query, SearchTrace *trace) const
     Interval iv = fullInterval();
     for (size_t i = query.size(); i-- > 0;) {
         if (trace) {
-            trace->occ_rows.push_back(iv.low / cfg_.occ_sample);
-            trace->occ_rows.push_back(iv.high / cfg_.occ_sample);
+            trace->occ_rows.push_back(iv.low / PackedRank::kBlockSymbols);
+            trace->occ_rows.push_back(iv.high / PackedRank::kBlockSymbols);
         }
         iv = extend(iv, query[i]);
         if (iv.empty())

@@ -41,32 +41,28 @@ struct Interval
  */
 struct SearchTrace
 {
-    /** Occ-table rows (bucket granularity) touched, two per iteration. */
+    /**
+     * Occ blocks touched, two per iteration: each interval end's row
+     * divided by PackedRank::kBlockSymbols.
+     */
     std::vector<u64> occ_rows;
 };
 
 class FmIndex
 {
   public:
-    struct Config
-    {
-        /**
-         * Occ-bucket granularity of the SearchTrace rows (Fig. 6a).
-         * Rank itself now always resolves in PackedRank's fixed
-         * 64-symbol blocks regardless of this value.
-         */
-        u32 occ_sample = 64;
-        u32 sa_sample = 32; ///< text-position stride of SA samples
-    };
+    /**
+     * Text-position stride of the SA samples: a row is sampled iff its
+     * suffix starts at a multiple of it, so a locate walk takes fewer
+     * than kSaSample LF steps.
+     */
+    static constexpr u32 kSaSample = 32;
 
     /** Build from a DNA reference (0..3 codes). */
     explicit FmIndex(const std::vector<Base> &ref);
-    FmIndex(const std::vector<Base> &ref, Config cfg);
 
     /** Build reusing an already-computed suffix array of ref·$. */
     FmIndex(const std::vector<Base> &ref, const std::vector<SaIndex> &sa);
-    FmIndex(const std::vector<Base> &ref, const std::vector<SaIndex> &sa,
-            Config cfg);
 
     /**
      * Serialized parts of an index (src/io/table_io.cc). On a load the
@@ -75,7 +71,6 @@ class FmIndex
      */
     struct Restored
     {
-        Config cfg;
         u64 n_rows = 0;
         u64 count[kBwtAlphabet + 1] = {};
         PackedRank rank;
@@ -147,8 +142,6 @@ class FmIndex
     /** Approximate heap footprint. */
     u64 sizeBytes() const;
 
-    const Config &config() const { return cfg_; }
-
     /** The rank structure (serialization). */
     const PackedRank &packedRank() const { return rank_; }
 
@@ -164,7 +157,6 @@ class FmIndex
   private:
     void build(const std::vector<Base> &ref, const std::vector<SaIndex> &sa);
 
-    Config cfg_;
     u64 n_rows_ = 0;
     PackedRank rank_; ///< 2-bit BWT + interleaved Occ checkpoints
     u64 count_[kBwtAlphabet + 1] = {};

@@ -17,13 +17,7 @@ compSym(u8 sym)
 
 } // namespace
 
-FmdIndex::FmdIndex(const std::vector<Base> &ref)
-    : FmdIndex(ref, Config())
-{
-}
-
-FmdIndex::FmdIndex(const std::vector<Base> &ref, Config cfg)
-    : cfg_(cfg), n_(ref.size())
+FmdIndex::FmdIndex(const std::vector<Base> &ref) : n_(ref.size())
 {
     exma_assert(!ref.empty(), "empty reference");
 
@@ -57,12 +51,12 @@ FmdIndex::FmdIndex(const std::vector<Base> &ref, Config cfg)
     for (int c = 1; c <= kSigma; ++c)
         count_[c] = count_[c - 1] + totals[c - 1];
 
-    const u64 n_buckets = (n_rows_ + cfg_.occ_sample - 1) / cfg_.occ_sample;
+    const u64 n_buckets = (n_rows_ + kOccSample - 1) / kOccSample;
     occ_ckpt_.assign((n_buckets + 1) * kSigma, 0);
     u32 running[kSigma] = {};
     for (u64 i = 0; i < n_rows_; ++i) {
-        if (i % cfg_.occ_sample == 0) {
-            const u64 b = i / cfg_.occ_sample;
+        if (i % kOccSample == 0) {
+            const u64 b = i / kOccSample;
             for (int c = 0; c < kSigma; ++c)
                 occ_ckpt_[b * kSigma + static_cast<u64>(c)] = running[c];
         }
@@ -74,7 +68,7 @@ FmdIndex::FmdIndex(const std::vector<Base> &ref, Config cfg)
     sa_sampled_ = BitVector(n_rows_);
     std::vector<std::pair<u64, u32>> marks;
     for (u64 i = 0; i < n_rows_; ++i)
-        if (sa[i] % cfg_.sa_sample == 0)
+        if (sa[i] % kSaSample == 0)
             marks.emplace_back(i, sa[i]);
     for (const auto &[row, val] : marks)
         sa_sampled_.set(row);
@@ -87,19 +81,19 @@ FmdIndex::FmdIndex(const std::vector<Base> &ref, Config cfg)
 void
 FmdIndex::occ6(u64 i, u64 out[kSigma]) const
 {
-    const u64 bucket = i / cfg_.occ_sample;
+    const u64 bucket = i / kOccSample;
     for (int c = 0; c < kSigma; ++c)
         out[c] = occ_ckpt_[bucket * kSigma + static_cast<u64>(c)];
-    for (u64 j = bucket * cfg_.occ_sample; j < i; ++j)
+    for (u64 j = bucket * kOccSample; j < i; ++j)
         ++out[bwt_[j]];
 }
 
 u64
 FmdIndex::occ1(u8 sym, u64 i) const
 {
-    const u64 bucket = i / cfg_.occ_sample;
+    const u64 bucket = i / kOccSample;
     u64 r = occ_ckpt_[bucket * kSigma + sym];
-    for (u64 j = bucket * cfg_.occ_sample; j < i; ++j)
+    for (u64 j = bucket * kOccSample; j < i; ++j)
         r += (bwt_[j] == sym);
     return r;
 }

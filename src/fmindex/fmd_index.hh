@@ -49,14 +49,7 @@ struct Smem
 class FmdIndex
 {
   public:
-    struct Config
-    {
-        u32 occ_sample = 64;
-        u32 sa_sample = 32;
-    };
-
     explicit FmdIndex(const std::vector<Base> &ref);
-    FmdIndex(const std::vector<Base> &ref, Config cfg);
 
     /** Rows of the doubled BW-matrix: 2|ref| + 2. */
     u64 size() const { return n_rows_; }
@@ -99,6 +92,10 @@ class FmdIndex
 
   private:
     static constexpr int kSigma = 6;
+    /** Rows per Occ checkpoint bucket. */
+    static constexpr u64 kOccSample = 64;
+    /** Text-position stride of the SA samples. */
+    static constexpr u64 kSaSample = 32;
 
     void occ6(u64 i, u64 out[kSigma]) const;
     u64 occ1(u8 sym, u64 i) const;
@@ -108,7 +105,6 @@ class FmdIndex
     int smem1(const std::vector<Base> &q, int x0, u64 min_intv,
               std::vector<Smem> &out) const;
 
-    Config cfg_;
     u64 n_ = 0;       ///< forward reference length
     u64 n_rows_ = 0;  ///< 2n + 2
     std::vector<u8> bwt_;

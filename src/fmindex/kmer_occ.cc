@@ -40,10 +40,10 @@ pureCodeAbove(u64 code5, int k)
 }
 
 /**
- * The automatic build policy goes parallel only when the reference is
- * big enough to amortise the fork/join, and the chunk count is capped
- * so the per-chunk k-mer histograms ((chunks-1) * 4^k u32 extra over
- * the serial build) stay inside a fixed byte budget.
+ * The build takes more than one chunk only when the reference is big
+ * enough to amortise the fork/join, and the chunk count is capped so
+ * the per-chunk k-mer histograms (one 4^k u32 array each) stay inside
+ * a fixed byte budget.
  */
 constexpr u64 kAutoParallelMinRows = u64{1} << 16;
 constexpr u64 kHistogramByteBudget = u64{256} << 20;
@@ -52,18 +52,15 @@ constexpr unsigned kMaxBuildChunks = 8;
 } // namespace
 
 KmerOccTable::KmerOccTable(const std::vector<Base> &ref,
-                           const std::vector<SaIndex> &sa, int k,
-                           unsigned build_threads)
+                           const std::vector<SaIndex> &sa, int k)
     : k_(k)
 {
-    build(ref, sa, build_threads);
+    build(ref, sa);
 }
 
-KmerOccTable::KmerOccTable(const std::vector<Base> &ref, int k,
-                           unsigned build_threads)
-    : k_(k)
+KmerOccTable::KmerOccTable(const std::vector<Base> &ref, int k) : k_(k)
 {
-    build(ref, buildSuffixArray(ref), build_threads);
+    build(ref, buildSuffixArray(ref));
 }
 
 KmerOccTable::KmerOccTable(Restored parts)
@@ -88,7 +85,7 @@ KmerOccTable::KmerOccTable(Restored parts)
 
 void
 KmerOccTable::build(const std::vector<Base> &ref,
-                    const std::vector<SaIndex> &sa, unsigned build_threads)
+                    const std::vector<SaIndex> &sa)
 {
     exma_assert(k_ >= 1 && k_ <= kMaxKmerLen, "k=%d out of supported range",
                 k_);
@@ -103,7 +100,6 @@ KmerOccTable::build(const std::vector<Base> &ref,
     // end (borrowed Storage is immutable, so build paths stay local).
     std::vector<u32> bases(space + 1, 0);
     std::vector<u32> rows;
-    sentinel_windows_.clear();
 
     // The window preceding row r covers positions SA[r]-k .. SA[r]-1 of
     // ref·$, circularly. It wraps through the sentinel exactly when
@@ -123,66 +119,52 @@ KmerOccTable::build(const std::vector<Base> &ref,
     // Chunked two-pass build: per-chunk k-mer histograms feed both the
     // global prefix sum and the per-chunk placement cursors, so the
     // second pass writes each k-mer's rows in global row order with no
-    // synchronisation — the result is bit-identical at any width.
-    unsigned chunks = 1;
-    if (build_threads == 0) {
-        if (n_rows_ >= kAutoParallelMinRows)
-            chunks = std::min(parallelForSlots(0), kMaxBuildChunks);
-    } else {
-        chunks =
-            std::min(parallelForSlots(build_threads), kMaxBuildChunks);
-    }
-    const unsigned requested = chunks;
-    chunks = static_cast<unsigned>(std::max<u64>(
-        1, std::min<u64>(chunks, kHistogramByteBudget / (space * 4))));
-    if (chunks < requested && build_threads >= 2)
-        exma_warn("k=%d histograms (%llu MiB per chunk) exceed the "
-                  "parallel-build budget; building with %u chunk(s) "
-                  "instead of %u",
-                  k_, (unsigned long long)(space * 4 >> 20), chunks,
-                  requested);
-    const unsigned loop_threads = chunks == 1 ? 1 : build_threads;
+    // synchronisation — the table is bit-identical at any chunk count.
+    // A one-chunk build's histogram becomes its one cursor, so it holds
+    // no 4^k array more than a count-then-place build would.
+    unsigned chunks = n_rows_ >= kAutoParallelMinRows
+                          ? std::min(parallelForSlots(), kMaxBuildChunks)
+                          : 1;
+    chunks = static_cast<unsigned>(std::clamp<u64>(
+        kHistogramByteBudget / (space * 4), 1, chunks));
+    // 0 = the pool at full width; a one-chunk build stays on the
+    // calling thread, code passes included.
+    const unsigned threads = chunks == 1 ? 1 : 0;
     const u64 rows_per_chunk = (n_rows_ + chunks - 1) / chunks;
-
-    // Pass 1: count occurrences per pure k-mer; collect sentinel rows.
-    // The serial build counts straight into bases[m + 1] (no extra
-    // allocation, matching the pre-chunking memory profile); the
-    // parallel build counts into per-chunk histograms instead.
-    std::vector<std::vector<u32>> hist(chunks > 1 ? chunks : 0);
-    if (chunks == 1) {
-        for (u64 r = 0; r < n_rows_; ++r) {
-            const u64 pos = sa[r];
-            if (pos >= k)
-                ++bases[packKmer(ref.data() + (pos - k), k_) + 1];
-            else
-                sentinel_windows_.emplace_back(sentinelCode5(r),
-                                               static_cast<u32>(r));
-        }
-    } else {
-        std::vector<std::vector<std::pair<u64, u32>>> sent(chunks);
+    // Run @p fn(t, lo, hi) for every chunk t and its rows [lo, hi),
+    // chunks in parallel.
+    auto forChunks = [&](const auto &fn) {
         parallelFor(
             chunks, 1,
             [&](u64 cb, u64 ce, unsigned) {
                 for (u64 t = cb; t < ce; ++t) {
-                    auto &h = hist[t];
-                    h.assign(space, 0);
                     const u64 lo = t * rows_per_chunk;
-                    const u64 hi = std::min(lo + rows_per_chunk, n_rows_);
-                    for (u64 r = lo; r < hi; ++r) {
-                        const u64 pos = sa[r];
-                        if (pos >= k)
-                            ++h[packKmer(ref.data() + (pos - k), k_)];
-                        else
-                            sent[t].emplace_back(sentinelCode5(r),
-                                                 static_cast<u32>(r));
-                    }
+                    fn(t, lo, std::min(lo + rows_per_chunk, n_rows_));
                 }
             },
-            loop_threads);
-        for (unsigned t = 0; t < chunks; ++t)
-            sentinel_windows_.insert(sentinel_windows_.end(),
-                                     sent[t].begin(), sent[t].end());
-    }
+            threads);
+    };
+
+    // Pass 1: count occurrences per pure k-mer into the chunk's
+    // histogram, allocated by the thread that fills it; collect
+    // sentinel rows.
+    std::vector<std::vector<u32>> hist(chunks);
+    std::vector<std::vector<std::pair<u64, u32>>> sent(chunks);
+    forChunks([&](u64 t, u64 lo, u64 hi) {
+        auto &h = hist[t];
+        h.assign(space, 0);
+        for (u64 r = lo; r < hi; ++r) {
+            const u64 pos = sa[r];
+            if (pos >= k)
+                ++h[packKmer(ref.data() + (pos - k), k_)];
+            else
+                sent[t].emplace_back(sentinelCode5(r), static_cast<u32>(r));
+        }
+    });
+    sentinel_windows_.clear();
+    for (const auto &chunk_sent : sent)
+        sentinel_windows_.insert(sentinel_windows_.end(), chunk_sent.begin(),
+                                 chunk_sent.end());
     exma_assert(sentinel_windows_.size() == k,
                 "expected exactly k sentinel windows, got %zu",
                 sentinel_windows_.size());
@@ -192,21 +174,25 @@ KmerOccTable::build(const std::vector<Base> &ref,
         sentinel_thresholds_[w] =
             pureCodeAbove(sentinel_windows_[w].first, k_);
 
-    // Merge the chunk histograms into bases[m + 1].
-    const u64 merge_grain = std::max<u64>(space / (chunks * 8u), 4096);
-    if (chunks > 1) {
+    // Run @p fn(m) over every k-mer code, in parallel.
+    const u64 code_grain = std::max<u64>(space / (chunks * 8u), 4096);
+    auto forCodes = [&](const auto &fn) {
         parallelFor(
-            space, merge_grain,
+            space, code_grain,
             [&](u64 mb, u64 me, unsigned) {
-                for (u64 m = mb; m < me; ++m) {
-                    u32 s = 0;
-                    for (unsigned t = 0; t < chunks; ++t)
-                        s += hist[t][m];
-                    bases[m + 1] = s;
-                }
+                for (u64 m = mb; m < me; ++m)
+                    fn(m);
             },
-            loop_threads);
-    }
+            threads);
+    };
+
+    // Merge the chunk histograms into bases[m + 1].
+    forCodes([&](u64 m) {
+        u32 sum = 0;
+        for (unsigned t = 0; t < chunks; ++t)
+            sum += hist[t][m];
+        bases[m + 1] = sum;
+    });
 
     // Prefix-sum the counts into base offsets; count distinct k-mers.
     distinct_ = 0;
@@ -216,50 +202,27 @@ KmerOccTable::build(const std::vector<Base> &ref,
         bases[m + 1] += bases[m];
     }
 
-    // Pass 2: place rows. Ascending r within a chunk plus cursors
-    // staggered by the earlier chunks' counts keeps every increment
-    // list globally sorted. Serial uses one cursor copy of bases.
+    // Pass 2: place rows. Each histogram entry becomes its chunk's
+    // cursor, staggered by the earlier chunks' counts; ascending r
+    // within a chunk then keeps every increment list globally sorted.
+    forCodes([&](u64 m) {
+        u32 cur = bases[m];
+        for (unsigned t = 0; t < chunks; ++t) {
+            const u32 cnt = hist[t][m];
+            hist[t][m] = cur;
+            cur += cnt;
+        }
+    });
     rows.resize(bases[space]);
-    if (chunks == 1) {
-        std::vector<u32> cursor(bases.begin(), bases.end() - 1);
-        for (u64 r = 0; r < n_rows_; ++r) {
+    forChunks([&](u64 t, u64 lo, u64 hi) {
+        auto &cursor = hist[t];
+        for (u64 r = lo; r < hi; ++r) {
             const u64 pos = sa[r];
             if (pos >= k)
                 rows[cursor[packKmer(ref.data() + (pos - k), k_)]++] =
                     static_cast<u32>(r);
         }
-    } else {
-        parallelFor(
-            space, merge_grain,
-            [&](u64 mb, u64 me, unsigned) {
-                for (u64 m = mb; m < me; ++m) {
-                    u32 cur = bases[m];
-                    for (unsigned t = 0; t < chunks; ++t) {
-                        const u32 cnt = hist[t][m];
-                        hist[t][m] = cur;
-                        cur += cnt;
-                    }
-                }
-            },
-            loop_threads);
-        parallelFor(
-            chunks, 1,
-            [&](u64 cb, u64 ce, unsigned) {
-                for (u64 t = cb; t < ce; ++t) {
-                    auto &cursor = hist[t];
-                    const u64 lo = t * rows_per_chunk;
-                    const u64 hi = std::min(lo + rows_per_chunk, n_rows_);
-                    for (u64 r = lo; r < hi; ++r) {
-                        const u64 pos = sa[r];
-                        if (pos >= k)
-                            rows[cursor[packKmer(ref.data() + (pos - k),
-                                                 k_)]++] =
-                                static_cast<u32>(r);
-                    }
-                }
-            },
-            loop_threads);
-    }
+    });
     bases_ = Storage<u32>(std::move(bases));
     rows_ = Storage<u32>(std::move(rows));
 }

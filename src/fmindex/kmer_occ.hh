@@ -41,21 +41,16 @@ class KmerOccTable
     /**
      * Build from @p ref and its suffix array (of ref·$).
      * @param k number of DNA symbols per window (the "step").
-     * @param build_threads construction parallelism: 0 picks the
-     *        automatic policy (pool-parallel chunked build for big
-     *        references, serial otherwise), 1 forces serial, >= 2
-     *        requests the chunked parallel build at that width (the
-     *        width is still clamped — with a warning — when the
-     *        per-chunk 4^k histograms would blow the memory budget,
-     *        i.e. for very large k). The resulting table is identical
-     *        in every case.
+     * The build cuts the rows into chunks, one below 2^16 rows and
+     * otherwise as many as the global pool has slots (capped by a
+     * histogram memory budget), and the table is identical whatever
+     * the chunk count.
      */
     KmerOccTable(const std::vector<Base> &ref, const std::vector<SaIndex> &sa,
-                 int k, unsigned build_threads = 0);
+                 int k);
 
     /** Convenience constructor that builds its own suffix array. */
-    KmerOccTable(const std::vector<Base> &ref, int k,
-                 unsigned build_threads = 0);
+    KmerOccTable(const std::vector<Base> &ref, int k);
 
     /**
      * Serialized parts of a table (src/io/table_io.cc). On a load the
@@ -176,8 +171,7 @@ class KmerOccTable
     u64 sizeBytes() const;
 
   private:
-    void build(const std::vector<Base> &ref, const std::vector<SaIndex> &sa,
-               unsigned build_threads);
+    void build(const std::vector<Base> &ref, const std::vector<SaIndex> &sa);
 
     int k_;
     u64 n_rows_ = 0;

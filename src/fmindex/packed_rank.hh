@@ -10,7 +10,7 @@
  * symbols it covers live in the same 32-byte block — one Occ(sym, i)
  * resolution touches a single cache line, via a mask over two 64-bit
  * words and one popcount, instead of a separate checkpoint array plus up
- * to occ_sample-1 byte loads.
+ * to 63 byte loads from a byte BWT checkpointed every 64 rows.
  *
  * The sentinel has no 2-bit code: its row stores code 0 ('A') and its
  * position is kept as `primary_`; occ() subtracts the phantom 'A' and

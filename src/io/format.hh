@@ -47,7 +47,7 @@
 namespace exma {
 
 /** Bumped on any on-disk layout change (see the policy above). */
-constexpr u32 kFormatVersion = 5;
+constexpr u32 kFormatVersion = 6;
 
 /** Value of FileHeader::endian on a little-endian writer. */
 constexpr u32 kEndianTag = 0x01020304;

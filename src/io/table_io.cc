@@ -156,8 +156,6 @@ saveTableFiles(const ExmaTable &table, const std::string &stem)
         const FmIndex &fm = table.fmIndex();
         FileBuilder fb(kMagicSa);
         BlobWriter w;
-        w.putU32(fm.config().occ_sample);
-        w.putU32(fm.config().sa_sample);
         w.putU64(fm.size());
         for (const u64 c : fm.countArray())
             w.putU64(c);
@@ -280,8 +278,6 @@ loadTableFiles(const std::string &stem)
         const std::vector<u8> blob = sa.readBlob(kSaMeta);
         BlobReader r(blob, sa_path);
         FmIndex::Restored rf;
-        rf.cfg.occ_sample = r.getU32();
-        rf.cfg.sa_sample = r.getU32();
         rf.n_rows = r.getU64();
         for (u64 &c : rf.count)
             c = r.getU64();

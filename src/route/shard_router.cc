@@ -24,6 +24,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Queries per chunk of the merge's dedup/cap pass, at full pool width. */
+constexpr u64 kDedupGrain = 16;
+
 void
 checkQueries(const ShardPlan &plan,
              const std::vector<std::vector<Base>> &queries)
@@ -338,7 +341,7 @@ ShardRouter::totalRows() const
 
 RoutedResult
 ShardRouter::search(const std::vector<std::vector<Base>> &queries,
-                    const BatchConfig &cfg) const
+                    u64 locate_limit) const
 {
     checkQueries(plan_, queries);
 
@@ -419,7 +422,7 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
                     ? Clock::now() + std::chrono::milliseconds(fo.hedge_ms)
                     : Clock::time_point::max();
         c.last = w;
-        WorkerRequest req{QueryBatchView::borrow(batch, c.ids), cfg};
+        WorkerRequest req{QueryBatchView::borrow(batch, c.ids), {}};
         auto done = [queue, i](WorkerResponse r) {
             queue->push(i, std::move(r));
         };
@@ -529,23 +532,20 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
     // shard and no cap applies (single-shard hits are already sorted
     // and duplicate-free), which is the routed fast path.
     const bool broadcast = out.broadcast_queries > 0;
-    if (broadcast || cfg.locate_limit > 0) {
-        const u64 grain = std::max<u64>(cfg.grain, 1);
-        parallelFor(
-            queries.size(), grain,
-            [&](u64 begin, u64 end, unsigned) {
-                for (u64 i = begin; i < end; ++i) {
-                    auto &h = out.hits[i];
-                    if (broadcast) {
-                        std::sort(h.begin(), h.end());
-                        h.erase(std::unique(h.begin(), h.end()),
-                                h.end());
-                    }
-                    if (cfg.locate_limit && h.size() > cfg.locate_limit)
-                        h.resize(cfg.locate_limit);
-                }
-            },
-            cfg.threads);
+    if (broadcast || locate_limit > 0) {
+        parallelFor(queries.size(), kDedupGrain,
+                    [&](u64 begin, u64 end, unsigned) {
+                        for (u64 i = begin; i < end; ++i) {
+                            auto &h = out.hits[i];
+                            if (broadcast) {
+                                std::sort(h.begin(), h.end());
+                                h.erase(std::unique(h.begin(), h.end()),
+                                        h.end());
+                            }
+                            if (locate_limit && h.size() > locate_limit)
+                                h.resize(locate_limit);
+                        }
+                    });
     }
     const auto t1 = Clock::now();
 

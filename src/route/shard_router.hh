@@ -307,9 +307,10 @@ class ShardRouter
      * every shard for a text plan) through the replica tier, and merge
      * into global positions.
      * Queries must be non-empty and no longer than
-     * plan().maxQueryLen(). cfg.locate_limit applies globally after
-     * the merge (the lowest positions survive), never per shard,
-     * which would keep a shard-count-dependent subset.
+     * plan().maxQueryLen(). @p locate_limit caps each query's hits
+     * (0 = no cap); it applies globally after the merge (the lowest
+     * positions survive), never per shard, which would keep a
+     * shard-count-dependent subset.
      *
      * Failover contract: a shard call that fails (worker down, thrown
      * exception, corrupt canary) is retried on a different replica up
@@ -329,7 +330,7 @@ class ShardRouter
      * failover counts are the same either way.
      */
     RoutedResult search(const std::vector<std::vector<Base>> &queries,
-                        const BatchConfig &cfg = {}) const;
+                        u64 locate_limit = 0) const;
 
     /** One query: sorted global match positions; stats merged if given. */
     std::vector<u64> findAll(const std::vector<Base> &query,

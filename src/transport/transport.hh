@@ -97,13 +97,18 @@
 
 namespace exma {
 
-/** One unit of worker work: serve the batch with these knobs. */
+/** One unit of worker work: serve this batch. */
 struct WorkerRequest
 {
     /** The queries to serve plus their router-side ids. */
     QueryBatchView batch;
-    /** Per-request search knobs (threads are forced to 1: the
-     *  worker's parallelism is the worker, cross-shard). */
+    /**
+     * Unread: no worker reads it and the wire does not carry it, since
+     * a lane builds its own BatchConfig (one thread, locate on, no
+     * cap). It stays only because the serving benchmark (servebench/)
+     * aggregate-initialises requests with two members, and leaves
+     * together with those initialisers.
+     */
     BatchConfig cfg;
 };
 

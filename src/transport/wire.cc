@@ -18,7 +18,7 @@ namespace {
 // src/io/format_abi.lock; a drift here is a router/worker wire break.
 static_assert(sizeof(FrameHeader) == 32, "wire ABI drift");
 static_assert(std::is_trivially_copyable_v<FrameHeader>);
-static_assert(sizeof(WireRequestHead) == 24, "wire ABI drift");
+static_assert(sizeof(WireRequestHead) == 16, "wire ABI drift");
 static_assert(std::is_trivially_copyable_v<WireRequestHead>);
 static_assert(sizeof(WireResponseHead) == 64, "wire ABI drift");
 static_assert(std::is_trivially_copyable_v<WireResponseHead>);
@@ -82,7 +82,6 @@ encodeRequest(const WorkerRequest &req)
                 "request batch of %zu queries is too large to frame",
                 req.batch.size());
     head.n_queries = static_cast<u32>(req.batch.size());
-    head.grain = req.cfg.grain;
     head.total_bases = req.batch.totalBases();
     w.putPod<WireRequestHead>(head);
     for (size_t j = 0; j < req.batch.size(); ++j) {
@@ -137,7 +136,6 @@ decodeRequest(std::span<const u8> body, int fd)
         r.finish();
         WorkerRequest req;
         req.batch = QueryBatchView::own(std::move(queries), std::move(ids));
-        req.cfg.grain = head.grain;
         return req;
     } catch (const LoadError &e) {
         throw TransportError(e.what(), fd, r.pos());

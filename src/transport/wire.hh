@@ -105,7 +105,6 @@ struct WireRequestHead
 {
     u32 n_queries = 0;
     u32 reserved0 = 0;
-    u64 grain = 0;       ///< BatchConfig::grain
     u64 total_bases = 0; ///< cross-check over all packed queries
 };
 

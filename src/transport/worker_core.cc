@@ -41,13 +41,13 @@ searchShard(const ShardState &st, const WorkerRequest &req,
                 "query " + std::to_string(out.ids[j]) + " is empty");
 
     if (st.table) {
-        BatchConfig cfg = req.cfg;
+        // A fresh config: nothing a request carries shapes a lane's
+        // search. Caps are the router's job, applied after the
+        // cross-shard merge (a per-shard cap would keep a
+        // shard-dependent subset), so locate_limit stays 0.
+        BatchConfig cfg;
         cfg.threads = 1; // the worker thread IS the execution lane
         cfg.locate = true;
-        cfg.per_query_stats = false;
-        // Caps are the router's job, applied after the cross-shard
-        // merge; a per-shard cap would keep a shard-dependent subset.
-        cfg.locate_limit = 0;
         // Liveness per kLaneSlice queries and per kLaneSlice located
         // rows: the supervisor reads this to tell "slow batch" from
         // "hung worker".

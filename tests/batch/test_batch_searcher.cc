@@ -6,7 +6,6 @@
 #include "batch/batch_searcher.hh"
 #include "common/inflight.hh"
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "genome/reads.hh"
 #include "genome/reference.hh"
 
@@ -132,39 +131,21 @@ TEST(BatchSearcher, AllOccModesMatchSequential)
     }
 }
 
-TEST(BatchSearcher, PerThreadStatsMergeToTotal)
-{
-    BatchConfig cfg;
-    cfg.threads = 8;
-    cfg.grain = 3;
-    const auto qs = randomQueries(200, 13);
-    const BatchResult r = BatchSearcher(mtlTable(), cfg).search(qs);
-    SearchStats merged;
-    for (const SearchStats &s : r.per_thread)
-        merged += s;
-    EXPECT_EQ(merged, r.stats);
-    EXPECT_EQ(r.per_thread.size(), parallelForSlots(8));
-}
-
 TEST(BatchSearcher, PerQueryStatsSumToTotal)
 {
     BatchConfig cfg;
     cfg.threads = 2;
-    cfg.per_query_stats = true;
     const auto qs = randomQueries(150, 21);
     const ExmaTable &table = mtlTable();
     const BatchResult r = BatchSearcher(table, cfg).search(qs);
-    ASSERT_EQ(r.per_query.size(), qs.size());
+    // Each query's lone search, summed, is the batch's total.
     SearchStats sum;
-    for (const SearchStats &s : r.per_query)
-        sum += s;
-    EXPECT_EQ(sum, r.stats);
-    // And each per-query record equals a lone sequential search.
-    for (size_t i = 0; i < qs.size(); i += 37) {
+    for (const auto &q : qs) {
         SearchStats lone;
-        table.search(qs[i], &lone);
-        EXPECT_EQ(r.per_query[i], lone) << "i=" << i;
+        table.search(q, &lone);
+        sum += lone;
     }
+    EXPECT_EQ(sum, r.stats);
 }
 
 TEST(BatchSearcher, LocateResolvesIntervalsToSortedPositions)
@@ -224,8 +205,8 @@ TEST(BatchSearcher, SubsetSearchAlignsResultsWithIds)
     const auto qs = randomQueries(60, 9);
     BatchConfig cfg;
     cfg.locate = true;
-    cfg.per_query_stats = true;
-    const BatchSearcher searcher(mtlTable(), cfg);
+    const ExmaTable &table = mtlTable();
+    const BatchSearcher searcher(table, cfg);
     const BatchResult full = searcher.search(qs);
 
     // Scattered, unordered, with a duplicate.
@@ -235,18 +216,15 @@ TEST(BatchSearcher, SubsetSearchAlignsResultsWithIds)
     ASSERT_EQ(sub.intervals.size(), ids.size());
     ASSERT_EQ(sub.positions.size(), ids.size());
     u64 bases = 0;
+    SearchStats merged;
     for (size_t j = 0; j < ids.size(); ++j) {
         EXPECT_EQ(sub.intervals[j], full.intervals[ids[j]]) << "j=" << j;
         EXPECT_EQ(sub.positions[j], full.positions[ids[j]]) << "j=" << j;
-        EXPECT_EQ(sub.per_query[j], full.per_query[ids[j]]) << "j=" << j;
         bases += qs[ids[j]].size();
+        table.search(qs[ids[j]], &merged);
     }
     EXPECT_EQ(sub.bases, bases);
-
-    // Per-id stats sum to the subset total.
-    SearchStats merged;
-    for (const SearchStats &s : sub.per_query)
-        merged += s;
+    // The subset total counts each id once, duplicates included.
     EXPECT_EQ(merged, sub.stats);
 }
 
@@ -373,7 +351,6 @@ expectMatchesOracles(const ExmaTable &table,
 {
     ASSERT_EQ(r.intervals.size(), ids.size()) << what;
     ASSERT_EQ(r.positions.size(), ids.size()) << what;
-    ASSERT_EQ(r.per_query.size(), ids.size()) << what;
     SearchStats total;
     for (size_t j = 0; j < ids.size(); ++j) {
         const std::vector<Base> &q = qs[ids[j]];
@@ -386,10 +363,7 @@ expectMatchesOracles(const ExmaTable &table,
             EXPECT_EQ(r.intervals[j], expect) << what << " j=" << j;
         }
         EXPECT_EQ(r.positions[j], hits[ids[j]]) << what << " j=" << j;
-        SearchStats lone;
-        table.search(q, &lone);
-        EXPECT_EQ(r.per_query[j], lone) << what << " j=" << j;
-        total += r.per_query[j];
+        table.search(q, &total);
     }
     EXPECT_EQ(r.stats, total) << what;
 }
@@ -408,7 +382,6 @@ TEST(StagedSearch, BatchSizesAndGrainsAroundTheRingWidth)
             cfg.threads = 2;
             cfg.grain = grain;
             cfg.locate = true;
-            cfg.per_query_stats = true;
             std::vector<u32> ids(n);
             for (u32 j = 0; j < n; ++j)
                 ids[j] = j;
@@ -443,7 +416,6 @@ TEST(StagedSearch, EveryOccModeWithDuplicateIds)
         cfg.threads = 2; // pooled: `grain` still cuts chunks
         cfg.grain = 2 * kW;
         cfg.locate = true;
-        cfg.per_query_stats = true;
         const BatchResult r = BatchSearcher(table, cfg).search(qs, ids);
         expectMatchesOracles(
             table, qs, naiveHitsOfAll(ref, qs), ids, r,
@@ -462,13 +434,12 @@ TEST(StagedSearch, EngineCallMatchesLoneSearches)
         chunk.push_back(&q);
     chunk[kW] = chunk[0];
     std::vector<Interval> ivs(chunk.size());
-    std::vector<SearchStats> stats(chunk.size(), SearchStats{99, 0, 0, 0, 0});
+    SearchStats stats{99, 0, 0, 0, 0};
     table.search(chunk, ivs, stats);
-    for (size_t j = 0; j < chunk.size(); ++j) {
-        SearchStats lone;
-        EXPECT_EQ(ivs[j], table.search(*chunk[j], &lone)) << "j=" << j;
-        EXPECT_EQ(stats[j], lone) << "j=" << j; // overwritten, not added
-    }
+    SearchStats expect{99, 0, 0, 0, 0}; // added to, not overwritten
+    for (size_t j = 0; j < chunk.size(); ++j)
+        EXPECT_EQ(ivs[j], table.search(*chunk[j], &expect)) << "j=" << j;
+    EXPECT_EQ(stats, expect);
 }
 
 /** A reference and queries whose intervals hold hundreds of rows. */
@@ -523,7 +494,6 @@ TEST(StagedSearch, RepeatRichIntervalsRefillTheLocateRing)
     cfg.threads = 2; // pooled: `grain` still cuts chunks
     cfg.grain = kW + 1;
     cfg.locate = true;
-    cfg.per_query_stats = true;
     const BatchResult r = BatchSearcher(rr.table, cfg).search(rr.qs, ids);
     u64 most = 0;
     for (const auto &pos : r.positions)
@@ -582,7 +552,6 @@ laneRun(const ExmaTable &table, const std::vector<std::vector<Base>> &qs,
     cfg.threads = 1;
     cfg.grain = grain;
     cfg.locate = true;
-    cfg.per_query_stats = true;
     cfg.progress = [&ticks] { ++ticks; };
     BatchResult r = BatchSearcher(table, cfg).search(qs, ids);
     return {std::move(r), ticks};
@@ -611,7 +580,6 @@ TEST(StagedSearch, LaneRunsFullSlicesWhateverTheGrain)
         const std::string what = "grain=" + std::to_string(grain);
         EXPECT_EQ(r.intervals, first.intervals) << what;
         EXPECT_EQ(r.positions, first.positions) << what;
-        EXPECT_EQ(r.per_query, first.per_query) << what;
         EXPECT_EQ(r.stats, first.stats) << what;
         EXPECT_EQ(ticks, first_ticks) << what;
     }

@@ -187,49 +187,15 @@ TEST(FmIndex, TraceRecordsTwoRowsPerIteration)
     fm.search(q, &trace);
     EXPECT_LE(trace.occ_rows.size(), 2 * q.size());
     EXPECT_EQ(trace.occ_rows.size() % 2, 0u);
-}
-
-struct FmConfigCase
-{
-    u32 occ_sample;
-    u32 sa_sample;
-};
-
-class FmIndexConfigTest : public ::testing::TestWithParam<FmConfigCase>
-{
-};
-
-TEST_P(FmIndexConfigTest, SearchAndLocateUnaffectedBySampling)
-{
-    auto ref = randomSeq(1500, 61);
-    FmIndex::Config cfg;
-    cfg.occ_sample = GetParam().occ_sample;
-    cfg.sa_sample = GetParam().sa_sample;
-    FmIndex fm(ref, cfg);
-    FmIndex fm_ref(ref); // default config as the oracle
-    Rng rng(62);
-    for (int t = 0; t < 40; ++t) {
-        const u64 len = 3 + rng.below(15);
-        const u64 pos = rng.below(ref.size() - len);
-        std::vector<Base> q(ref.begin() + static_cast<std::ptrdiff_t>(pos),
-                            ref.begin() +
-                                static_cast<std::ptrdiff_t>(pos + len));
-        auto a = fm.search(q);
-        auto b = fm_ref.search(q);
-        EXPECT_EQ(a, b);
-        auto la = fm.locateAll(a);
-        auto lb = fm_ref.locateAll(b);
-        std::sort(la.begin(), la.end());
-        std::sort(lb.begin(), lb.end());
-        EXPECT_EQ(la, lb);
+    // Each iteration records the rank blocks of the interval it
+    // extends: both ends in 64-row blocks.
+    Interval iv = fm.fullInterval();
+    for (size_t t = 0; t < trace.occ_rows.size(); t += 2) {
+        EXPECT_EQ(trace.occ_rows[t], iv.low / 64) << "t=" << t;
+        EXPECT_EQ(trace.occ_rows[t + 1], iv.high / 64) << "t=" << t;
+        iv = fm.extend(iv, q[q.size() - 1 - t / 2]);
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Configs, FmIndexConfigTest,
-    ::testing::Values(FmConfigCase{1, 1}, FmConfigCase{3, 5},
-                      FmConfigCase{16, 8}, FmConfigCase{64, 32},
-                      FmConfigCase{192, 64}));
 
 } // namespace
 } // namespace exma

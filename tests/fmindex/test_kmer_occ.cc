@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/branchless.hh"
 #include "common/dna.hh"
@@ -148,60 +149,95 @@ TEST(KmerOccTable, DistinctKmersCounted)
 }
 
 /**
- * The chunked pool-parallel construction must produce a table
- * bit-identical to the serial build at any width. (Named so the TSan
- * CI job's -R filter picks these suites up.)
+ * A reference of @p len bases: random stretches around a 20000-base
+ * homopolymer and a 7-base unit repeated 3000 times, whose k-mers have
+ * thousands of rows each, so their increment lists cross any chunk
+ * boundary of the build.
  */
-class KmerOccParallelBuildTest : public ::testing::TestWithParam<unsigned>
+std::vector<Base>
+chunkCrossingRef(u64 len, u64 seed)
+{
+    Rng rng(seed);
+    std::vector<Base> ref;
+    auto random = [&](u64 n) {
+        for (u64 i = 0; i < n; ++i)
+            ref.push_back(static_cast<Base>(rng.below(4)));
+    };
+    random(len / 5);
+    ref.insert(ref.end(), 20000, Base{0});
+    random(len / 7);
+    const std::vector<Base> unit = {1, 3, 0, 2, 2, 1, 3};
+    for (int copy = 0; copy < 3000; ++copy)
+        ref.insert(ref.end(), unit.begin(), unit.end());
+    random(len - ref.size());
+    return ref;
+}
+
+/**
+ * The build at k = GetParam() against naiveWindow, which shares no code
+ * with it, over references of at least 2^16 rows, so the build takes
+ * at least two chunks on any host (the global pool has a worker per
+ * hardware thread plus the caller). The two lengths put the chunk
+ * boundaries in different places. The file's tests carry the
+ * concurrency label, so the TSan job (ctest -L concurrency) runs them.
+ */
+class KmerOccParallelBuildTest : public ::testing::TestWithParam<int>
 {
 };
 
-TEST_P(KmerOccParallelBuildTest, MatchesSerialBuild)
+TEST_P(KmerOccParallelBuildTest, MatchesNaiveWindows)
 {
-    const unsigned threads = GetParam();
-    auto ref = randomSeq(30000, 77);
-    auto sa = buildSuffixArray(ref);
-    for (int k : {2, 6}) {
-        const KmerOccTable serial(ref, sa, k, 1);
-        const KmerOccTable parallel(ref, sa, k, threads);
-        EXPECT_TRUE(std::ranges::equal(parallel.baseArray(),
-                                       serial.baseArray()))
-            << "k=" << k << " threads=" << threads;
-        EXPECT_TRUE(std::ranges::equal(parallel.allIncrements(),
-                                       serial.allIncrements()))
-            << "k=" << k << " threads=" << threads;
-        EXPECT_EQ(parallel.distinctKmers(), serial.distinctKmers());
-        Rng rng(78);
-        for (int t = 0; t < 200; ++t) {
-            std::vector<Base> q(static_cast<size_t>(k));
-            for (auto &b : q)
-                b = static_cast<Base>(rng.below(4));
-            const Kmer code = packKmer(q.data(), k);
-            const u64 row = rng.below(serial.rows() + 1);
-            ASSERT_EQ(parallel.occ(code, row).rank,
-                      serial.occ(code, row).rank);
-            ASSERT_EQ(parallel.countBefore(code),
-                      serial.countBefore(code));
+    const int k = GetParam();
+    for (const u64 len : {u64{70001}, u64{99991}}) {
+        const auto ref = chunkCrossingRef(len, len);
+        ASSERT_EQ(ref.size(), len);
+        const auto sa = buildSuffixArray(ref);
+        const KmerOccTable tab(ref, sa, k);
+
+        // Expected increments per pure k-mer, and every window (the k
+        // sentinel ones too) as a base-5 number, $ = 0 smallest.
+        std::vector<std::vector<u32>> rows(kmerSpace(k));
+        std::vector<u64> windows;
+        for (u64 r = 0; r < sa.size(); ++r) {
+            const std::vector<u8> w = naiveWindow(ref, sa, r, k);
+            u64 code5 = 0;
+            for (const u8 sym : w)
+                code5 = code5 * 5 + sym;
+            windows.push_back(code5);
+            if (std::ranges::find(w, u8{0}) != w.end())
+                continue;
+            std::vector<Base> bases(w.size());
+            for (size_t j = 0; j < w.size(); ++j)
+                bases[j] = static_cast<Base>(w[j] - 1);
+            rows[packKmer(bases.data(), k)].push_back(static_cast<u32>(r));
         }
+        std::ranges::sort(windows);
+
+        u64 distinct = 0;
+        for (Kmer m = 0; m < kmerSpace(k); ++m) {
+            const std::string what =
+                "len=" + std::to_string(len) + " k=" + std::to_string(k) +
+                " kmer=" + std::to_string(m);
+            ASSERT_EQ(tab.frequency(m), rows[m].size()) << what;
+            ASSERT_TRUE(std::ranges::equal(tab.increments(m), rows[m]))
+                << what;
+            std::vector<Base> bases(static_cast<size_t>(k));
+            unpackKmer(m, k, bases.data());
+            u64 code5 = 0;
+            for (const Base b : bases)
+                code5 = code5 * 5 + b + 1;
+            const auto below = std::ranges::lower_bound(windows, code5);
+            ASSERT_EQ(tab.countBefore(m),
+                      static_cast<u64>(below - windows.begin()))
+                << what;
+            distinct += !rows[m].empty();
+        }
+        EXPECT_EQ(tab.distinctKmers(), distinct) << "len=" << len;
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, KmerOccParallelBuildTest,
-                         ::testing::Values(2u, 3u, 8u));
-
-TEST(KmerOccParallelBuild, AutoPolicyMatchesSerialAboveThreshold)
-{
-    // 70000 rows crosses the automatic-parallelism threshold; the
-    // default-built table must still equal the forced-serial one.
-    auto ref = randomSeq(70000, 79);
-    auto sa = buildSuffixArray(ref);
-    const KmerOccTable serial(ref, sa, 5, 1);
-    const KmerOccTable automatic(ref, sa, 5);
-    EXPECT_TRUE(std::ranges::equal(automatic.baseArray(),
-                                   serial.baseArray()));
-    EXPECT_TRUE(std::ranges::equal(automatic.allIncrements(),
-                                   serial.allIncrements()));
-}
+INSTANTIATE_TEST_SUITE_P(Ks, KmerOccParallelBuildTest,
+                         ::testing::Values(2, 5, 8));
 
 /** An Exact-mode EXMA table over @p ref: the k-step FM-Index. */
 ExmaTable

@@ -338,13 +338,14 @@ fixedBases(size_t n, u64 seed)
 // The layout lock freezes struct layouts, not the bodies built from
 // them: a change to the bit order inside a packed word, a field order
 // or a length width passes every round trip. These hashes were taken
-// from the format-5 writers with format 5's fnv1aWords (the bodies are
-// format 4's: version 5 changed only the checksum, which the .sa
-// checksum and the .occ meta blob carry); a body change must bump
-// kFormatVersion and recapture them.
+// from the format-6 writers. Version 6 dropped the request head's
+// grain and the .sa meta's two sampling fields, so the request body,
+// the .sa checksum and the .occ meta blob (which records that
+// checksum) changed; the response and scan-text bodies are format 5's.
+// A body change must bump kFormatVersion and recapture them.
 TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
 {
-    EXPECT_EQ(kFormatVersion, 5u);
+    EXPECT_EQ(kFormatVersion, 6u);
 
     // Query lengths on both sides of the 32-base word edges.
     std::vector<std::vector<Base>> queries;
@@ -353,8 +354,7 @@ TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
         queries.push_back(fixedBases(len, seed++));
     WorkerRequest req;
     req.batch = QueryBatchView::own(std::move(queries), {9, 0, 4, 2, 7});
-    req.cfg.grain = 5;
-    EXPECT_EQ(fnv1aWords(encodeRequest(req)), 0xb38d5564c1751076ULL);
+    EXPECT_EQ(fnv1aWords(encodeRequest(req)), 0x68b32626fa10d657ULL);
 
     WorkerResponse ok;
     ok.ids = {3, 1, 8};
@@ -389,9 +389,9 @@ TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
     saveTableFiles(ExmaTable(fixedBases(4096, 9), tcfg), dir + "/table");
     const MappedFile sa_file(dir + "/table" + kExtSa);
     const MappedFile occ_file(dir + "/table" + kExtOcc);
-    EXPECT_EQ(FileView(sa_file, kMagicSa).checksum(), 0x8c02dec9c1be752dULL);
+    EXPECT_EQ(FileView(sa_file, kMagicSa).checksum(), 0xb2c53dd3fda41f79ULL);
     EXPECT_EQ(fnv1aWords(FileView(occ_file, kMagicOcc).readBlob(1)),
-              0x4f51132cf8348b08ULL);
+              0xde9996ddfd9d91ceULL);
 }
 
 // --- single-table round trips -------------------------------------------
@@ -560,8 +560,6 @@ TEST(IndexRoundTripTest, MonoDirectory)
     const ExmaTable::Config &lc = loaded.router->config().table;
     EXPECT_EQ(lc.k, cfg.table.k);
     EXPECT_EQ(lc.mode, cfg.table.mode);
-    EXPECT_EQ(lc.fm.sa_sample, cfg.table.fm.sa_sample);
-    EXPECT_EQ(lc.fm.occ_sample, cfg.table.fm.occ_sample);
     const auto queries = refQueries(40, 32);
     const RoutedResult rb = built.search(queries);
     const RoutedResult rl = loaded.router->search(queries);

@@ -100,9 +100,7 @@ TEST(ShardRouter, RoutedHitSetMatchesMonolithOnAllDatasets)
 
             const auto qs = queryMix(ds.ref, plan.prefixLen(),
                                      7 + n_shards);
-            BatchConfig bc;
-            bc.grain = 3;
-            const RoutedResult r = router.search(qs, bc);
+            const RoutedResult r = router.search(qs);
             ASSERT_EQ(r.hits.size(), qs.size());
             EXPECT_EQ(r.routed_queries, qs.size());
             EXPECT_EQ(r.broadcast_queries, 0u);
@@ -382,9 +380,7 @@ TEST(ShardRouter, LocateLimitAppliesGloballyAfterMerge)
                         ds.ref.begin() +
                             static_cast<std::ptrdiff_t>(pos + 6));
     }
-    BatchConfig bc;
-    bc.locate_limit = 3;
-    const RoutedResult r = router.search(qs, bc);
+    const RoutedResult r = router.search(qs, 3);
     bool saw_capped = false;
     for (size_t i = 0; i < qs.size(); ++i) {
         const auto full = singleTableHits(single, qs[i]);

@@ -111,10 +111,7 @@ TEST(ShardedExmaTable, HitSetMatchesSingleTableOnAllDatasets)
             ASSERT_EQ(router.shardCount(), plan.size());
 
             const auto qs = queryMix(ds.ref, plan, 7 + n_shards);
-            BatchConfig bc;
-            bc.threads = 4;
-            bc.grain = 3;
-            const RoutedResult r = router.search(qs, bc);
+            const RoutedResult r = router.search(qs);
             ASSERT_EQ(r.hits.size(), qs.size());
             // No routing prefix: every query goes to every shard.
             EXPECT_EQ(r.broadcast_queries,
@@ -281,9 +278,7 @@ TEST(ShardedExmaTable, LocateLimitAppliesGloballyAfterMerge)
         qs.emplace_back(ds.ref.begin() + static_cast<std::ptrdiff_t>(pos),
                         ds.ref.begin() + static_cast<std::ptrdiff_t>(pos + 6));
     }
-    BatchConfig bc;
-    bc.locate_limit = 3;
-    const RoutedResult r = router.search(qs, bc);
+    const RoutedResult r = router.search(qs, 3);
     bool saw_capped = false;
     for (size_t i = 0; i < qs.size(); ++i) {
         const auto full = singleTableHits(single, qs[i]);

@@ -97,10 +97,8 @@ TEST(SocketRouter, RoutedHitsAndStatsMatchInProcessAndMonolith)
         ASSERT_EQ(socket.transportKind(), TransportKind::Socket);
 
         const auto qs = queryMix(ds.ref, plan.prefixLen(), 7 + n_shards);
-        BatchConfig bc;
-        bc.grain = 3;
-        const RoutedResult expect = inproc.search(qs, bc);
-        const RoutedResult got = socket.search(qs, bc);
+        const RoutedResult expect = inproc.search(qs);
+        const RoutedResult got = socket.search(qs);
 
         ASSERT_EQ(got.hits.size(), qs.size());
         EXPECT_EQ(got.degraded_queries, 0u)

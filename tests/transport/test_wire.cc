@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -36,7 +37,6 @@ sampleRequest()
     }
     WorkerRequest req;
     req.batch = QueryBatchView::own(std::move(queries), std::move(ids));
-    req.cfg.grain = 11;
     return req;
 }
 
@@ -54,7 +54,7 @@ sampleResponse()
     return resp;
 }
 
-TEST(Wire, RequestRoundTripPreservesQueriesIdsAndGrain)
+TEST(Wire, RequestRoundTripPreservesQueriesAndIds)
 {
     const WorkerRequest req = sampleRequest();
     const std::vector<u8> body = encodeRequest(req);
@@ -64,19 +64,16 @@ TEST(Wire, RequestRoundTripPreservesQueriesIdsAndGrain)
     for (size_t j = 0; j < req.batch.size(); ++j)
         EXPECT_EQ(back.batch.query(j), req.batch.query(j))
             << "query " << j;
-    EXPECT_EQ(back.cfg.grain, req.cfg.grain);
     EXPECT_EQ(back.batch.totalBases(), req.batch.totalBases());
 }
 
 TEST(Wire, EmptyRequestRoundTrip)
 {
-    WorkerRequest req;
-    req.cfg.grain = 4;
+    const WorkerRequest req;
     const std::vector<u8> body = encodeRequest(req);
     EXPECT_EQ(body.size(), sizeof(WireRequestHead));
     const WorkerRequest back = decodeRequest(body, -1);
     EXPECT_TRUE(back.batch.empty());
-    EXPECT_EQ(back.cfg.grain, 4u);
 }
 
 TEST(Wire, BorrowedAndOwnedRequestsEncodeIdentically)
@@ -149,7 +146,7 @@ TEST(Wire, RequestDecodeRejectsCorruptCounts)
 
     // The total_bases cross-check catches a flipped count.
     std::vector<u8> mismatch = good;
-    mismatch[16] ^= 1; // WireRequestHead::total_bases
+    mismatch[offsetof(WireRequestHead, total_bases)] ^= 1;
     EXPECT_THROW(decodeRequest(mismatch, -1), TransportError);
 
     // Trailing garbage is an error, not silently ignored.
@@ -298,6 +295,8 @@ TEST(Wire, FrameRejectsBadMagicVersionSkewTypeAndCanary)
     FrameHeader skew;
     skew.type = kFrameRequest;
     skew.version = kFormatVersion + 1;
+    expectRefused(skew, {});
+    skew.version = kFormatVersion - 1; // a worker one format older
     expectRefused(skew, {});
 
     FrameHeader bad_type;
