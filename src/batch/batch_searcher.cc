@@ -34,17 +34,23 @@ BatchSearcher::search(const std::vector<std::vector<Base>> &queries,
 namespace {
 
 /**
+ * Queries per dynamically claimed chunk of a pooled run: small enough
+ * to balance the threads, large enough to keep a ring of kInFlight
+ * searches busy for most of the chunk.
+ */
+constexpr u64 kPoolGrain = 16;
+
+/**
  * Resolve one searched chunk's intervals to hit lists. Every row the
  * chunk's intervals hold goes on rings of LF walks
  * (ExmaTable::locateRows) of up to kLaneSlice rows, with a
  * @p progress tick after each, so a chunk whose short queries locate
  * thousands of hits still shows movement; then each query's share is
- * finished by ExmaTable::globalHits, which keeps the lowest @p limit
- * global positions.
+ * finished by ExmaTable::globalHits.
  */
 void
 locateChunk(const ExmaTable &table, std::span<const Interval> ivs,
-            u64 limit, std::span<std::vector<u64>> hits,
+            std::span<std::vector<u64>> hits,
             const std::function<void()> &progress)
 {
     std::vector<u64> rows;
@@ -62,7 +68,7 @@ locateChunk(const ExmaTable &table, std::span<const Interval> ivs,
         const auto last = first + static_cast<std::ptrdiff_t>(ivs[j].count());
         hits[j].assign(first, last);
         first = last;
-        table.globalHits(hits[j], limit);
+        table.globalHits(hits[j]);
     }
 }
 
@@ -80,12 +86,10 @@ BatchSearcher::run(const std::vector<std::vector<Base>> &queries,
     std::vector<SearchStats> per_slot(slots);
     if (cfg_.locate)
         out.positions.resize(n);
-    const u64 locate_limit = cfg_.locate_limit ? cfg_.locate_limit
-                                               : ~u64{0};
 
     // A lone participant has no thread to balance: it runs the batch
     // as kLaneSlice-query slices, so its rings stay full.
-    const u64 grain = slots == 1 ? kLaneSlice : cfg_.grain;
+    const u64 grain = slots == 1 ? kLaneSlice : kPoolGrain;
 
     const auto t0 = std::chrono::steady_clock::now();
     parallelFor(
@@ -103,7 +107,7 @@ BatchSearcher::run(const std::vector<std::vector<Base>> &queries,
             table_.search(chunk, ivs, chunk_stats);
             per_slot[slot] += chunk_stats;
             if (cfg_.locate)
-                locateChunk(table_, ivs, locate_limit,
+                locateChunk(table_, ivs,
                             std::span(out.positions).subspan(begin, m),
                             cfg_.progress);
             if (cfg_.progress)

@@ -22,16 +22,17 @@
  *     rank blocks) while the others' prefetches land;
  *  2. locate: the rows the chunk's intervals need go on rings of
  *     kInFlight LF walks (ExmaTable::locateRows), kLaneSlice rows per
- *     call, then each query's share is translated, sorted and capped
- *     (ExmaTable::globalHits).
+ *     call, then each query's share is translated and sorted
+ *     (ExmaTable::globalHits). Every hit is kept: a cap is the
+ *     router's, applied after its cross-shard merge.
  *
  * A chunk's size follows the participant count. A run with one
  * participant (threads = 1: every serving lane, in process or in
  * exma-worker) has no thread to balance, so its chunks are
  * kLaneSlice-query slices and both rings stay full until a slice's last
- * kInFlight searches. A pooled run claims `grain`-query chunks from a
+ * kInFlight searches. A pooled run claims 16-query chunks from a
  * shared cursor: that balances its threads, and each chunk's rings
- * drain to one job every `grain` queries.
+ * drain to one job every 16 queries.
  *
  * A one-query chunk runs the same stages with nothing to overlap, so
  * the search is sequential plus a prefetch per stage. The width is the
@@ -66,15 +67,9 @@ struct BatchConfig
     /** Worker width: 0 = all hardware threads, 1 = sequential. */
     unsigned threads = 0;
     /**
-     * Queries per dynamically claimed chunk of a pooled run
-     * (parallelForSlots(threads) > 1). A one-participant run ignores
-     * it and runs kLaneSlice-query slices.
-     */
-    u64 grain = 16;
-    /**
      * Liveness hook: called after every kLaneSlice located rows and
      * once per completed chunk (a kLaneSlice-query slice with one
-     * participant, `grain` queries when pooled), from whichever thread
+     * participant, 16 queries when pooled), from whichever thread
      * ran it. ShardWorker points this at its heartbeat counter so the
      * WorkerSupervisor can tell a legitimately slow batch (heartbeat
      * advancing) from a hung one (heartbeat frozen). Must be cheap
@@ -82,20 +77,13 @@ struct BatchConfig
      */
     std::function<void()> progress;
     /**
-     * Also resolve each query's interval to global text positions
-     * (BatchResult::positions, sorted ascending), as locateAllGlobal
-     * does. This is what sharded serving needs: row intervals of
-     * different shard tables are not comparable, text positions are.
+     * Also resolve each query's interval to all its global text
+     * positions (BatchResult::positions, sorted ascending), as
+     * locateAllGlobal does. This is what sharded serving needs: row
+     * intervals of different shard tables are not comparable, text
+     * positions are.
      */
     bool locate = false;
-    /**
-     * Cap on located positions per query; 0 = unlimited. Every row of
-     * an interval is located and the lowest `locate_limit` global
-     * positions are kept (ExmaTable::locateAllGlobal), so the kept
-     * subset does not depend on the index. ShardRouter::search applies
-     * its cap after the cross-shard merge instead.
-     */
-    u64 locate_limit = 0;
 };
 
 /** Outcome of one batch: index-aligned with the input queries. */
@@ -121,8 +109,6 @@ class BatchSearcher
 {
   public:
     explicit BatchSearcher(const ExmaTable &table, BatchConfig cfg = {});
-
-    const BatchConfig &config() const { return cfg_; }
 
     /** Search every query; wall-clock timed (result.seconds). */
     BatchResult search(const std::vector<std::vector<Base>> &queries) const;

@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <memory>
+#include <thread>
+#include <vector>
+
+#include "common/thread_annotations.hh"
 
 namespace exma {
 
@@ -13,10 +18,52 @@ hardwareThreads()
     return n ? n : 1;
 }
 
-ThreadPool::ThreadPool(unsigned threads)
+namespace {
+
+/**
+ * The process pool: hardwareThreads() workers running submitted tasks
+ * in FIFO order. Its only tasks are parallelFor helpers, and a loop
+ * waits on its own LoopState, never on the pool.
+ */
+class ThreadPool
 {
-    if (threads == 0)
-        threads = hardwareThreads();
+  public:
+    ThreadPool();
+    ~ThreadPool();
+
+    ThreadPool(const ThreadPool &) = delete;
+    ThreadPool &operator=(const ThreadPool &) = delete;
+
+    /**
+     * Number of participant slots a loop may hand out: one per worker
+     * plus one for the calling thread.
+     */
+    unsigned
+    slotCount() const
+    {
+        return static_cast<unsigned>(workers_.size()) + 1;
+    }
+
+    /** Enqueue a fire-and-forget task. */
+    void submit(std::function<void()> task);
+
+    /** The pool (created on first use). */
+    static ThreadPool &global();
+
+  private:
+    void workerLoop();
+
+    Mutex mtx_;
+    CondVar task_ready_;
+    std::deque<std::function<void()>> tasks_ EXMA_GUARDED_BY(mtx_);
+    bool stop_ EXMA_GUARDED_BY(mtx_) = false;
+    /** Declared after the state the workers use. */
+    std::vector<std::thread> workers_;
+};
+
+ThreadPool::ThreadPool()
+{
+    const unsigned threads = hardwareThreads();
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });
@@ -39,20 +86,8 @@ ThreadPool::submit(std::function<void()> task)
     {
         MutexLock lock(mtx_);
         tasks_.push_back(std::move(task));
-        ++unfinished_;
     }
     task_ready_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    // Explicit wait loops (rather than the predicate-lambda overload)
-    // keep the guarded reads inside the annotated function body, where
-    // -Wthread-safety analyses them against the held MutexLock.
-    MutexLock lock(mtx_);
-    while (unfinished_ != 0)
-        idle_.wait(lock);
 }
 
 void
@@ -61,6 +96,10 @@ ThreadPool::workerLoop()
     for (;;) {
         std::function<void()> task;
         {
+            // An explicit wait loop (rather than the predicate-lambda
+            // overload) keeps the guarded reads inside the annotated
+            // function body, where -Wthread-safety analyses them
+            // against the held MutexLock.
             MutexLock lock(mtx_);
             while (!stop_ && tasks_.empty())
                 task_ready_.wait(lock);
@@ -70,15 +109,15 @@ ThreadPool::workerLoop()
             tasks_.pop_front();
         }
         task();
-        {
-            MutexLock lock(mtx_);
-            --unfinished_;
-        }
-        idle_.notify_all();
     }
 }
 
-namespace {
+ThreadPool &
+ThreadPool::global()
+{
+    static ThreadPool pool;
+    return pool;
+}
 
 /**
  * Shared state of one parallelFor invocation. Completion is defined on
@@ -148,13 +187,13 @@ struct LoopState
 };
 
 /**
- * Run [0, n) on @p pool with @p width participant slots total (the
+ * Run [0, n) on the pool with @p width participant slots total (the
  * caller is slot 0, helpers take 1..width-1), then rethrow the first
  * chunk error. The caller claims a chunk itself, so a loop of c chunks
  * wakes at most c - 1 helpers: a one-chunk loop runs on the caller.
  */
 void
-runLoop(ThreadPool &pool, u64 n, u64 grain,
+runLoop(u64 n, u64 grain,
         const std::function<void(u64, u64, unsigned)> &fn, unsigned width)
 {
     auto state = std::make_shared<LoopState>();
@@ -166,7 +205,8 @@ runLoop(ThreadPool &pool, u64 n, u64 grain,
     const unsigned helpers = static_cast<unsigned>(std::min<u64>(
         width > 0 ? width - 1 : 0, state->total_chunks - 1));
     for (unsigned h = 0; h < helpers; ++h)
-        pool.submit([state, slot = h + 1] { state->participate(slot); });
+        ThreadPool::global().submit(
+            [state, slot = h + 1] { state->participate(slot); });
 
     state->participate(0);
     state->waitDone();
@@ -175,22 +215,6 @@ runLoop(ThreadPool &pool, u64 n, u64 grain,
 }
 
 } // namespace
-
-void
-ThreadPool::parallelFor(u64 n, u64 grain,
-                        const std::function<void(u64, u64, unsigned)> &fn)
-{
-    if (n == 0)
-        return;
-    runLoop(*this, n, std::max<u64>(grain, 1), fn, slotCount());
-}
-
-ThreadPool &
-ThreadPool::global()
-{
-    static ThreadPool pool;
-    return pool;
-}
 
 unsigned
 parallelForSlots(unsigned threads)
@@ -215,7 +239,7 @@ parallelFor(u64 n, u64 grain,
             fn(begin, std::min(begin + grain, n), 0);
         return;
     }
-    runLoop(ThreadPool::global(), n, grain, fn, width);
+    runLoop(n, grain, fn, width);
 }
 
 } // namespace exma

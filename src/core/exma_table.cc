@@ -69,22 +69,19 @@ ExmaTable::build(const std::vector<Base> &ref)
 }
 
 std::vector<u64>
-ExmaTable::locateAllGlobal(const Interval &iv, u64 /*query_len*/,
-                           u64 limit) const
+ExmaTable::locateAllGlobal(const Interval &iv, u64 /*query_len*/) const
 {
     std::vector<u64> out = fm_->locateAll(iv);
-    globalHits(out, limit);
+    globalHits(out);
     return out;
 }
 
 void
-ExmaTable::globalHits(std::vector<u64> &located, u64 limit) const
+ExmaTable::globalHits(std::vector<u64> &located) const
 {
     for (u64 &pos : located)
         pos += slice_.global_begin;
     std::sort(located.begin(), located.end());
-    if (located.size() > limit)
-        located.resize(limit);
 }
 
 IndexLookup

@@ -178,24 +178,23 @@ class ExmaTable
 
     /**
      * Finish one interval's located rows (local positions, any order)
-     * as its hit list: moved to global coordinates, sorted ascending,
-     * and cut to the lowest @p limit positions.
+     * as its hit list: moved to global coordinates and sorted
+     * ascending. Every hit is kept; a cap is the router's, applied
+     * after its cross-shard merge.
      */
-    void globalHits(std::vector<u64> &located, u64 limit) const;
+    void globalHits(std::vector<u64> &located) const;
 
     /** The slice of the reference this table covers. */
     const TextSegment &slice() const { return slice_; }
 
     /**
-     * Global text positions of a search interval's occurrences, sorted
-     * ascending: every occurrence is located, moved to global
-     * coordinates, and @p limit then keeps the lowest @p limit
-     * positions. Equals locateAll(iv) finished by globalHits().
+     * Global text positions of all of a search interval's occurrences,
+     * sorted ascending: locateAll(iv) finished by globalHits().
      * @p query_len is unused: a table holds no seam a match could
      * cross, so no hit is filtered.
      */
-    std::vector<u64> locateAllGlobal(const Interval &iv, u64 query_len,
-                                     u64 limit = ~u64{0}) const;
+    std::vector<u64> locateAllGlobal(const Interval &iv,
+                                     u64 query_len) const;
 
     /**
      * One recorded k-step iteration of a search, for the trace-driven

@@ -33,8 +33,8 @@ FaultRule::matches(std::string_view at) const
     return at == site;
 }
 
-FaultInjector::FaultInjector(std::vector<FaultRule> rules, u64 seed)
-    : rules_(std::move(rules)), seed_(seed)
+FaultInjector::FaultInjector(std::vector<FaultRule> rules)
+    : rules_(std::move(rules))
 {
 }
 
@@ -229,13 +229,9 @@ installFaultInjectorFromEnvOnce()
         const char *spec = std::getenv("EXMA_FAULTS");
         if (!spec || !*spec || faultInjector())
             return;
-        const char *seed_env = std::getenv("EXMA_FAULT_SEED");
-        const u64 seed =
-            seed_env ? std::strtoull(seed_env, nullptr, 10) : 0;
         installFaultInjector(std::make_shared<FaultInjector>(
-            FaultInjector::parseSpec(spec), seed));
-        exma_inform("fault injector armed: EXMA_FAULTS=%s seed=%llu", spec,
-                    static_cast<unsigned long long>(seed));
+            FaultInjector::parseSpec(spec)));
+        exma_inform("fault injector armed: EXMA_FAULTS=%s", spec);
     });
 }
 

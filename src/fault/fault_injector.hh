@@ -7,14 +7,14 @@
  * like "shard00/r1" (a replica worker) or "io.load" (the mmap load
  * path) — with counter-based triggers: fire on the Nth hit of that
  * site, optionally every `every` hits thereafter. All decisions are
- * pure functions of the rule list, the per-site hit counters, and the
- * seed, so a failing fault schedule replays exactly.
+ * pure functions of the rule list and the per-site hit counters, so a
+ * failing fault schedule replays exactly.
  *
  * The injector is compiled in unconditionally but costs one relaxed
  * atomic load per probe when disabled: instrumented code calls the
  * free function faultInjector(), which returns nullptr unless an
  * injector has been installed (programmatically, or from the
- * EXMA_FAULTS / EXMA_FAULT_SEED environment via
+ * EXMA_FAULTS environment variable via
  * installFaultInjectorFromEnvOnce()).
  *
  * Rule spec grammar (comma-separated rules in EXMA_FAULTS):
@@ -76,7 +76,7 @@ struct FaultAction {
 class FaultInjector
 {
   public:
-    explicit FaultInjector(std::vector<FaultRule> rules, u64 seed = 0);
+    explicit FaultInjector(std::vector<FaultRule> rules);
 
     /**
      * Parse a comma-separated rule spec (see file comment). Malformed
@@ -97,12 +97,8 @@ class FaultInjector
     /** Total hits recorded for a concrete site (for tests/stats). */
     u64 hits(std::string_view site) const;
 
-    const std::vector<FaultRule> &rules() const { return rules_; }
-    u64 seed() const { return seed_; }
-
   private:
     const std::vector<FaultRule> rules_;
-    const u64 seed_;
     mutable Mutex mtx_;
     // site -> hit count; flat vector: site cardinality is tiny
     // (shards × replicas + a few io sites).
@@ -121,7 +117,7 @@ installFaultInjector(std::shared_ptr<FaultInjector> injector);
 
 /**
  * One-shot: if EXMA_FAULTS is set and nothing is installed yet, parse
- * it (seed from EXMA_FAULT_SEED) and install. Serving entry points
+ * it and install. Serving entry points
  * (router construction, loadIndex) call this so env-driven injection
  * works in benches and CLIs without code changes.
  */

@@ -164,11 +164,4 @@ FmIndex::locateRows(std::span<u64> rows) const
     runInFlight<Walk>(rows.size(), start, visit);
 }
 
-u64
-FmIndex::sizeBytes() const
-{
-    return rank_.sizeBytes() + sizeof(count_) + sa_sampled_.sizeBytes() +
-           sa_values_.size() * 4;
-}
-
 } // namespace exma

@@ -139,9 +139,6 @@ class FmIndex
      */
     void locateRows(std::span<u64> rows) const;
 
-    /** Approximate heap footprint. */
-    u64 sizeBytes() const;
-
     /** The rank structure (serialization). */
     const PackedRank &packedRank() const { return rank_; }
 

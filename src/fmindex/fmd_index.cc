@@ -286,11 +286,4 @@ FmdIndex::locate(const Smem &m, u64 limit) const
     return out;
 }
 
-u64
-FmdIndex::sizeBytes() const
-{
-    return bwt_.size() + occ_ckpt_.size() * 4 + sizeof(count_) +
-           sa_sampled_.sizeBytes() + sa_values_.size() * 4;
-}
-
 } // namespace exma

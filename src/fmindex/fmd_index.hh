@@ -87,9 +87,6 @@ class FmdIndex
     /** Map up to @p limit occurrences of a SMEM to reference positions. */
     std::vector<HitPos> locate(const Smem &m, u64 limit) const;
 
-    /** Approximate heap footprint. */
-    u64 sizeBytes() const;
-
   private:
     static constexpr int kSigma = 6;
     /** Rows per Occ checkpoint bucket. */

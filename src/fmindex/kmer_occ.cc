@@ -64,9 +64,8 @@ KmerOccTable::KmerOccTable(const std::vector<Base> &ref, int k) : k_(k)
 }
 
 KmerOccTable::KmerOccTable(Restored parts)
-    : k_(parts.k), n_rows_(parts.n_rows), distinct_(parts.distinct),
-      bases_(std::move(parts.bases)), rows_(std::move(parts.rows)),
-      sentinel_windows_(std::move(parts.sentinel_windows)),
+    : k_(parts.k), n_rows_(parts.n_rows), bases_(std::move(parts.bases)),
+      rows_(std::move(parts.rows)),
       sentinel_thresholds_(std::move(parts.sentinel_thresholds))
 {
     exma_assert(k_ >= 1 && k_ <= kMaxKmerLen, "k=%d out of supported range",
@@ -78,9 +77,8 @@ KmerOccTable::KmerOccTable(Restored parts)
                 "occ restore: %llu increments, base array claims %u",
                 (unsigned long long)rows_.size(),
                 bases_[bases_.size() - 1]);
-    exma_assert(sentinel_windows_.size() == static_cast<u64>(k_) &&
-                    sentinel_thresholds_.size() == static_cast<u64>(k_),
-                "occ restore: expected k=%d sentinel windows", k_);
+    exma_assert(sentinel_thresholds_.size() == static_cast<u64>(k_),
+                "occ restore: expected k=%d sentinel thresholds", k_);
 }
 
 void
@@ -146,10 +144,10 @@ KmerOccTable::build(const std::vector<Base> &ref,
     };
 
     // Pass 1: count occurrences per pure k-mer into the chunk's
-    // histogram, allocated by the thread that fills it; collect
-    // sentinel rows.
+    // histogram, allocated by the thread that fills it; collect the
+    // base-5 codes of the sentinel windows.
     std::vector<std::vector<u32>> hist(chunks);
-    std::vector<std::vector<std::pair<u64, u32>>> sent(chunks);
+    std::vector<std::vector<u64>> sent(chunks);
     forChunks([&](u64 t, u64 lo, u64 hi) {
         auto &h = hist[t];
         h.assign(space, 0);
@@ -158,21 +156,20 @@ KmerOccTable::build(const std::vector<Base> &ref,
             if (pos >= k)
                 ++h[packKmer(ref.data() + (pos - k), k_)];
             else
-                sent[t].emplace_back(sentinelCode5(r), static_cast<u32>(r));
+                sent[t].push_back(sentinelCode5(r));
         }
     });
-    sentinel_windows_.clear();
+    std::vector<u64> sentinel_codes;
     for (const auto &chunk_sent : sent)
-        sentinel_windows_.insert(sentinel_windows_.end(), chunk_sent.begin(),
-                                 chunk_sent.end());
-    exma_assert(sentinel_windows_.size() == k,
+        sentinel_codes.insert(sentinel_codes.end(), chunk_sent.begin(),
+                              chunk_sent.end());
+    exma_assert(sentinel_codes.size() == k,
                 "expected exactly k sentinel windows, got %zu",
-                sentinel_windows_.size());
-    std::sort(sentinel_windows_.begin(), sentinel_windows_.end());
-    sentinel_thresholds_.resize(sentinel_windows_.size());
-    for (size_t w = 0; w < sentinel_windows_.size(); ++w)
-        sentinel_thresholds_[w] =
-            pureCodeAbove(sentinel_windows_[w].first, k_);
+                sentinel_codes.size());
+    std::sort(sentinel_codes.begin(), sentinel_codes.end());
+    sentinel_thresholds_.resize(sentinel_codes.size());
+    for (size_t w = 0; w < sentinel_codes.size(); ++w)
+        sentinel_thresholds_[w] = pureCodeAbove(sentinel_codes[w], k_);
 
     // Run @p fn(m) over every k-mer code, in parallel.
     const u64 code_grain = std::max<u64>(space / (chunks * 8u), 4096);
@@ -194,13 +191,9 @@ KmerOccTable::build(const std::vector<Base> &ref,
         bases[m + 1] = sum;
     });
 
-    // Prefix-sum the counts into base offsets; count distinct k-mers.
-    distinct_ = 0;
-    for (u64 m = 0; m < space; ++m) {
-        if (bases[m + 1] != 0)
-            ++distinct_;
+    // Prefix-sum the counts into base offsets.
+    for (u64 m = 0; m < space; ++m)
         bases[m + 1] += bases[m];
-    }
 
     // Pass 2: place rows. Each histogram entry becomes its chunk's
     // cursor, staggered by the earlier chunks' counts; ascending r
@@ -238,13 +231,6 @@ KmerOccTable::countBefore(Kmer code) const
     for (const u64 t : sentinel_thresholds_)
         cnt += static_cast<u64>(t <= code);
     return cnt;
-}
-
-u64
-KmerOccTable::sizeBytes() const
-{
-    return bases_.size() * 4 + rows_.size() * 4 +
-           sentinel_windows_.size() * 12 + sentinel_thresholds_.size() * 8;
 }
 
 } // namespace exma

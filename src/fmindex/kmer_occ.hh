@@ -12,8 +12,10 @@
  * pointer per k-mer, and the per-k-mer occurrence count f_i.
  *
  * Windows containing the sentinel exist (there are exactly k of them,
- * since $ occurs once); they are kept separately because DNA queries can
- * never match them, but they must participate in the cumulative Count_k.
+ * since $ occurs once). DNA queries can never match them, so they hold
+ * no increments, but they must participate in the cumulative Count_k:
+ * the table keeps one threshold per sentinel window, the smallest pure
+ * k-mer code that sorts above it, and nothing else of them.
  *
  * occ() is the one exact Occ lookup: the Exact mode calls it for every
  * lookup, and both learned indexes for every k-mer they do not model.
@@ -23,7 +25,6 @@
 #define EXMA_FMINDEX_KMER_OCC_HH
 
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/branchless.hh"
@@ -55,16 +56,14 @@ class KmerOccTable
     /**
      * Serialized parts of a table (src/io/table_io.cc). On a load the
      * two hot arrays are borrowed straight from the mmap'd `.exma.occ`
-     * file; the tiny sentinel arrays (k entries each) are owned copies.
+     * file; the tiny threshold array (k entries) is an owned copy.
      */
     struct Restored
     {
         int k = 0;
         u64 n_rows = 0;
-        u64 distinct = 0;
         Storage<u32> bases;
         Storage<u32> rows;
-        std::vector<std::pair<u64, u32>> sentinel_windows;
         std::vector<u64> sentinel_thresholds;
     };
 
@@ -150,13 +149,6 @@ class KmerOccTable
     /** The raw base-offset array (4^k + 1 entries, non-decreasing). */
     std::span<const u32> baseArray() const { return bases_.span(); }
 
-    /** Sentinel-containing windows, sorted by code (serialization). */
-    const std::vector<std::pair<u64, u32>> &
-    sentinelWindows() const
-    {
-        return sentinel_windows_;
-    }
-
     /** Per-window pure-code thresholds, ascending (serialization). */
     const std::vector<u64> &
     sentinelThresholds() const
@@ -164,22 +156,13 @@ class KmerOccTable
         return sentinel_thresholds_;
     }
 
-    /** Number of distinct pure-DNA k-mers that occur at least once. */
-    u64 distinctKmers() const { return distinct_; }
-
-    /** Approximate heap footprint. */
-    u64 sizeBytes() const;
-
   private:
     void build(const std::vector<Base> &ref, const std::vector<SaIndex> &sa);
 
     int k_;
     u64 n_rows_ = 0;
-    u64 distinct_ = 0;
     Storage<u32> bases_; ///< 4^k + 1 prefix offsets into rows_
     Storage<u32> rows_;  ///< concatenated sorted increment rows
-    /** Sentinel-containing windows: (base-5 code, row), sorted by code. */
-    std::vector<std::pair<u64, u32>> sentinel_windows_;
     /**
      * Per sentinel window: the smallest pure k-mer code sorting above
      * it (4^k if none), ascending. countBefore() counts `t <= code`

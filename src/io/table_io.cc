@@ -82,7 +82,7 @@ static_assert(std::is_trivially_copyable_v<PackedRank::Block>);
 constexpr u32 kPacSegments = 2; ///< TextSegment[1]: the covered slice
 constexpr u32 kPacText = 3;     ///< scan shards: 2-bit slice text, u64[]
 
-constexpr u32 kOccMeta = 1;  ///< k/rows/sentinels/.sa checksum blob
+constexpr u32 kOccMeta = 1;  ///< k/rows/thresholds/.sa checksum blob
 constexpr u32 kOccBases = 2; ///< base pointers, u32[4^k + 1]
 constexpr u32 kOccRows = 3;  ///< concatenated increments, u32[]
 
@@ -91,9 +91,6 @@ constexpr u32 kSaRankBlocks = 2; ///< PackedRank::Block[]
 constexpr u32 kSaValues = 3;     ///< sampled SA values, u32[]
 constexpr u32 kSaBvWords = 4;    ///< sampled-row bit vector words, u64[]
 constexpr u32 kSaBvSuper = 5;    ///< bit vector rank checkpoints, u64[]
-
-/** Blob bytes of one sentinel window (BlobReader::getCount): code, row. */
-constexpr u64 kSentinelWindowBytes = 8 + 4;
 
 // --- 2-bit text packing -------------------------------------------------
 
@@ -178,12 +175,6 @@ saveTableFiles(const ExmaTable &table, const std::string &stem)
         BlobWriter w;
         w.putI32(occ.k());
         w.putU64(occ.rows());
-        w.putU64(occ.distinctKmers());
-        w.putU64(occ.sentinelWindows().size());
-        for (const auto &[code, row] : occ.sentinelWindows()) {
-            w.putU64(code);
-            w.putU32(row);
-        }
         w.putU64(occ.sentinelThresholds().size());
         for (const u64 t : occ.sentinelThresholds())
             w.putU64(t);
@@ -240,12 +231,6 @@ loadTableFiles(const std::string &stem)
         KmerOccTable::Restored ro;
         ro.k = r.getI32();
         ro.n_rows = r.getU64();
-        ro.distinct = r.getU64();
-        ro.sentinel_windows.resize(r.getCount(kSentinelWindowBytes));
-        for (auto &[code, row] : ro.sentinel_windows) {
-            code = r.getU64();
-            row = r.getU32();
-        }
         ro.sentinel_thresholds.resize(r.getCount(sizeof(u64)));
         for (u64 &t : ro.sentinel_thresholds)
             t = r.getU64();
@@ -265,10 +250,10 @@ loadTableFiles(const std::string &stem)
                 std::to_string(bases.size()) + " base pointers and " +
                     std::to_string(rows.size()) +
                     " increments do not fit k=" + std::to_string(ro.k));
-        const u64 k = static_cast<u64>(ro.k);
-        require(ro.sentinel_windows.size() == k &&
-                    ro.sentinel_thresholds.size() == k,
-                occ_path, "sentinel windows or thresholds are not k");
+        require(ro.sentinel_thresholds.size() == static_cast<u64>(ro.k),
+                occ_path,
+                std::to_string(ro.sentinel_thresholds.size()) +
+                    " sentinel thresholds for k=" + std::to_string(ro.k));
         ro.bases = Storage<u32>::borrowed(bases);
         ro.rows = Storage<u32>::borrowed(rows);
         parts.occ = std::move(ro);

@@ -6,26 +6,27 @@
  * One table is three files at a stem:
  *
  *   stem.exma.pac   the one text slice the table covers
- *   stem.exma.occ   EXMA table: base pointers, increments, sentinels,
- *                   and the checksum of the .sa it was saved with
+ *   stem.exma.occ   EXMA table: base pointers, increments, the k
+ *                   sentinel thresholds of Count_k, and the checksum
+ *                   of the .sa it was saved with
  *   stem.exma.sa    FM-index: packed-rank blocks, SA samples, sampled-
  *                   row bit vector
  *
  * The files hold the exact EXMA table and nothing learned: a model is
  * an in-memory build product, so a table built in MTL or naive mode
  * saves the same files as an Exact one, and every loaded table
- * resolves Occ exactly (mode Exact; k and the FM sampling come from
- * the .occ and .sa metadata). Loading mmaps the files read-only and
- * points the restored structures' hot arrays straight into the
- * mappings (common/storage.hh), so the Loaded* wrappers hold the
- * MappedFiles alongside the structures and must stay alive as long as
- * the table serves.
+ * resolves Occ exactly (mode Exact, k from the .occ metadata; the SA
+ * sample stride is the constant FmIndex::kSaSample). Loading mmaps
+ * the files read-only and points the restored structures' hot arrays
+ * straight into the mappings (common/storage.hh), so the Loaded*
+ * wrappers hold the MappedFiles alongside the structures and must
+ * stay alive as long as the table serves.
  *
  * Before anything is built over the mappings, the loader checks that
  * the .occ was saved with this .sa (its recorded checksum) and every
- * size a restore constructor asserts (k, base pointers, sentinels,
- * rank blocks, SA samples, the Count sum, rows on both sides, the
- * slice), throwing LoadError naming the file. It does not check array
+ * size a restore constructor asserts (k, base pointers, sentinel
+ * thresholds, rank blocks, SA samples, the Count sum, rows on both
+ * sides, the slice), throwing LoadError naming the file. It does not check array
  * contents, such as monotone base pointers or rank checkpoints: a file
  * whose checksum was forged over wrong contents is out of reach.
  *

@@ -102,10 +102,4 @@ IpBwt::search(const std::vector<Base> &query) const
     });
 }
 
-u64
-IpBwt::sizeBytes() const
-{
-    return kmer5_.size() * 8 + n_.size() * 4;
-}
-
 } // namespace exma

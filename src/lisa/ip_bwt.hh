@@ -95,8 +95,6 @@ class IpBwt
         return (qlen + static_cast<u64>(k_) - 1) / static_cast<u64>(k_);
     }
 
-    u64 sizeBytes() const;
-
   private:
     void build(const std::vector<Base> &ref, const std::vector<SaIndex> &sa);
 

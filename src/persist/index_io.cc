@@ -181,7 +181,7 @@ loadIndex(const std::string &dir)
             for (MappedFile &f : t.files)
                 out.files.push_back(std::move(f));
             slice = t.table->slice();
-            cfg.table = t.table->config(); // k and FM sampling, Exact
+            cfg.table = t.table->config(); // k from the .occ, Exact
             tables[s] = std::move(t.table);
         } else {
             LoadedScanShard scan = loadScanFiles(stem);

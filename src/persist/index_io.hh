@@ -19,8 +19,8 @@
  * holds the MappedFiles alongside the router and must stay alive as
  * long as the index serves. The files hold no learned model, so every
  * loaded table resolves Occ exactly, and the loaded router's
- * RouterConfig::table is its tables' own config (k and FM sampling
- * from their files, mode Exact). A loaded index remembers its
+ * RouterConfig::table is its tables' own config (k from their files,
+ * mode Exact). A loaded index remembers its
  * directory in its RouterConfig, so switching the router to the
  * socket transport serves the *same* files to out-of-process workers
  * with no re-save.

@@ -560,14 +560,4 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
     return out;
 }
 
-std::vector<u64>
-ShardRouter::findAll(const std::vector<Base> &query,
-                     SearchStats *stats) const
-{
-    const RoutedResult r = search({query});
-    if (stats)
-        *stats += r.stats;
-    return r.hits.empty() ? std::vector<u64>{} : r.hits[0];
-}
-
 } // namespace exma

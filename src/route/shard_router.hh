@@ -332,10 +332,6 @@ class ShardRouter
     RoutedResult search(const std::vector<std::vector<Base>> &queries,
                         u64 locate_limit = 0) const;
 
-    /** One query: sorted global match positions; stats merged if given. */
-    std::vector<u64> findAll(const std::vector<Base> &query,
-                             SearchStats *stats = nullptr) const;
-
   private:
     /** Spawn the replica sets over tables_/scan_refs_, plus the
      *  supervisor. */

@@ -98,12 +98,11 @@ SocketTransport::spawnChild()
     };
     // Faults are injected parent-side only: the injector's per-site
     // nth counters must survive child respawns, and a child running
-    // its own injector would double-fire every plan. Strip the fault
-    // environment from the child.
+    // its own injector would double-fire every plan. Strip EXMA_FAULTS
+    // from the child's environment.
     std::vector<char *> envp;
     for (char **e = environ; *e != nullptr; ++e) {
-        if (std::strncmp(*e, "EXMA_FAULTS=", 12) == 0 ||
-            std::strncmp(*e, "EXMA_FAULT_SEED=", 16) == 0)
+        if (std::strncmp(*e, "EXMA_FAULTS=", 12) == 0)
             continue;
         envp.push_back(*e);
     }

@@ -19,10 +19,9 @@
  * exactly once, in the destructor.
  *
  * Fault injection stays parent-side, in the lane, at the same
- * per-replica site name as in-process: EXMA_FAULTS/EXMA_FAULT_SEED
- * are stripped from the child's environment, so the injector's
- * per-site nth counters survive respawns and a child never fires a
- * plan twice.
+ * per-replica site name as in-process: EXMA_FAULTS is stripped from
+ * the child's environment, so the injector's per-site nth counters
+ * survive respawns and a child never fires a plan twice.
  */
 
 #ifndef EXMA_TRANSPORT_SOCKET_TRANSPORT_HH

@@ -42,9 +42,8 @@ searchShard(const ShardState &st, const WorkerRequest &req,
 
     if (st.table) {
         // A fresh config: nothing a request carries shapes a lane's
-        // search. Caps are the router's job, applied after the
-        // cross-shard merge (a per-shard cap would keep a
-        // shard-dependent subset), so locate_limit stays 0.
+        // search. The lane locates every hit: the cap is the router's
+        // job, applied once after the cross-shard merge.
         BatchConfig cfg;
         cfg.threads = 1; // the worker thread IS the execution lane
         cfg.locate = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 
 #include "batch/batch_searcher.hh"
 #include "common/inflight.hh"
@@ -102,10 +103,10 @@ TEST(BatchSearcher, BitIdenticalToSequentialAcrossThreadCounts)
     const auto qs = randomQueries(300, 9);
     const auto [expect_ivs, expect_stats] = sequentialReference(table, qs);
 
+    // 300 queries: 18 pooled chunks of 16 and a partial one of 12.
     for (unsigned threads : {1u, 2u, 8u}) {
         BatchConfig cfg;
         cfg.threads = threads;
-        cfg.grain = 7; // deliberately not a divisor of the batch size
         const BatchResult r = BatchSearcher(table, cfg).search(qs);
         EXPECT_EQ(r.intervals, expect_ivs) << "threads=" << threads;
         EXPECT_EQ(r.stats, expect_stats) << "threads=" << threads;
@@ -123,8 +124,7 @@ TEST(BatchSearcher, AllOccModesMatchSequential)
         const auto [expect_ivs, expect_stats] =
             sequentialReference(table, qs);
         BatchConfig cfg;
-        cfg.threads = 8;
-        cfg.grain = 5;
+        cfg.threads = 8; // 7 pooled chunks of 16 and one of 8
         const BatchResult r = BatchSearcher(table, cfg).search(qs);
         EXPECT_EQ(r.intervals, expect_ivs);
         EXPECT_EQ(r.stats, expect_stats);
@@ -166,25 +166,6 @@ TEST(BatchSearcher, LocateResolvesIntervalsToSortedPositions)
     // Off by default: no positions vector is filled.
     const BatchResult plain = BatchSearcher(table).search(qs);
     EXPECT_TRUE(plain.positions.empty());
-}
-
-TEST(BatchSearcher, LocateLimitCapsPositions)
-{
-    const ExmaTable &table = mtlTable();
-    const auto qs = randomQueries(60, 29);
-    BatchConfig cfg;
-    cfg.locate = true;
-    cfg.locate_limit = 2;
-    const BatchResult r = BatchSearcher(table, cfg).search(qs);
-    for (size_t i = 0; i < qs.size(); ++i) {
-        // The cap keeps the lowest two positions of the full hit set
-        // (BatchConfig::locate_limit).
-        auto lowest = table.locateAll(r.intervals[i]);
-        std::sort(lowest.begin(), lowest.end());
-        if (lowest.size() > 2)
-            lowest.resize(2);
-        EXPECT_EQ(r.positions[i], lowest) << "i=" << i;
-    }
 }
 
 TEST(BatchSearcher, CountsBases)
@@ -275,11 +256,16 @@ TEST(BatchSearcher, SegmentedTableLocatesGlobalPositions)
 // ---------------------------------------------------------------------
 // The staged engine at its edges. kInFlight searches (and LF walks) are
 // in flight per lane, so every size below is written in terms of it:
-// retuning the constant keeps the cases on the ring's boundaries. The
-// oracles share no code with the engine: FmIndex::search (the 1-step
-// search) for intervals, and a naive scan of the reference for hits.
+// retuning the constant keeps the cases on the ring's boundaries. A
+// pooled run (threads > 1) cuts its batch into kPoolChunk-query chunks,
+// a one-participant run into kLaneSlice-query slices. The oracles share
+// no code with the engine: FmIndex::search (the 1-step search) for
+// intervals, and a naive scan of the reference for hits.
 
 constexpr u64 kW = kInFlight;
+
+/** Queries per chunk of a pooled run (batch_searcher.cc's kPoolGrain). */
+constexpr u64 kPoolChunk = 16;
 
 /** Every occurrence of @p q in @p ref, ascending (std::search). */
 std::vector<u64>
@@ -372,15 +358,20 @@ TEST(StagedSearch, BatchSizesAndGrainsAroundTheRingWidth)
 {
     const auto &ref = testRef();
     const ExmaTable &table = mtlTable();
-    const auto pool = edgeQueries(ref, table.k(), 3 * kW + 1, 5);
+    const u64 most = std::max<u64>(3 * kW, 3 * kPoolChunk) + 1;
+    const auto pool = edgeQueries(ref, table.k(), most, 5);
     const auto hits = naiveHitsOfAll(ref, pool);
-    for (const u64 n : {u64{0}, u64{1}, kW - 1, kW, kW + 1, 3 * kW + 1}) {
-        // A grain of 1 divides every n and kW divides kW; 3 divides
-        // few of them; n + 1 puts the whole batch in one chunk.
-        for (const u64 grain : {u64{1}, u64{3}, kW, n + 1}) {
+    // Sizes on both sides of the ring width and of the pooled chunk
+    // edges: a pooled run's last chunk holds n % kPoolChunk queries (one
+    // for kPoolChunk + 1, a part ring for 2 * kPoolChunk + 3), and a
+    // lane (threads = 1) runs the whole batch as one slice.
+    for (const u64 n :
+         {u64{0}, u64{1}, u64{3}, kW - 1, kW, kW + 1, kPoolChunk - 1,
+          kPoolChunk, kPoolChunk + 1, 2 * kPoolChunk + 3, 3 * kW + 1,
+          most}) {
+        for (const unsigned threads : {1u, 2u}) {
             BatchConfig cfg;
-            cfg.threads = 2;
-            cfg.grain = grain;
+            cfg.threads = threads;
             cfg.locate = true;
             std::vector<u32> ids(n);
             for (u32 j = 0; j < n; ++j)
@@ -388,8 +379,8 @@ TEST(StagedSearch, BatchSizesAndGrainsAroundTheRingWidth)
             const BatchResult r =
                 BatchSearcher(table, cfg).search(pool, ids);
             expectMatchesOracles(table, pool, hits, ids, r,
-                                 "n=" + std::to_string(n) +
-                                     " grain=" + std::to_string(grain));
+                                 "n=" + std::to_string(n) + " threads=" +
+                                     std::to_string(threads));
         }
     }
 }
@@ -412,14 +403,18 @@ TEST(StagedSearch, EveryOccModeWithDuplicateIds)
         }
         for (u32 j = static_cast<u32>(qs.size() - kW); j < qs.size(); ++j)
             ids.push_back(j);
-        BatchConfig cfg;
-        cfg.threads = 2; // pooled: `grain` still cuts chunks
-        cfg.grain = 2 * kW;
-        cfg.locate = true;
-        const BatchResult r = BatchSearcher(table, cfg).search(qs, ids);
-        expectMatchesOracles(
-            table, qs, naiveHitsOfAll(ref, qs), ids, r,
-            "mode=" + std::to_string(static_cast<int>(mode)));
+        // A lane runs them as one slice, so it holds both copies; the
+        // pool cuts them into kPoolChunk-query chunks.
+        for (const unsigned threads : {1u, 2u}) {
+            BatchConfig cfg;
+            cfg.threads = threads;
+            cfg.locate = true;
+            const BatchResult r = BatchSearcher(table, cfg).search(qs, ids);
+            expectMatchesOracles(
+                table, qs, naiveHitsOfAll(ref, qs), ids, r,
+                "mode=" + std::to_string(static_cast<int>(mode)) +
+                    " threads=" + std::to_string(threads));
+        }
     }
 }
 
@@ -490,9 +485,9 @@ TEST(StagedSearch, RepeatRichIntervalsRefillTheLocateRing)
     std::vector<u32> ids(rr.qs.size());
     for (u32 j = 0; j < ids.size(); ++j)
         ids[j] = j;
+    ASSERT_LE(ids.size(), kPoolChunk);
     BatchConfig cfg;
-    cfg.threads = 2; // pooled: `grain` still cuts chunks
-    cfg.grain = kW + 1;
+    cfg.threads = 2; // pooled: one chunk holds the whole batch
     cfg.locate = true;
     const BatchResult r = BatchSearcher(rr.table, cfg).search(rr.qs, ids);
     u64 most = 0;
@@ -503,58 +498,42 @@ TEST(StagedSearch, RepeatRichIntervalsRefillTheLocateRing)
                          r, "repeat-rich");
 }
 
-TEST(StagedSearch, LocateLimitKeepsLowestGlobalHitsOnSegmentedTables)
-{
-    // Every table locates every row, then keeps the lowest
-    // `locate_limit` global positions: the oracle is a naive scan of
-    // the table's slice, shifted to global coordinates. A slice table
-    // and a whole-reference table (the slice [0, n)) follow one rule.
-    const auto &ref = testRef();
-    const ExmaTable slice_table(ref, TextSegment{9000, 8000},
-                                cfgFor(OccIndexMode::Exact));
-    for (const ExmaTable *table : {&slice_table, &mtlTable()}) {
-        const TextSegment seg = table->slice();
-        const std::vector<Base> slice = extractSegment(ref, seg);
-        const auto qs = edgeQueries(slice, table->k(), 3 * kW + 1, 23);
-        for (const u64 limit : {u64{0}, u64{1}, kW + 1}) {
-            BatchConfig cfg;
-            cfg.threads = 2; // pooled: `grain` still cuts chunks
-            cfg.grain = kW - 1;
-            cfg.locate = true;
-            cfg.locate_limit = limit;
-            const BatchResult r = BatchSearcher(*table, cfg).search(qs);
-            for (size_t i = 0; i < qs.size(); ++i) {
-                std::vector<u64> expect;
-                for (u64 pos : naiveHits(slice, qs[i]))
-                    expect.push_back(seg.global_begin + pos);
-                if (limit != 0 && expect.size() > limit)
-                    expect.resize(limit);
-                EXPECT_EQ(r.positions[i], expect)
-                    << "slice at " << seg.global_begin
-                    << " limit=" << limit << " i=" << i;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // One participant: a serving lane. It runs its batch as kLaneSlice-query
-// slices whatever `grain` says, and its heartbeat ticks per slice and
-// per kLaneSlice located rows.
+// slices, where a pooled run takes kPoolChunk-query chunks, and its
+// heartbeat ticks per slice and per kLaneSlice located rows.
 
-/** A one-participant located run of @p ids that counts heartbeat ticks. */
+/** A located run of @p ids at @p threads that counts heartbeat ticks. */
 std::pair<BatchResult, u64>
-laneRun(const ExmaTable &table, const std::vector<std::vector<Base>> &qs,
-        const std::vector<u32> &ids, u64 grain)
+countedRun(const ExmaTable &table, const std::vector<std::vector<Base>> &qs,
+           const std::vector<u32> &ids, unsigned threads)
 {
-    u64 ticks = 0;
+    std::atomic<u64> ticks{0};
     BatchConfig cfg;
-    cfg.threads = 1;
-    cfg.grain = grain;
+    cfg.threads = threads;
     cfg.locate = true;
     cfg.progress = [&ticks] { ++ticks; };
     BatchResult r = BatchSearcher(table, cfg).search(qs, ids);
-    return {std::move(r), ticks};
+    return {std::move(r), ticks.load()};
+}
+
+/**
+ * The heartbeat ticks a run of @p chunk-query chunks makes for hit
+ * lists @p positions: one per kLaneSlice located rows (rounded up) of
+ * each chunk, and one per chunk.
+ */
+u64
+expectedTicks(const std::vector<std::vector<u64>> &positions, u64 chunk)
+{
+    u64 ticks = 0;
+    for (u64 begin = 0; begin < positions.size(); begin += chunk) {
+        u64 rows = 0;
+        for (u64 j = begin; j < std::min<u64>(begin + chunk, positions.size());
+             ++j)
+            rows += positions[j].size();
+        ticks += (rows + kLaneSlice - 1) / kLaneSlice + 1;
+    }
+    return ticks;
 }
 
 TEST(StagedSearch, LaneRunsFullSlicesWhateverTheGrain)
@@ -570,19 +549,19 @@ TEST(StagedSearch, LaneRunsFullSlicesWhateverTheGrain)
     std::vector<u32> ids(n);
     for (u32 j = 0; j < n; ++j)
         ids[j] = static_cast<u32>(j % pool.size());
-    const u64 slices = (n + kLaneSlice - 1) / kLaneSlice;
 
-    const auto [first, first_ticks] = laneRun(table, pool, ids, 1);
-    expectMatchesOracles(table, pool, hits, ids, first, "grain=1");
-    EXPECT_GE(first_ticks, slices);
-    for (const u64 grain : {kW, n + 1}) {
-        const auto [r, ticks] = laneRun(table, pool, ids, grain);
-        const std::string what = "grain=" + std::to_string(grain);
-        EXPECT_EQ(r.intervals, first.intervals) << what;
-        EXPECT_EQ(r.positions, first.positions) << what;
-        EXPECT_EQ(r.stats, first.stats) << what;
-        EXPECT_EQ(ticks, first_ticks) << what;
-    }
+    // The heartbeat counts the chunks: a lane's are kLaneSlice-query
+    // slices, a pooled run's kPoolChunk-query chunks. Answers do not
+    // depend on the cut.
+    const auto [lane, lane_ticks] = countedRun(table, pool, ids, 1);
+    expectMatchesOracles(table, pool, hits, ids, lane, "lane");
+    EXPECT_EQ(lane_ticks, expectedTicks(lane.positions, kLaneSlice));
+    const auto [pooled, pooled_ticks] = countedRun(table, pool, ids, 2);
+    EXPECT_EQ(pooled.intervals, lane.intervals);
+    EXPECT_EQ(pooled.positions, lane.positions);
+    EXPECT_EQ(pooled.stats, lane.stats);
+    EXPECT_EQ(pooled_ticks, expectedTicks(lane.positions, kPoolChunk));
+    EXPECT_LT(lane_ticks, pooled_ticks);
 }
 
 TEST(StagedSearch, LaneLocateTicksEveryLaneSliceOfRows)
@@ -596,7 +575,7 @@ TEST(StagedSearch, LaneLocateTicksEveryLaneSliceOfRows)
         for (u32 j = 0; j < rr.qs.size(); ++j)
             ids.push_back(j);
     ASSERT_LT(ids.size(), kLaneSlice);
-    const auto [r, ticks] = laneRun(rr.table, rr.qs, ids, kW);
+    const auto [r, ticks] = countedRun(rr.table, rr.qs, ids, 1);
     u64 rows = 0;
     for (const auto &pos : r.positions)
         rows += pos.size();

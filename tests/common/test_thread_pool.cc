@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -17,34 +18,15 @@ TEST(ThreadPool, HardwareThreadsAtLeastOne)
     EXPECT_GE(hardwareThreads(), 1u);
 }
 
-TEST(ThreadPool, SubmitRunsAllTasks)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    EXPECT_EQ(pool.slotCount(), 5u);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&ran] { ++ran; });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, WaitWithNoTasksReturnsImmediately)
-{
-    ThreadPool pool(2);
-    pool.wait();
-}
-
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce)
 {
-    ThreadPool pool(4);
     for (const u64 n : {0ull, 1ull, 7ull, 64ull, 1000ull}) {
         for (const u64 grain : {1ull, 3ull, 16ull, 5000ull}) {
             std::vector<std::atomic<int>> hits(n);
             for (auto &h : hits)
                 h = 0;
-            pool.parallelFor(n, grain, [&](u64 b, u64 e, unsigned slot) {
-                EXPECT_LT(slot, pool.slotCount());
+            parallelFor(n, grain, [&](u64 b, u64 e, unsigned slot) {
+                EXPECT_LT(slot, parallelForSlots());
                 for (u64 i = b; i < e; ++i)
                     ++hits[i];
             });
@@ -56,38 +38,40 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce)
 
 TEST(ThreadPool, ParallelForUsesMultipleSlots)
 {
-    ThreadPool pool(4);
     std::mutex m;
     std::set<unsigned> slots;
     // Many tiny chunks so several participants get a chance to claim
     // work; the assertion is deliberately weak (>= 1 slot) because a
     // loaded or single-core machine may legitimately let the caller
     // drain everything.
-    pool.parallelFor(256, 1, [&](u64, u64, unsigned slot) {
+    parallelFor(256, 1, [&](u64, u64, unsigned slot) {
         std::lock_guard<std::mutex> lock(m);
         slots.insert(slot);
     });
     EXPECT_GE(slots.size(), 1u);
     for (unsigned s : slots)
-        EXPECT_LT(s, pool.slotCount());
+        EXPECT_LT(s, parallelForSlots());
 }
 
 TEST(ThreadPool, ParallelForPropagatesFirstException)
 {
-    ThreadPool pool(2);
-    EXPECT_THROW(
-        pool.parallelFor(100, 4,
-                         [](u64 b, u64, unsigned) {
-                             if (b >= 48)
-                                 throw std::runtime_error("chunk failed");
-                         }),
-        std::runtime_error);
+    EXPECT_THROW(parallelFor(
+                     100, 4,
+                     [](u64 b, u64, unsigned) {
+                         if (b >= 48)
+                             throw std::runtime_error("chunk failed");
+                     },
+                     2),
+                 std::runtime_error);
     // The pool stays usable after a throwing loop.
     std::atomic<u64> sum{0};
-    pool.parallelFor(10, 2, [&](u64 b, u64 e, unsigned) {
-        for (u64 i = b; i < e; ++i)
-            sum += i;
-    });
+    parallelFor(
+        10, 2,
+        [&](u64 b, u64 e, unsigned) {
+            for (u64 i = b; i < e; ++i)
+                sum += i;
+        },
+        2);
     EXPECT_EQ(sum.load(), 45u);
 }
 
@@ -144,8 +128,10 @@ TEST(ThreadPool, FreeParallelForMatchesSequentialSum)
 TEST(ThreadPool, ParallelForSlotsBounds)
 {
     EXPECT_EQ(parallelForSlots(1), 1u);
-    EXPECT_GE(parallelForSlots(0), 2u); // caller + >=1 worker
-    EXPECT_LE(parallelForSlots(8), ThreadPool::global().slotCount());
+    // The caller plus one worker per hardware thread.
+    EXPECT_EQ(parallelForSlots(0), hardwareThreads() + 1);
+    EXPECT_EQ(parallelForSlots(2), 2u);
+    EXPECT_LE(parallelForSlots(8), parallelForSlots(0));
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock)

@@ -246,9 +246,6 @@ TEST(ExmaTable, SliceBuildReportsGlobalPositions)
     const std::vector<Base> gg = {2, 2}; // "GG" at 12, 13, 14
     EXPECT_EQ(tab.locateAllGlobal(tab.search(gg), gg.size()),
               (std::vector<u64>{12, 13, 14}));
-    // The cap keeps the lowest global positions.
-    EXPECT_EQ(tab.locateAllGlobal(tab.search(gg), gg.size(), 2),
-              (std::vector<u64>{12, 13}));
     // Text outside the slice is not found.
     const std::vector<Base> aa = {0, 0};
     EXPECT_TRUE(tab.locateAllGlobal(tab.search(aa), aa.size()).empty());

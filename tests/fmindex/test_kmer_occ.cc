@@ -141,11 +141,15 @@ TEST(KmerOccTable, BaseOfIsPrefixSumOfFrequencies)
 
 TEST(KmerOccTable, DistinctKmersCounted)
 {
-    // A reference of all A's has exactly one distinct 2-mer: AA.
+    // A reference of all A's has exactly one distinct 2-mer, AA, which
+    // holds every row but the k sentinel windows.
     std::vector<Base> ref(64, 0);
     KmerOccTable tab(ref, 2);
-    EXPECT_EQ(tab.distinctKmers(), 1u);
-    EXPECT_GT(tab.frequency(0), 0u);
+    u64 distinct = 0;
+    for (Kmer m = 0; m < kmerSpace(2); ++m)
+        distinct += tab.frequency(m) != 0;
+    EXPECT_EQ(distinct, 1u);
+    EXPECT_EQ(tab.frequency(0), tab.rows() - 2);
 }
 
 /**
@@ -213,7 +217,6 @@ TEST_P(KmerOccParallelBuildTest, MatchesNaiveWindows)
         }
         std::ranges::sort(windows);
 
-        u64 distinct = 0;
         for (Kmer m = 0; m < kmerSpace(k); ++m) {
             const std::string what =
                 "len=" + std::to_string(len) + " k=" + std::to_string(k) +
@@ -230,9 +233,7 @@ TEST_P(KmerOccParallelBuildTest, MatchesNaiveWindows)
             ASSERT_EQ(tab.countBefore(m),
                       static_cast<u64>(below - windows.begin()))
                 << what;
-            distinct += !rows[m].empty();
         }
-        EXPECT_EQ(tab.distinctKmers(), distinct) << "len=" << len;
     }
 }
 

@@ -338,14 +338,14 @@ fixedBases(size_t n, u64 seed)
 // The layout lock freezes struct layouts, not the bodies built from
 // them: a change to the bit order inside a packed word, a field order
 // or a length width passes every round trip. These hashes were taken
-// from the format-6 writers. Version 6 dropped the request head's
-// grain and the .sa meta's two sampling fields, so the request body,
-// the .sa checksum and the .occ meta blob (which records that
-// checksum) changed; the response and scan-text bodies are format 5's.
-// A body change must bump kFormatVersion and recapture them.
+// from the format-7 writers. Version 7 dropped the .occ meta's
+// distinct-k-mer count and sentinel windows, so only the .occ meta
+// blob changed; the request body and the .sa checksum are format 6's,
+// the response and scan-text bodies format 5's. A body change must
+// bump kFormatVersion and recapture them.
 TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
 {
-    EXPECT_EQ(kFormatVersion, 6u);
+    EXPECT_EQ(kFormatVersion, 7u);
 
     // Query lengths on both sides of the 32-base word edges.
     std::vector<std::vector<Base>> queries;
@@ -391,7 +391,7 @@ TEST(FileFormatTest, SerializedBodiesArePinnedToTheFormatVersion)
     const MappedFile occ_file(dir + "/table" + kExtOcc);
     EXPECT_EQ(FileView(sa_file, kMagicSa).checksum(), 0xb2c53dd3fda41f79ULL);
     EXPECT_EQ(fnv1aWords(FileView(occ_file, kMagicOcc).readBlob(1)),
-              0xde9996ddfd9d91ceULL);
+              0x4bd42430c7b43874ULL);
 }
 
 // --- single-table round trips -------------------------------------------
@@ -862,8 +862,6 @@ TEST(CraftedTableTest, OccWithKAboveTheSupportedRange)
     BlobWriter w;
     w.putI32(28);       // k
     w.putU64(4097);     // rows
-    w.putU64(1);        // distinct k-mers
-    w.putU64(0);        // sentinel windows
     w.putU64(0);        // sentinel thresholds
     w.putU64(FileView(sa_file, kMagicSa).checksum());
     FileBuilder fb(kMagicOcc);

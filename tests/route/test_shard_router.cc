@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/inflight.hh"
 #include "common/rng.hh"
 #include "genome/reference.hh"
 #include "route/shard_router.hh"
@@ -362,36 +363,50 @@ TEST(ShardRouter, TextPlanServesBroadcastThroughWorkers)
             << "query " << i;
 }
 
-TEST(ShardRouter, LocateLimitAppliesGloballyAfterMerge)
+/**
+ * Substrings of @p ref: 40 of 6 bases, then 8 of 3 bases, whose hit
+ * lists run longer than a ring of kInFlight locate walks.
+ */
+std::vector<std::vector<Base>>
+shortQueries(const std::vector<Base> &ref)
 {
-    const Dataset ds = makeDataset("human", 0.001);
-    const auto cfg = tableCfg(ds.exma_k);
-    const ExmaTable single(ds.ref, cfg);
-    const auto plan = ShardPlan::kmerPrefix(ds.ref, 8, kMaxQueryLen);
-    RouterConfig rcfg;
-    rcfg.table = cfg;
-    const ShardRouter router(ds.ref, plan, rcfg);
-
     std::vector<std::vector<Base>> qs;
     Rng rng(3);
-    for (int i = 0; i < 40; ++i) {
-        const u64 pos = rng.below(ds.ref.size() - 6);
-        qs.emplace_back(ds.ref.begin() + static_cast<std::ptrdiff_t>(pos),
-                        ds.ref.begin() +
-                            static_cast<std::ptrdiff_t>(pos + 6));
+    for (int i = 0; i < 48; ++i) {
+        const u64 len = i < 40 ? 6 : 3;
+        const u64 pos = rng.below(ref.size() - len);
+        qs.emplace_back(ref.begin() + static_cast<std::ptrdiff_t>(pos),
+                        ref.begin() + static_cast<std::ptrdiff_t>(pos + len));
     }
-    const RoutedResult r = router.search(qs, 3);
-    bool saw_capped = false;
-    for (size_t i = 0; i < qs.size(); ++i) {
-        const auto full = singleTableHits(single, qs[i]);
-        const size_t expect = std::min<size_t>(full.size(), 3);
-        ASSERT_EQ(r.hits[i].size(), expect) << "query " << i;
-        EXPECT_TRUE(std::equal(r.hits[i].begin(), r.hits[i].end(),
-                               full.begin()))
-            << "query " << i;
-        saw_capped |= full.size() > 3;
+    return qs;
+}
+
+TEST(ShardRouter, LocateLimitAppliesGloballyAfterMerge)
+{
+    // The router's cap is the only one: every lane locates all of its
+    // hits, and the cap keeps the lowest global positions of the
+    // merged set. The oracle is a naive scan of the reference.
+    const Dataset ds = makeDataset("human", 0.001);
+    const auto plan = ShardPlan::kmerPrefix(ds.ref, 8, kMaxQueryLen);
+    RouterConfig rcfg;
+    rcfg.table = tableCfg(ds.exma_k);
+    const ShardRouter router(ds.ref, plan, rcfg);
+
+    const auto qs = shortQueries(ds.ref);
+    // Cap 0 is no cap: every hit, checked against the scan as well.
+    for (const u64 cap : {u64{0}, u64{1}, u64{3}, u64{kInFlight} + 1}) {
+        const RoutedResult r = router.search(qs, cap);
+        bool saw_capped = cap == 0;
+        for (size_t i = 0; i < qs.size(); ++i) {
+            auto expect = naiveHits(ds.ref, qs[i]);
+            if (cap != 0 && expect.size() > cap) {
+                saw_capped = true;
+                expect.resize(cap);
+            }
+            EXPECT_EQ(r.hits[i], expect) << "cap " << cap << " query " << i;
+        }
+        EXPECT_TRUE(saw_capped) << "fixture never exceeded cap " << cap;
     }
-    EXPECT_TRUE(saw_capped) << "fixture never exceeded the cap";
 }
 
 TEST(ShardRouter, WorkersDrainInboxAcrossRepeatedBatches)
@@ -420,9 +435,8 @@ TEST(ShardRouter, WorkersDrainInboxAcrossRepeatedBatches)
         merged += s;
     EXPECT_EQ(merged, first.stats);
 
-    // findAll agrees with the batch path.
-    SearchStats lone;
-    EXPECT_EQ(router.findAll(qs[0], &lone), first.hits[0]);
+    // A lone query agrees with the batch path.
+    EXPECT_EQ(router.search({qs[0]}).hits[0], first.hits[0]);
 }
 
 TEST(ShardRouter, EmptyBatch)

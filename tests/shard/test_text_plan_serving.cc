@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "common/inflight.hh"
 #include "common/rng.hh"
 #include "genome/fasta.hh"
 #include "genome/reference.hh"
@@ -49,6 +50,19 @@ singleTableHits(const ExmaTable &table, const std::vector<Base> &query,
     auto hits = table.locateAll(table.search(query, stats));
     std::sort(hits.begin(), hits.end());
     return hits;
+}
+
+/** Oracle sharing no code with the FM index: every occurrence. */
+std::vector<u64>
+naiveHits(const std::vector<Base> &ref, const std::vector<Base> &query)
+{
+    std::vector<u64> out;
+    for (auto it = std::search(ref.begin(), ref.end(), query.begin(),
+                               query.end());
+         it != ref.end();
+         it = std::search(it + 1, ref.end(), query.begin(), query.end()))
+        out.push_back(static_cast<u64>(it - ref.begin()));
+    return out;
 }
 
 bool
@@ -142,7 +156,7 @@ TEST(ShardedExmaTable, BoundarySpanningMatchFoundExactlyOnce)
             ds.ref.begin() + static_cast<std::ptrdiff_t>(start),
             ds.ref.begin() +
                 static_cast<std::ptrdiff_t>(start + kMaxQueryLen));
-        const auto hits = router.findAll(q);
+        const auto hits = router.search({q}).hits[0];
         // The planted occurrence is reported once, despite straddling
         // the boundary (and possibly lying in two shards' overlap).
         EXPECT_EQ(std::count(hits.begin(), hits.end(), start), 1)
@@ -194,11 +208,10 @@ TEST(ShardedExmaTable, PerShardStatsMergeToTotal)
     EXPECT_EQ(merged, r.stats);
     EXPECT_GT(r.stats.kstep_iterations, 0u);
 
-    // findAll merges the same per-shard stats for a lone query.
-    SearchStats lone;
-    const auto hits = router.findAll(qs[0], &lone);
-    EXPECT_GT(lone.kstep_iterations, 0u);
-    EXPECT_EQ(hits, r.hits[0]);
+    // A lone query's search merges its per-shard stats the same way.
+    const RoutedResult lone = router.search({qs[0]});
+    EXPECT_GT(lone.stats.kstep_iterations, 0u);
+    EXPECT_EQ(lone.hits[0], r.hits[0]);
 }
 
 TEST(ShardedExmaTable, LearnedModeMatchesExactMode)
@@ -264,33 +277,40 @@ TEST(ShardedExmaTable, LocateLimitAppliesGloballyAfterMerge)
     // Regression: forwarding locate_limit per shard truncated each
     // shard's hits in SA order — an arbitrary, shard-count-dependent
     // subset. The cap must instead keep the lowest global positions.
+    // Each shard's table covers a slice, so this is also the check that
+    // slice tables keep the lowest global hits; the oracle is a naive
+    // scan of the reference, which shares no code with the index.
     const Dataset ds = makeDataset("human", 0.001);
-    const auto cfg = tableCfg(ds.exma_k);
-    const ExmaTable single(ds.ref, cfg);
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 8, kMaxQueryLen);
-    const ShardRouter router(ds.ref, plan, routerCfg(cfg));
+    const ShardRouter router(ds.ref, plan, routerCfg(tableCfg(ds.exma_k)));
 
-    // Short queries so several have multiple occurrences.
+    // Short queries so several have more hits than any cap below: 40
+    // of 6 bases, then 8 of 3 bases, whose hit lists run longer than a
+    // ring of kInFlight locate walks.
     std::vector<std::vector<Base>> qs;
     Rng rng(3);
-    for (int i = 0; i < 40; ++i) {
-        const u64 pos = rng.below(ds.ref.size() - 6);
+    for (int i = 0; i < 48; ++i) {
+        const u64 len = i < 40 ? 6 : 3;
+        const u64 pos = rng.below(ds.ref.size() - len);
         qs.emplace_back(ds.ref.begin() + static_cast<std::ptrdiff_t>(pos),
-                        ds.ref.begin() + static_cast<std::ptrdiff_t>(pos + 6));
+                        ds.ref.begin() +
+                            static_cast<std::ptrdiff_t>(pos + len));
     }
-    const RoutedResult r = router.search(qs, 3);
-    bool saw_capped = false;
-    for (size_t i = 0; i < qs.size(); ++i) {
-        const auto full = singleTableHits(single, qs[i]);
-        const size_t expect = std::min<size_t>(full.size(), 3);
-        ASSERT_EQ(r.hits[i].size(), expect) << "query " << i;
-        // The survivors are exactly the lowest positions.
-        EXPECT_TRUE(std::equal(r.hits[i].begin(), r.hits[i].end(),
-                               full.begin()))
-            << "query " << i;
-        saw_capped |= full.size() > 3;
+    // Cap 0 is no cap: every hit, checked against the scan as well.
+    for (const u64 cap : {u64{0}, u64{1}, u64{3}, u64{kInFlight} + 1}) {
+        const RoutedResult r = router.search(qs, cap);
+        bool saw_capped = cap == 0;
+        for (size_t i = 0; i < qs.size(); ++i) {
+            auto expect = naiveHits(ds.ref, qs[i]);
+            if (cap != 0 && expect.size() > cap) {
+                saw_capped = true;
+                expect.resize(cap);
+            }
+            // The survivors are exactly the lowest positions.
+            EXPECT_EQ(r.hits[i], expect) << "cap " << cap << " query " << i;
+        }
+        EXPECT_TRUE(saw_capped) << "fixture never exceeded cap " << cap;
     }
-    EXPECT_TRUE(saw_capped) << "fixture never exceeded the cap";
 }
 
 TEST(ShardedExmaTable, EmptyBatch)
